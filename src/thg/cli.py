@@ -415,11 +415,12 @@ def build_verify_report(spaces: Sequence[SpaceModel],
     """
     report = CheckReport("verification battery")
 
-    ok = all(fox.multiplicities(n, i).beta + fox.multiplicities(n, i).gamma
-             == math.comb(n, i - 1)
-             and fox.recursive_tau_multiplicity(n, i)
-             == fox.multiplicities(n, i).gamma
-             for n in range(1, 31) for i in range(1, n + 1))
+    ok = True
+    for n in range(1, 31):
+        column = fox.recursive_tau_multiplicities(n)
+        triples = [fox.multiplicities(n, i) for i in range(1, n + 1)]
+        ok = ok and all(t.beta + t.gamma == math.comb(n, t.i - 1)
+                        and column[t.i] == t.gamma for t in triples)
     report.add("multiplicity-identities", "binomials", None,
                PASS if ok else FAIL,
                "complement and telescoping identities for the tower "

@@ -26,6 +26,7 @@ gottlieb_fox_crosscheck exercises from both sides.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Tuple, Union
@@ -82,6 +83,36 @@ def multiplicities(n: int, i: int) -> MultiplicityTriple:
                               gamma=_binom(n - 1, i - 1))
 
 
+@functools.lru_cache(maxsize=4)
+def recursive_tau_multiplicities(n: int) -> Tuple[int, ...]:
+    """Multiplicities of pi_1, ..., pi_n in tau_n computed through the
+    splitting recursion, not in closed form; entry i is the count for
+    pi_i, and entry 0 is 0.
+
+    Walks the splitting level by level: the kernel counts alpha(m, .) of
+    level m come from those of level m-1 by Pascal's rule, and the
+    running total sums them over m = 2..n.  Additions only, so the
+    column is an independent route to C(n-1, i-1), which it reaches by
+    the hockey-stick identity.  A few recent columns are kept, so the
+    towers of one request share one.
+
+    >>> recursive_tau_multiplicities(5)
+    (0, 1, 4, 6, 4, 1)
+    >>> recursive_tau_multiplicities(1)
+    (0, 1)
+    """
+    if n < 1:
+        raise InvalidInputError(f"tower degree must be at least 1, got {n}")
+    # tau_1 = pi_1 and every kernel lives in degree >= 2; the lists below
+    # are indexed from degree 2, starting with level m = 2: alpha = (1,).
+    alpha: List[int] = [1]
+    total: List[int] = [1] if n >= 2 else []
+    for _ in range(3, n + 1):
+        alpha = [a + b for a, b in zip(alpha + [0], [0] + alpha)]
+        total = [t + a for t, a in zip(total + [0], alpha)]
+    return (0, 1, *total)
+
+
 def recursive_tau_multiplicity(n: int, i: int) -> int:
     """Multiplicity of pi_i in tau_n computed through the splitting
     recursion (summing the per-level kernel counts), not in closed form.
@@ -98,9 +129,7 @@ def recursive_tau_multiplicity(n: int, i: int) -> int:
     """
     if not 1 <= i <= n:
         raise InvalidInputError(f"need 1 <= i <= n, got i={i}, n={n}")
-    if i == 1:
-        return 1  # tau_1 = pi_1 and every kernel lives in degree >= 2.
-    return sum(_binom(m - 2, i - 2) for m in range(2, n + 1))
+    return recursive_tau_multiplicities(n)[i]
 
 
 def _check_degree(x: SpaceModel, n: int, lowest: int = 1) -> None:
@@ -180,10 +209,11 @@ def tau_invariants(x: SpaceModel, n: int) -> TowerSummary:
     conflicts = whitehead_gottlieb_conflicts(x)
     if conflicts:
         raise InvalidInputError("inconsistent model: " + "; ".join(conflicts))
+    column = recursive_tau_multiplicities(n)
     layers = []
     for i in range(2, n + 1):
         mult = _binom(n - 1, i - 1)
-        if mult != recursive_tau_multiplicity(n, i):
+        if mult != column[i]:
             raise AssertionError("multiplicity recursion out of step")
         layers.append((f"pi{i}", x.pi_at(i), mult))
     if all(grp.is_trivial() for _, grp, _ in layers):

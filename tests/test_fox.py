@@ -6,13 +6,17 @@ literally summing the column, so no binomial implementation is trusted
 twice.
 """
 
+import math
+
 import pytest
 
+from thg import fox, rhodes
 from thg.abelian import FgAbelian, INFINITY
 from thg.errors import InsufficientDataError, InvalidInputError
 from thg.fox import (fox_sequence_check, gottlieb_fox_crosscheck,
                      gottlieb_fox_invariants, gottlieb_index_product,
                      is_n_gottlieb, loop_tau_invariants, multiplicities,
+                     recursive_tau_multiplicities,
                      recursive_tau_multiplicity, summary_layer_rank,
                      tau_invariants, whitehead_gottlieb_conflicts)
 from thg.report import (CONFIRMED, EXPECTED_EXCEPTION, FAIL, INDETERMINATE,
@@ -39,7 +43,7 @@ def pascal(limit):
     return tri
 
 
-TRI = pascal(32)
+TRI = pascal(62)
 
 
 def choose(a, b):
@@ -65,7 +69,9 @@ def test_pascal_addition_identity_by_direct_summation():
 
 
 def test_telescoping_identity_by_direct_summation():
-    for n in range(1, 31):
+    for n in range(1, 61):
+        column = recursive_tau_multiplicities(n)
+        assert len(column) == n + 1 and column[0] == 0
         for i in range(1, n + 1):
             total = 0
             for m in range(2, n + 1):
@@ -74,6 +80,34 @@ def test_telescoping_identity_by_direct_summation():
                 total = 1  # the fundamental group occurs once
             assert total == multiplicities(n, i).gamma, (n, i)
             assert recursive_tau_multiplicity(n, i) == total, (n, i)
+            assert column[i] == total, (n, i)
+
+
+def test_recursion_column_rejects_degree_zero():
+    with pytest.raises(InvalidInputError):
+        recursive_tau_multiplicities(0)
+
+
+def test_deep_tower_layers_are_binomials():
+    n = 600
+    s = tau_invariants(BY_NAME["T3"], n)
+    assert [(label, mult) for label, _, mult in s.layers] == [
+        (f"pi{i}", math.comb(n - 1, i - 1)) for i in range(2, n + 1)]
+
+
+def test_recursion_check_still_fires(monkeypatch):
+    honest = recursive_tau_multiplicities
+
+    def off_by_one(n):
+        column = list(honest(n))
+        column[n // 2] += 1
+        return tuple(column)
+
+    monkeypatch.setattr(fox, "recursive_tau_multiplicities", off_by_one)
+    with pytest.raises(AssertionError, match="recursion"):
+        tau_invariants(BY_NAME["T3"], 10)
+    with pytest.raises(AssertionError, match="recursion"):
+        rhodes.sigma_invariants(BY_NAME["t3-z2"], 10)
 
 
 def test_degree_validation():
