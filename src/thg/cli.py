@@ -23,8 +23,9 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from . import fox, rhodes
 from .abelian import INFINITY
-from .errors import (InsufficientDataError, InvalidInputError, ModelError,
-                     NotFoundError, ThgError, UnsupportedError)
+from .errors import (BookkeepingError, InsufficientDataError,
+                     InvalidInputError, ModelError, NotFoundError, ThgError,
+                     UnsupportedError)
 from .fingroup import (CayleyGroup, abelian_structure, from_catalog,
                        is_abelian, is_isomorphic)
 from .report import CheckReport, FAIL, PASS
@@ -447,12 +448,12 @@ def build_verify_report(spaces: Sequence[SpaceModel],
         cap = _model_cap(tg.space, max_n)
         try:
             _verify_action(report, tg, models, cap)
+        except BookkeepingError as exc:
+            report.add("action-battery", tg.name, None, FAIL,
+                       "internal bookkeeping agreement", str(exc))
         except ThgError as exc:
             report.add("action-battery", tg.name, None, FAIL,
                        "transformation checks run to completion", str(exc))
-        except AssertionError as exc:
-            report.add("action-battery", tg.name, None, FAIL,
-                       "internal bookkeeping agreement", str(exc))
 
     if include_goldens:
         _apply_goldens(report, models)

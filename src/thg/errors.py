@@ -4,7 +4,8 @@ Four failure kinds cover every operation: bad arguments (invalid-input),
 unknown catalog targets (not-found), requests outside the supported shapes
 (unsupported), and requests past a model's truncation degree
 (insufficient-data).  Model files get their own subclass carrying the
-offending field path.
+offending field path, and a failed internal self-check (two derivations
+of one quantity that disagree) gets its own kind as well.
 """
 
 
@@ -38,3 +39,7 @@ class ModelError(InvalidInputError):
         self.path = path
         self.message = message
         super().__init__(f"{path}: {message}" if path else message)
+
+
+class BookkeepingError(ThgError):
+    """Two derivations of one quantity disagree: a library fault."""

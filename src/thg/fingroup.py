@@ -14,7 +14,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .abelian import FgAbelian, canonical_form, prime_exponent, prime_factors
 from .errors import InvalidInputError, NotFoundError, UnsupportedError
 
-ISO_ORDER_CAP = 64
+# The one cap on Cayley tables: the largest order that is tabulated from an
+# extension, checked for associativity in full, or searched for isomorphisms.
+TABLE_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -55,7 +57,7 @@ class CayleyGroup:
         for i in range(n):
             if self.inverse(i) is None:
                 raise InvalidInputError("element lacks a two-sided inverse")
-        if n <= ISO_ORDER_CAP:
+        if n <= TABLE_CAP:
             t = self.table
             for a in range(n):
                 for b in range(n):
@@ -563,8 +565,8 @@ def is_isomorphic(a: CayleyGroup, b: CayleyGroup) -> bool:
     ...               from_catalog("Z2xZ2"))
     True
     """
-    if a.order > ISO_ORDER_CAP or b.order > ISO_ORDER_CAP:
-        raise UnsupportedError(f"isomorphism search is capped at order {ISO_ORDER_CAP}")
+    if a.order > TABLE_CAP or b.order > TABLE_CAP:
+        raise UnsupportedError(f"isomorphism search is capped at order {TABLE_CAP}")
     if a.order != b.order:
         return False
     if order_profile(a) != order_profile(b):

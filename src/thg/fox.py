@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple, Union
 
 from .abelian import FgAbelian, INFINITY
-from .errors import InsufficientDataError, InvalidInputError
+from .errors import BookkeepingError, InsufficientDataError, InvalidInputError
 from .report import FAIL, INDETERMINATE, PASS, CheckReport
 from .spacecat import (SpaceModel, group_describe, group_is_abelian,
                        group_order, group_rank, subgroup_index_in,
@@ -214,7 +214,7 @@ def tau_invariants(x: SpaceModel, n: int) -> TowerSummary:
     for i in range(2, n + 1):
         mult = _binom(n - 1, i - 1)
         if mult != column[i]:
-            raise AssertionError("multiplicity recursion out of step")
+            raise BookkeepingError("multiplicity recursion out of step")
         layers.append((f"pi{i}", x.pi_at(i), mult))
     if all(grp.is_trivial() for _, grp, _ in layers):
         direct = True  # nothing to twist

@@ -21,20 +21,19 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from .abelian import FgAbelian, INFINITY
-from .errors import InvalidInputError, UnsupportedError
-from .fingroup import (CayleyGroup, SubgroupRef, center as group_center,
-                       is_isomorphic, subgroup_as_group)
+from .errors import BookkeepingError, InvalidInputError, UnsupportedError
+from .fingroup import (TABLE_CAP, CayleyGroup, SubgroupRef,
+                       center as group_center, is_isomorphic,
+                       subgroup_as_group)
 from .fox import (gottlieb_fox_invariants, gottlieb_index_product,
                   is_n_gottlieb, loop_tau_invariants, split_identities,
                   summary_layer_rank, tau_invariants)
 from .report import (CONFIRMED, EXPECTED_EXCEPTION, FAIL, INDETERMINATE,
                      NOT_APPLICABLE, PASS, VACUOUS, VIOLATION, CheckReport)
-from .spacecat import (TO_CAYLEY_CAP, SpaceModel, SubgroupData,
-                       TransformationModel, group_is_trivial, group_rank,
-                       orbit_space)
+from .spacecat import (SpaceModel, SubgroupData, TransformationModel,
+                       group_is_trivial, group_rank, orbit_space)
 from .tower import (TowerSummary, VirtAbelian, _element_name, abelianization,
-                    center_structure, make_summary, make_virtabelian,
-                    to_cayley)
+                    center_structure, make_summary, to_cayley)
 from .verdict import (Indeterminate, Verdict, is_false, is_indeterminate,
                       is_true, tri_all, verdict_label)
 
@@ -101,7 +100,12 @@ def compute_g0(tg: TransformationModel) -> G0Result:
     identity is also sufficient; then free actions on spheres, where
     the Lefschetz number forces degree one in odd dimensions and degree
     minus one in even ones.  What no rule reaches stays undetermined.
+    Computed once per model; every call returns the same object.
     """
+    return tg.derive("g0", _g0_by_rules)
+
+
+def _g0_by_rules(tg: TransformationModel) -> G0Result:
     G = tg.group
     verdicts: Dict[str, Tuple[str, str]] = {}
     for g in range(G.order):
@@ -167,35 +171,21 @@ def sigma_invariants(tg: TransformationModel, n: int) -> TowerSummary:
     extension bookkeeping have come apart, so it raises.
     """
     _require_free(tg)
-    summary = tau_invariants(orbit_space(tg), n)
+    orbit = orbit_space(tg)
+    summary = tau_invariants(orbit, n)
     tau_x = tau_invariants(tg.space, n)
     expected = tg.group.order * tau_x.finite_order
     if summary.finite_order != expected:
-        raise AssertionError(
+        raise BookkeepingError(
             f"sigma_{n}({tg.name}): orbit order {summary.finite_order} "
             f"vs extension bookkeeping {expected}")
-    orbit_rank = group_rank(orbit_space(tg).pi1) + summary_layer_rank(summary)
+    orbit_rank = group_rank(orbit.pi1) + summary_layer_rank(summary)
     tau_rank = group_rank(tg.space.pi1) + summary_layer_rank(tau_x)
     if orbit_rank != tau_rank:
-        raise AssertionError(
+        raise BookkeepingError(
             f"sigma_{n}({tg.name}): orbit rank {orbit_rank} vs "
             f"tau rank {tau_rank}")
     return summary
-
-
-def _sigma1_virtabelian(tg: TransformationModel) -> VirtAbelian:
-    pi1 = tg.space.pi1
-    if group_is_trivial(pi1):
-        return make_virtabelian(tg.group, FgAbelian(0, ()), {}, {})
-    if not isinstance(pi1, FgAbelian):
-        raise UnsupportedError(
-            "sigma_1 is tabulated over an abelian fundamental group only")
-    if tg.cocycle is None:
-        raise InvalidInputError(
-            "tabulating sigma_1 needs an explicit cocycle table; write {} "
-            "for the zero cocycle")
-    return make_virtabelian(tg.group, pi1,
-                            dict(enumerate(tg.action_at(1))), tg.cocycle)
 
 
 def sigma1_group(tg: TransformationModel) -> CayleyGroup:
@@ -207,17 +197,17 @@ def sigma1_group(tg: TransformationModel) -> CayleyGroup:
     fundamental group of the orbit space; that identification is
     re-checked on every call.
     """
-    virt = _sigma1_virtabelian(tg)
+    virt = tg.sigma1_extension
     total = virt.order()
-    if total == INFINITY or total > TO_CAYLEY_CAP:
+    if total == INFINITY or total > TABLE_CAP:
         raise UnsupportedError(
             f"sigma_1 of {tg.name} has order {total}, beyond the "
-            f"tabulation cap {TO_CAYLEY_CAP}")
+            f"tabulation cap {TABLE_CAP}")
     cay = to_cayley(virt)
     if tg.free:
         orb_pi1 = orbit_space(tg).pi1
         if isinstance(orb_pi1, CayleyGroup) and not is_isomorphic(cay, orb_pi1):
-            raise AssertionError(
+            raise BookkeepingError(
                 f"sigma_1({tg.name}) disagrees with the orbit fundamental "
                 f"group")
     return cay
@@ -298,11 +288,11 @@ def _realize_gsigma1(tg: TransformationModel, g0: G0Result,
     if not is_true(is_n_gottlieb(tg.space, 1)):
         return None
     try:
-        virt = _sigma1_virtabelian(tg)
+        virt = tg.sigma1_extension
     except (InvalidInputError, UnsupportedError):
         return None
     total = virt.order()
-    if total == INFINITY or total > TO_CAYLEY_CAP:
+    if total == INFINITY or total > TABLE_CAP:
         return None
     cay = to_cayley(virt)
     member_indices = sorted(
@@ -312,7 +302,7 @@ def _realize_gsigma1(tg: TransformationModel, g0: G0Result,
     ref = SubgroupRef(cay, tuple(member_indices))
     realized = subgroup_as_group(cay, ref)
     if realized.order != summary.finite_order:
-        raise AssertionError(
+        raise BookkeepingError(
             f"G sigma_1({tg.name}): realized order {realized.order} vs "
             f"bookkeeping {summary.finite_order}")
     return realized

@@ -5,6 +5,10 @@ strict: unknown keys, malformed groups, or inconsistent homotopy data are
 rejected with the offending field path.  Each loaded model keeps its raw
 document, so the canonical serialization round-trips bit for bit.
 
+Models are immutable, so what is derived from one (the sigma_1
+extension, the orbit space, G0) is built on first use and kept on the
+model for every later caller.
+
 Homotopy data is always explicitly truncated.  Asking for a degree past
 the truncation is an error, never a silent zero.
 """
@@ -14,13 +18,15 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from functools import cached_property
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple, Union)
 
 from .abelian import (FgAbelian, INFINITY, IntMatrix, subgroup_index,
                       subgroup_structure)
 from .errors import (InvalidInputError, ModelError, NotFoundError,
                      ThgError, UnsupportedError)
-from .fingroup import (CayleyGroup, SubgroupRef, abelian_structure,
+from .fingroup import (TABLE_CAP, CayleyGroup, SubgroupRef, abelian_structure,
                        from_catalog, full_subgroup, is_abelian,
                        center as group_center, subgroup_as_group,
                        subgroup_generated)
@@ -28,8 +34,6 @@ from .tower import (LayerAut, VirtAbelian, abelianization, center_structure,
                     identity_aut, make_virtabelian, to_cayley)
 
 GroupLike = Union[CayleyGroup, FgAbelian, VirtAbelian]
-
-TO_CAYLEY_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -56,7 +60,7 @@ TRIVIAL_SUBGROUP = SubgroupData("trivial")
 CENTER = SubgroupData("center")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpaceModel:
     """A based space given by truncated homotopy data."""
 
@@ -96,16 +100,13 @@ class SpaceModel:
             return FULL
         return self.gottlieb.get(i)
 
-    def pi1_order(self) -> Union[int, float]:
-        return group_order(self.pi1)
-
     def whitehead_trivial(self) -> bool:
         if self.whitehead_pairs is None:
             return True
         return all(_nested_all_zero(tbl) for tbl in self.whitehead_pairs.values())
 
 
-@dataclass
+@dataclass(frozen=True)
 class TransformationModel:
     """A finite group acting on a space, with per-degree induced maps."""
 
@@ -139,6 +140,30 @@ class TransformationModel:
         if not isinstance(grp, FgAbelian):
             return True
         return all(aut.is_identity() for aut in self.action_by_degree[degree])
+
+    @cached_property
+    def sigma1_extension(self) -> VirtAbelian:
+        """sigma_1(X, G): pi_1(X) extended by G through the degree-1
+        action and the cocycle, validated when built."""
+        pi1 = self.space.pi1
+        if group_is_trivial(pi1):
+            return make_virtabelian(self.group, FgAbelian(0, ()), {}, {})
+        if not isinstance(pi1, FgAbelian):
+            raise UnsupportedError(
+                "sigma_1 is tabulated over an abelian fundamental group only")
+        if self.cocycle is None:
+            raise InvalidInputError(
+                "tabulating sigma_1 needs an explicit cocycle table; write {} "
+                "for the zero cocycle")
+        return make_virtabelian(self.group, pi1,
+                                dict(enumerate(self.action_at(1))), self.cocycle)
+
+    def derive(self, key: str, build: Callable[["TransformationModel"], object]):
+        """build(self), run on first use and kept on the model under key,
+        beside the cached properties (for the orbit space and G0)."""
+        if key not in self.__dict__:
+            self.__dict__[key] = build(self)
+        return self.__dict__[key]
 
 
 Model = Union[SpaceModel, TransformationModel]
@@ -713,15 +738,6 @@ def _transformation_from_doc(doc: dict, name: str,
         if not isinstance(pi1, FgAbelian):
             _fail("cocycle", "cocycle tables need an abelian fundamental group")
         cocycle = _parse_cocycle(doc["cocycle"], group, pi1, "cocycle")
-        # Building the extension validates normalization, the cocycle
-        # condition, and that the degree-1 action is a homomorphism.
-        try:
-            make_virtabelian(group, pi1,
-                             dict(enumerate(action_by_degree.get(1,
-                                  (identity_aut(pi1),) * group.order))),
-                             cocycle)
-        except InvalidInputError as exc:
-            _fail("cocycle", str(exc))
 
     g0_explicit: Optional[SubgroupRef] = None
     if "g0" in doc:
@@ -751,11 +767,20 @@ def _transformation_from_doc(doc: dict, name: str,
     if "notes" in doc and not isinstance(doc["notes"], str):
         _fail("notes", "expected a string")
 
-    return TransformationModel(name=name, space=space, group=group, free=free,
-                               action_by_degree=action_by_degree,
-                               cocycle=cocycle, g0_explicit=g0_explicit,
-                               sphere_dimension=sphere_dimension, raw=doc,
-                               warnings=tuple(warnings))
+    model = TransformationModel(name=name, space=space, group=group, free=free,
+                                action_by_degree=action_by_degree,
+                                cocycle=cocycle, g0_explicit=g0_explicit,
+                                sphere_dimension=sphere_dimension, raw=doc,
+                                warnings=tuple(warnings))
+    if cocycle is not None:
+        # Building the extension validates normalization, the cocycle
+        # condition, and that the degree-1 action is a homomorphism; the
+        # model keeps it for sigma_1 and the orbit space.
+        try:
+            model.sigma1_extension
+        except InvalidInputError as exc:
+            _fail("cocycle", str(exc))
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -811,8 +836,13 @@ def orbit_space(tg: TransformationModel) -> SpaceModel:
     over along the covering identification, and so do their evaluation
     subgroups.  The degree-1 subgroup is filled in only where a theorem
     provides it: centers for aspherical quotients, and centers again for
-    quotients of odd spheres.
+    quotients of odd spheres.  Built once per model; every call returns
+    the same object.
     """
+    return tg.derive("orbit_space", _build_orbit_space)
+
+
+def _build_orbit_space(tg: TransformationModel) -> SpaceModel:
     if not tg.free:
         raise UnsupportedError("orbit spaces are only constructed for free actions")
     X = tg.space
@@ -825,10 +855,9 @@ def orbit_space(tg: TransformationModel) -> SpaceModel:
             raise InvalidInputError(
                 "building the orbit fundamental group needs an explicit "
                 "cocycle table; write {} for the zero cocycle")
-        ext = make_virtabelian(tg.group, pi1X,
-                               dict(enumerate(tg.action_at(1))), tg.cocycle)
+        ext = tg.sigma1_extension
         order = ext.order()
-        new_pi1 = to_cayley(ext) if order != INFINITY and order <= TO_CAYLEY_CAP else ext
+        new_pi1 = to_cayley(ext) if order != INFINITY and order <= TABLE_CAP else ext
     else:
         raise UnsupportedError(
             "orbit fundamental groups are only built over an abelian or "
@@ -898,75 +927,49 @@ def sphere_space(n: int) -> SpaceModel:
     return _space_from_doc(doc)
 
 
-def sphere_antipodal(n: int) -> TransformationModel:
-    """The free involution on the n-sphere; degree (-1)^(n+1) on the top."""
-    if n < 2:
-        raise InvalidInputError("the antipodal template starts at dimension 2")
-    sphere = sphere_space(n)
-    action: dict = {}
-    if (-1) ** (n + 1) == -1:
-        action = {"t": {str(n): [[-1]]}}
-    doc = {
-        "kind": "transformation", "space": sphere.raw,
-        "group": {"catalog": "Z(2)"}, "free": True, "action": action,
-        "sphere_dimension": n,
-    }
-    return _transformation_from_doc(doc, f"s{n}-antipodal", None)
-
-
 _SPHERE_NAME = re.compile(r"S([1-9][0-9]*)\Z")
 
 
 def builtin_catalog() -> List[Model]:
     """Every shipped model, spaces first, each alphabetical by name."""
     from importlib import resources
-    spaces: Dict[str, SpaceModel] = {}
-    transformations: List[TransformationModel] = []
     root = resources.files("thg").joinpath("catalog")
-    entries = sorted((p for p in root.iterdir() if p.name.endswith(".json")),
-                     key=lambda p: p.name)
-    staged = []
-    for entry in entries:
-        text = entry.read_text(encoding="utf-8")
-        doc = json.loads(text)
-        staged.append((entry.name[:-len(".json")], text, doc))
-    for stem, text, doc in staged:
-        if doc.get("kind") == "space":
-            model = load_model(text, name=stem)
-            spaces[model.name] = model
-    for stem, text, doc in staged:
-        if doc.get("kind") == "transformation":
-            transformations.append(load_model(text, name=stem,
-                                              resolver=spaces.__getitem__))
-    models: List[Model] = sorted(spaces.values(), key=lambda m: m.name)
-    models.extend(sorted(transformations, key=lambda m: m.name))
-    return models
+    return _catalog((p.name, p.read_bytes()) for p in root.iterdir()
+                    if p.name.endswith(".json"))
 
 
 def catalog_from_dir(path: str) -> List[Model]:
     """Load every *.json in a directory as one self-contained catalog."""
     import os
-    spaces: Dict[str, SpaceModel] = {}
-    staged = []
-    for fname in sorted(os.listdir(path)):
-        if not fname.endswith(".json"):
-            continue
+
+    def read(fname: str) -> bytes:
         with open(os.path.join(path, fname), "rb") as fh:
-            text = fh.read()
+            return fh.read()
+    return _catalog((fname, read(fname)) for fname in os.listdir(path)
+                    if fname.endswith(".json"))
+
+
+def _catalog(files: Iterable[Tuple[str, bytes]]) -> List[Model]:
+    """Models from (file name, contents) pairs: spaces first, then the
+    transformations, which may name a space; each alphabetical by name.
+    A transformation is named by its file stem."""
+    staged = []
+    for fname, data in sorted(files):
         try:
-            doc = json.loads(text.decode("utf-8"))
+            doc = json.loads(data.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ModelError(fname, f"not valid JSON: {exc}") from None
-        staged.append((fname[:-len(".json")], text, doc))
-    for stem, text, doc in staged:
-        if isinstance(doc, dict) and doc.get("kind") == "space":
-            model = load_model(text, name=stem)
+        kind = doc.get("kind") if isinstance(doc, dict) else None
+        staged.append((fname[:-len(".json")], data, kind))
+    spaces: Dict[str, SpaceModel] = {}
+    for stem, data, kind in staged:
+        if kind == "space":
+            model = load_model(data, name=stem)
             spaces[model.name] = model
-    models: List[Model] = sorted(spaces.values(), key=lambda m: m.name)
-    for stem, text, doc in staged:
-        if isinstance(doc, dict) and doc.get("kind") == "transformation":
-            models.append(load_model(text, name=stem, resolver=spaces.__getitem__))
-    return models
+    transformations = [load_model(data, name=stem, resolver=spaces.__getitem__)
+                       for stem, data, kind in staged if kind == "transformation"]
+    return (sorted(spaces.values(), key=lambda m: m.name)
+            + sorted(transformations, key=lambda m: m.name))
 
 
 def find_model(name: str, models: Sequence[Model]) -> Model:

@@ -22,9 +22,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from .abelian import (FgAbelian, INFINITY, IntMatrix, cokernel, det,
                       kernel_lattice, solve_integer)
 from .errors import InvalidInputError, UnsupportedError
-from .fingroup import CayleyGroup, abelian_structure_by_counting
+from .fingroup import TABLE_CAP, CayleyGroup, abelian_structure_by_counting
 
-TO_CAYLEY_CAP = 64
 ENUM_CAP = 4096
 
 
@@ -512,8 +511,8 @@ def to_cayley(g: VirtAbelian) -> CayleyGroup:
     total = g.order()
     if total == INFINITY:
         raise UnsupportedError("cannot tabulate an infinite group")
-    if total > TO_CAYLEY_CAP:
-        raise UnsupportedError(f"table realization is capped at order {TO_CAYLEY_CAP}")
+    if total > TABLE_CAP:
+        raise UnsupportedError(f"table realization is capped at order {TABLE_CAP}")
     elements = g.enumerate_elements()
     index = {x: i for i, x in enumerate(elements)}
     table = tuple(tuple(index[g.multiply(x, y)] for y in elements) for x in elements)
@@ -532,8 +531,8 @@ def abelianization(g: VirtAbelian) -> FgAbelian:
     >>> abelianization(direct_sum_group(from_catalog("Q8"), FgAbelian(1)))
     FgAbelian(rank=1, torsion=(2, 2))
     """
-    if g.base.order > TO_CAYLEY_CAP:
-        raise UnsupportedError("abelianization is capped at base order 64")
+    if g.base.order > TABLE_CAP:
+        raise UnsupportedError(f"abelianization is capped at base order {TABLE_CAP}")
     lay = g.layer
     rank, k = lay.rank, len(lay.torsion)
     nq = g.base.order
@@ -582,6 +581,6 @@ def extension_order_check(g: VirtAbelian) -> bool:
     the bookkeeping identity immediate and the answer is true.
     """
     expected = g.order()
-    if expected != INFINITY and expected <= TO_CAYLEY_CAP:
+    if expected != INFINITY and expected <= TABLE_CAP:
         return to_cayley(g).order == g.layer.order() * g.base.order
     return True

@@ -182,3 +182,33 @@ def test_gtau_handles_indeterminate_targets():
     assert code == EXIT_OK
     doc = json.loads(out)
     assert "summary" in doc["results"][0]
+
+
+def _break_multiplicity_column(monkeypatch):
+    from thg import fox
+    honest = fox.recursive_tau_multiplicities
+
+    def off_by_one(n):
+        column = list(honest(n))
+        column[n // 2] += 1
+        return tuple(column)
+
+    monkeypatch.setattr(fox, "recursive_tau_multiplicities", off_by_one)
+
+
+def test_bookkeeping_failure_is_a_computation_error(monkeypatch):
+    _break_multiplicity_column(monkeypatch)
+    code, out, err = invoke("tau", "T3", "--n", "10")
+    assert code == EXIT_COMPUTATION
+    assert out == ""
+    assert err == "thg: multiplicity recursion out of step\n"
+
+
+def test_verify_grades_bookkeeping_failure_as_such(monkeypatch):
+    _break_multiplicity_column(monkeypatch)
+    code, out, _ = invoke("verify", "t3-z2", "--max-n", "6",
+                          "--format", "json")
+    assert code == EXIT_CHECK_FAILED
+    entries = json.loads(out)["report"]["entries"]
+    failed = [e for e in entries if e["check"] == "action-battery"]
+    assert [e["rule"] for e in failed] == ["internal bookkeeping agreement"]

@@ -1,0 +1,73 @@
+"""Frozen models and the data derived from them once per model."""
+
+import dataclasses
+import json
+import pathlib
+
+import pytest
+
+from thg.errors import ModelError
+from thg.rhodes import (classify, compute_g0, gottlieb_rhodes_invariants,
+                        sigma_invariants)
+from thg.spacecat import (TransformationModel, builtin_catalog, find_model,
+                          load_model, orbit_space)
+from thg.tower import VirtAbelian
+
+CATALOG_DIR = pathlib.Path(__file__).resolve().parents[1] / "src" / "thg" / "catalog"
+
+MODELS = builtin_catalog()
+ACTIONS = [m for m in MODELS if isinstance(m, TransformationModel)]
+FREE_NAMES = [m.name for m in ACTIONS if m.free]
+
+
+def _cap(tg, top=6):
+    x = tg.space
+    return top if x.aspherical else min(top, x.truncation)
+
+
+@pytest.mark.parametrize("name", FREE_NAMES)
+def test_orbit_space_and_g0_are_built_once(name):
+    tg = find_model(name, MODELS)
+    assert orbit_space(tg) is orbit_space(tg)
+    assert compute_g0(tg) is compute_g0(tg)
+
+
+@pytest.mark.parametrize("name", FREE_NAMES)
+def test_one_extension_per_model_across_verbs(name, monkeypatch):
+    built = []
+    validate = VirtAbelian.__post_init__
+
+    def counting(self):
+        built.append(self)
+        validate(self)
+
+    monkeypatch.setattr(VirtAbelian, "__post_init__", counting)
+    # Fresh models, so nothing is cached from other tests.
+    models = builtin_catalog()
+    tg = find_model(name, models)
+    from_load = sum(1 for m in models if isinstance(m, TransformationModel)
+                    and m.cocycle is not None and m is not tg)
+    for n in range(1, _cap(tg) + 1):
+        sigma_invariants(tg, n)
+        gottlieb_rhodes_invariants(tg, n)
+    classify(tg, _cap(tg))
+    assert len(built) - from_load == 1
+
+
+def test_models_are_frozen():
+    tg = find_model("t3-z2", MODELS)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tg.free = False
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tg.space.truncation = 2
+
+
+def test_broken_cocycle_is_rejected_at_load():
+    spaces = {m.name: m for m in MODELS if not isinstance(m, TransformationModel)}
+    doc = json.loads((CATALOG_DIR / "t3-z2.json").read_text())
+    # t flips the second coordinate, so c(t, t) must not touch it.
+    doc["cocycle"] = {"t,t": [0, 1, 0]}
+    with pytest.raises(ModelError) as exc:
+        load_model(json.dumps(doc), name="t3-z2", resolver=spaces.__getitem__)
+    assert exc.value.path == "cocycle"
+    assert "cocycle condition" in exc.value.message

@@ -12,7 +12,8 @@ import pytest
 
 from thg import fox, rhodes
 from thg.abelian import FgAbelian, INFINITY
-from thg.errors import InsufficientDataError, InvalidInputError
+from thg.errors import (BookkeepingError, InsufficientDataError,
+                        InvalidInputError)
 from thg.fox import (fox_sequence_check, gottlieb_fox_crosscheck,
                      gottlieb_fox_invariants, gottlieb_index_product,
                      is_n_gottlieb, loop_tau_invariants, multiplicities,
@@ -104,9 +105,9 @@ def test_recursion_check_still_fires(monkeypatch):
         return tuple(column)
 
     monkeypatch.setattr(fox, "recursive_tau_multiplicities", off_by_one)
-    with pytest.raises(AssertionError, match="recursion"):
+    with pytest.raises(BookkeepingError, match="recursion"):
         tau_invariants(BY_NAME["T3"], 10)
-    with pytest.raises(AssertionError, match="recursion"):
+    with pytest.raises(BookkeepingError, match="recursion"):
         rhodes.sigma_invariants(BY_NAME["t3-z2"], 10)
 
 
