@@ -13,8 +13,6 @@ modulo their invariant factor.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple, Union
 
@@ -497,15 +495,3 @@ def prime_exponent(value: int, p: int) -> int:
         value //= p
         k += 1
     return k
-
-
-def element_orders(torsion: Sequence[int]):
-    """Multiset of element orders of the finite group sum Z/ti (brute force).
-
-    Intended as a small oracle; enumerates all elements.
-    """
-    counts = {}
-    for elt in itertools.product(*(range(t) for t in torsion)):
-        o = math.lcm(*(t // math.gcd(c, t) for c, t in zip(elt, torsion))) if elt else 1
-        counts[o] = counts.get(o, 0) + 1
-    return counts

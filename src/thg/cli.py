@@ -31,7 +31,7 @@ from .fingroup import (CayleyGroup, abelian_structure, from_catalog,
 from .report import CheckReport, FAIL, PASS
 from .spacecat import (Model, SpaceModel, TransformationModel,
                        builtin_catalog, catalog_from_dir, find_model,
-                       group_describe, orbit_space, serialize,
+                       group_describe, group_rank, orbit_space, serialize,
                        subgroup_index_in)
 from .tower import TowerSummary, VirtAbelian, abelianization, center_structure
 from .verdict import Indeterminate
@@ -438,6 +438,9 @@ def build_verify_report(spaces: Sequence[SpaceModel],
                        FAIL if conflicts else PASS,
                        "pairing tables vanish on evaluation-subgroup "
                        "generators", "; ".join(conflicts))
+        except BookkeepingError as exc:
+            report.add("space-battery", x.name, None, FAIL,
+                       "internal bookkeeping agreement", str(exc))
         except ThgError as exc:
             report.add("space-battery", x.name, None, FAIL,
                        "space checks run to completion", str(exc))
@@ -462,6 +465,10 @@ def build_verify_report(spaces: Sequence[SpaceModel],
 
 def _verify_action(report: CheckReport, tg: TransformationModel,
                    models: Sequence[Model], cap: int) -> None:
+    """The action's checks.  The extension tau_n(X) -> sigma_n -> G is
+    graded here once per degree: its order as the sigma-order entry, its
+    free rank as a BookkeepingError that the caller grades."""
+    orbit_pi1 = orbit_space(tg).pi1
     for n in range(1, cap + 1):
         s = rhodes.sigma_invariants(tg, n)
         tau_x = fox.tau_invariants(tg.space, n)
@@ -471,6 +478,12 @@ def _verify_action(report: CheckReport, tg: TransformationModel,
                    "orbit-space order equals |G| times the tau order",
                    f"{_order_doc(s.finite_order)} vs {tg.group.order} * "
                    f"{_order_doc(tau_x.finite_order)}")
+        orbit_rank = group_rank(orbit_pi1) + fox.summary_layer_rank(s)
+        tau_rank = group_rank(tg.space.pi1) + fox.summary_layer_rank(tau_x)
+        if orbit_rank != tau_rank:
+            raise BookkeepingError(
+                f"sigma_{n}({tg.name}): orbit rank {orbit_rank} vs "
+                f"tau rank {tau_rank}")
         gr = rhodes.gottlieb_rhodes_invariants(tg, n)
         gtau = fox.gottlieb_fox_invariants(tg.space, n)
         if not isinstance(gr, Indeterminate) and not isinstance(gtau, Indeterminate):

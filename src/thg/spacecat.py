@@ -6,8 +6,8 @@ rejected with the offending field path.  Each loaded model keeps its raw
 document, so the canonical serialization round-trips bit for bit.
 
 Models are immutable, so what is derived from one (the sigma_1
-extension, the orbit space, G0) is built on first use and kept on the
-model for every later caller.
+extension and its multiplication table, the orbit space, G0) is built on
+first use and kept on the model for every later caller.
 
 Homotopy data is always explicitly truncated.  Asking for a degree past
 the truncation is an error, never a silent zero.
@@ -31,7 +31,7 @@ from .fingroup import (TABLE_CAP, CayleyGroup, SubgroupRef, abelian_structure,
                        center as group_center, subgroup_as_group,
                        subgroup_generated)
 from .tower import (LayerAut, VirtAbelian, abelianization, center_structure,
-                    identity_aut, make_virtabelian, to_cayley)
+                    check_action, identity_aut, make_virtabelian, to_cayley)
 
 GroupLike = Union[CayleyGroup, FgAbelian, VirtAbelian]
 
@@ -157,6 +157,17 @@ class TransformationModel:
                 "for the zero cocycle")
         return make_virtabelian(self.group, pi1,
                                 dict(enumerate(self.action_at(1))), self.cocycle)
+
+    @cached_property
+    def sigma1_table(self) -> Optional[CayleyGroup]:
+        """sigma_1(X, G) as a multiplication table, or None when it is
+        infinite or past TABLE_CAP.  The one tabulation of the extension:
+        the orbit space, sigma_1 and G sigma_1 all read it."""
+        ext = self.sigma1_extension
+        order = ext.order()
+        if order == INFINITY or order > TABLE_CAP:
+            return None
+        return to_cayley(ext)
 
     def derive(self, key: str, build: Callable[["TransformationModel"], object]):
         """build(self), run on first use and kept on the model under key,
@@ -601,12 +612,10 @@ def _parse_pi1_action(raw, pi1: GroupLike, pi: Dict[int, FgAbelian],
     for i, table in per_degree.items():
         ident = identity_aut(pi.get(i, FgAbelian(0, ())))
         auts = [table.get(q, ident) for q in range(pi1.order)]
-        if not auts[pi1.identity_index].is_identity():
-            _fail(path, "the identity element must act trivially")
-        for q in range(pi1.order):
-            for r in range(pi1.order):
-                if not auts[q].compose(auts[r]).same_as(auts[pi1.table[q][r]]):
-                    _fail(path, f"action on degree {i} is not a homomorphism")
+        try:
+            check_action(pi1, auts)
+        except InvalidInputError as exc:
+            _fail(path, f"degree {i}: {exc}")
         if any(not a.is_identity() for a in auts):
             trivial = False
     return trivial
@@ -724,12 +733,10 @@ def _transformation_from_doc(doc: dict, name: str,
         layer = space.pi_at(i)
         ident = identity_aut(layer)
         auts = tuple(table.get(q, ident) for q in range(group.order))
-        if not auts[group.identity_index].is_identity():
-            _fail("action", "the identity element must act trivially")
-        for q in range(group.order):
-            for r in range(group.order):
-                if not auts[q].compose(auts[r]).same_as(auts[group.table[q][r]]):
-                    _fail("action", f"degree {i} action is not a homomorphism")
+        try:
+            check_action(group, auts)
+        except InvalidInputError as exc:
+            _fail("action", f"degree {i}: {exc}")
         action_by_degree[i] = auts
 
     cocycle: Optional[Dict[Tuple[int, int], Tuple[int, ...]]] = None
@@ -855,9 +862,8 @@ def _build_orbit_space(tg: TransformationModel) -> SpaceModel:
             raise InvalidInputError(
                 "building the orbit fundamental group needs an explicit "
                 "cocycle table; write {} for the zero cocycle")
-        ext = tg.sigma1_extension
-        order = ext.order()
-        new_pi1 = to_cayley(ext) if order != INFINITY and order <= TABLE_CAP else ext
+        table = tg.sigma1_table
+        new_pi1 = table if table is not None else tg.sigma1_extension
     else:
         raise UnsupportedError(
             "orbit fundamental groups are only built over an abelian or "
@@ -952,14 +958,20 @@ def catalog_from_dir(path: str) -> List[Model]:
 def _catalog(files: Iterable[Tuple[str, bytes]]) -> List[Model]:
     """Models from (file name, contents) pairs: spaces first, then the
     transformations, which may name a space; each alphabetical by name.
-    A transformation is named by its file stem."""
+    A transformation is named by its file stem.  A document that is not
+    an object, or whose kind is neither "space" nor "transformation", is
+    a ModelError whose path starts with its file name."""
     staged = []
     for fname, data in sorted(files):
         try:
             doc = json.loads(data.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ModelError(fname, f"not valid JSON: {exc}") from None
-        kind = doc.get("kind") if isinstance(doc, dict) else None
+        if not isinstance(doc, dict):
+            raise ModelError(fname, f"expected an object, got {type(doc).__name__}")
+        kind = doc.get("kind")
+        if kind not in ("space", "transformation"):
+            raise ModelError(f"{fname}.kind", 'expected "space" or "transformation"')
         staged.append((fname[:-len(".json")], data, kind))
     spaces: Dict[str, SpaceModel] = {}
     for stem, data, kind in staged:

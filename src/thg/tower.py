@@ -103,6 +103,22 @@ def _unimodular_inverse(m: IntMatrix) -> IntMatrix:
     return IntMatrix.from_rows(rows, cols=n)
 
 
+def check_action(base: CayleyGroup, action: Sequence[LayerAut]) -> None:
+    """Raise InvalidInputError unless action, one automorphism per element
+    of base, is a homomorphism: the identity acts trivially and the
+    product qr acts as q after r.
+
+    This is the one check of that fact; extensions and both model
+    loaders call it.
+    """
+    if not action[base.identity_index].is_identity():
+        raise InvalidInputError("identity base element must act trivially")
+    for q in range(base.order):
+        for r in range(base.order):
+            if not action[q].compose(action[r]).same_as(action[base.table[q][r]]):
+                raise InvalidInputError("action is not a homomorphism")
+
+
 @dataclass(frozen=True)
 class TowerElement:
     """A pair (layer coordinates, base element index)."""
@@ -123,15 +139,6 @@ class TowerSummary:
     layers: Tuple[Tuple[str, FgAbelian, int], ...]
     is_direct_product: bool
     finite_order: Union[int, float]
-
-    def layer_total(self) -> Union[int, float]:
-        out = 1
-        for _, grp, mult in self.layers:
-            o = grp.order()
-            if o == INFINITY:
-                return INFINITY
-            out *= o ** mult
-        return out
 
 
 def make_summary(base_name_or_order: Union[str, int], base_order: Union[int, float],
@@ -167,14 +174,8 @@ class VirtAbelian:
         for aut in self.action:
             if aut.layer != self.layer:
                 raise InvalidInputError("automorphism layer mismatch")
+        check_action(self.base, self.action)
         e = self.base.identity_index
-        if not self.action[e].is_identity():
-            raise InvalidInputError("identity base element must act trivially")
-        for q in range(q_count):
-            for r in range(q_count):
-                if not self.action[q].compose(self.action[r]).same_as(
-                        self.action[self.base.table[q][r]]):
-                    raise InvalidInputError("action is not a homomorphism")
         if len(self.cocycle) != q_count or any(len(row) != q_count for row in self.cocycle):
             raise InvalidInputError("cocycle table must be base order squared")
         for q in range(q_count):
@@ -228,18 +229,6 @@ class VirtAbelian:
     def conjugate(self, x: TowerElement, y: TowerElement) -> TowerElement:
         """x y x^-1."""
         return self.multiply(self.multiply(x, y), self.inverse(x))
-
-    def power(self, x: TowerElement, k: int) -> TowerElement:
-        if k < 0:
-            return self.power(self.inverse(x), -k)
-        out = self.identity()
-        base = x
-        while k:
-            if k & 1:
-                out = self.multiply(out, base)
-            base = self.multiply(base, base)
-            k >>= 1
-        return out
 
     def enumerate_elements(self) -> List[TowerElement]:
         if self.layer.order() == INFINITY:
@@ -473,18 +462,6 @@ def center_structure(g: VirtAbelian) -> FgAbelian:
     return cokernel(f + m, [], IntMatrix.from_rows(rows, cols=f + m))
 
 
-def center_summary(g: VirtAbelian) -> TowerSummary:
-    """The center as a one-layer summary over a trivial base.
-
-    >>> from .fingroup import from_catalog
-    >>> from .abelian import FgAbelian
-    >>> center_summary(direct_sum_group(from_catalog("Z(1)"), FgAbelian(2))).finite_order
-    inf
-    """
-    struct = center_structure(g)
-    return make_summary(1, 1, [("center", struct, 1)], True)
-
-
 # ---------------------------------------------------------------------------
 # Finite realization and abelianization
 
@@ -571,16 +548,3 @@ def abelianization(g: VirtAbelian) -> FgAbelian:
             row[rank + g.base.table[q][r]] -= 1
             rows.append(row)
     return cokernel(rank + nq, lay.torsion, IntMatrix.from_rows(rows, cols=width))
-
-
-def extension_order_check(g: VirtAbelian) -> bool:
-    """Does |E| = |A| * |Q| hold, exactly or in the extended naturals?
-
-    Finite groups small enough to tabulate are counted for real (which
-    also re-validates the table); otherwise the pair representation makes
-    the bookkeeping identity immediate and the answer is true.
-    """
-    expected = g.order()
-    if expected != INFINITY and expected <= TABLE_CAP:
-        return to_cayley(g).order == g.layer.order() * g.base.order
-    return True

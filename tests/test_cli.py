@@ -212,3 +212,57 @@ def test_verify_grades_bookkeeping_failure_as_such(monkeypatch):
     entries = json.loads(out)["report"]["entries"]
     failed = [e for e in entries if e["check"] == "action-battery"]
     assert [e["rule"] for e in failed] == ["internal bookkeeping agreement"]
+
+
+def test_verify_grades_space_bookkeeping_failure_as_such(monkeypatch):
+    _break_multiplicity_column(monkeypatch)
+    code, out, _ = invoke("verify", "S1", "--max-n", "6", "--format", "json")
+    assert code == EXIT_CHECK_FAILED
+    entries = json.loads(out)["report"]["entries"]
+    failed = [e for e in entries if e["check"] == "space-battery"]
+    assert [e["rule"] for e in failed] == ["internal bookkeeping agreement"]
+
+
+def test_verify_grades_a_sigma_rank_disagreement(monkeypatch):
+    import dataclasses
+
+    from thg import rhodes
+    from thg.abelian import FgAbelian
+    honest = rhodes.sigma_invariants
+
+    def extra_rank(tg, n):
+        # One more free layer: the order stays infinite, the rank does not.
+        s = honest(tg, n)
+        return dataclasses.replace(
+            s, layers=s.layers + (("pi2", FgAbelian(1), 1),))
+
+    monkeypatch.setattr(rhodes, "sigma_invariants", extra_rank)
+    code, out, _ = invoke("verify", "t3-z2", "--max-n", "3", "--format", "json")
+    assert code == EXIT_CHECK_FAILED
+    entries = json.loads(out)["report"]["entries"]
+    failed = [e for e in entries if e["status"] == "fail"]
+    assert [(e["check"], e["rule"]) for e in failed] == [
+        ("action-battery", "internal bookkeeping agreement")]
+    assert failed[0]["detail"] == "sigma_1(t3-z2): orbit rank 4 vs tau rank 3"
+
+
+@pytest.mark.parametrize("kind, path", [("spcae", "s1.json.kind"),
+                                        (None, "s1.json")])
+def test_catalog_rejects_a_document_of_unknown_kind(tmp_path, kind, path):
+    mutated = tmp_path / "catalog"
+    shutil.copytree(CATALOG_DIR, mutated)
+    text = "[]"  # not an object at all
+    if kind is not None:
+        doc = json.loads((mutated / "s1.json").read_text())
+        doc["kind"] = kind
+        text = json.dumps(doc)
+    (mutated / "s1.json").write_text(text)
+    code, out, err = invoke("list", "--catalog-dir", str(mutated))
+    assert code == EXIT_COMPUTATION and out == ""
+    assert err.startswith(f"thg: {path}: ")
+    code, out, _ = invoke("verify", "--all", "--max-n", "2",
+                          "--catalog-dir", str(mutated), "--format", "json")
+    assert code == EXIT_CHECK_FAILED
+    entries = json.loads(out)["report"]["entries"]
+    assert [(e["check"], e["target"], e["status"]) for e in entries] == [
+        ("catalog-load", path, "fail")]

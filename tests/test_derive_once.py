@@ -3,12 +3,15 @@
 import dataclasses
 import json
 import pathlib
+import sys
 
 import pytest
 
-from thg.errors import ModelError
+from thg import rhodes, tower
+from thg.abelian import INFINITY
+from thg.errors import ModelError, ThgError
 from thg.rhodes import (classify, compute_g0, gottlieb_rhodes_invariants,
-                        sigma_invariants)
+                        sigma1_group, sigma_invariants)
 from thg.spacecat import (TransformationModel, builtin_catalog, find_model,
                           load_model, orbit_space)
 from thg.tower import VirtAbelian
@@ -18,6 +21,16 @@ CATALOG_DIR = pathlib.Path(__file__).resolve().parents[1] / "src" / "thg" / "cat
 MODELS = builtin_catalog()
 ACTIONS = [m for m in MODELS if isinstance(m, TransformationModel)]
 FREE_NAMES = [m.name for m in ACTIONS if m.free]
+
+
+def _finite_sigma1(tg):
+    try:
+        return tg.sigma1_extension.order() != INFINITY
+    except ThgError:
+        return False
+
+
+FINITE_SIGMA1_NAMES = [m.name for m in ACTIONS if m.free and _finite_sigma1(m)]
 
 
 def _cap(tg, top=6):
@@ -71,3 +84,41 @@ def test_broken_cocycle_is_rejected_at_load():
         load_model(json.dumps(doc), name="t3-z2", resolver=spaces.__getitem__)
     assert exc.value.path == "cocycle"
     assert "cocycle condition" in exc.value.message
+
+
+@pytest.mark.parametrize("name", FINITE_SIGMA1_NAMES)
+def test_one_sigma1_table_per_model(name, monkeypatch):
+    tabulated = []
+    honest = tower.to_cayley
+
+    def counting(g):
+        tabulated.append(g)
+        return honest(g)
+
+    # Every thg module that imported to_cayley calls it by its own name.
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("thg")
+                and getattr(module, "to_cayley", None) is honest):
+            monkeypatch.setattr(module, "to_cayley", counting)
+    tg = find_model(name, builtin_catalog())
+    orbit_space(tg)
+    sigma1_group(tg)
+    gottlieb_rhodes_invariants(tg, 1)
+    classify(tg, _cap(tg))
+    assert len(tabulated) == 1
+    assert sigma1_group(tg) is tg.sigma1_table
+
+
+@pytest.mark.parametrize("name", FREE_NAMES)
+def test_sigma_derives_tau_once_on_the_orbit_space(name, monkeypatch):
+    seen = []
+    honest = rhodes.tau_invariants
+
+    def counting(x, n):
+        seen.append(x)
+        return honest(x, n)
+
+    monkeypatch.setattr(rhodes, "tau_invariants", counting)
+    tg = find_model(name, MODELS)
+    sigma_invariants(tg, 2)
+    assert seen == [orbit_space(tg)]

@@ -258,6 +258,34 @@ def test_transformation_document_validation():
         load_model(json.dumps(bad), name="x-z2", resolver=resolver)
 
 
+def test_actions_that_are_not_homomorphisms_are_rejected():
+    # In the Klein group a * b = ab, so a flipping pi_2 while b and ab fix
+    # it is no homomorphism; the identity may not flip it either.
+    resolver = {"S2": BY_NAME["S2"]}.__getitem__
+    doc = {"kind": "transformation", "space": "S2",
+           "group": {"catalog": "Z2xZ2"}, "free": False,
+           "action": {"a": {"2": [[-1]]}}}
+    with pytest.raises(ModelError) as exc:
+        load_model(json.dumps(doc), name="s2-klein", resolver=resolver)
+    assert exc.value.path == "action"
+    assert exc.value.message == "degree 2: action is not a homomorphism"
+    doc["action"] = {"e": {"2": [[-1]]}, "a": {"2": [[-1]]}}
+    with pytest.raises(ModelError) as exc:
+        load_model(json.dumps(doc), name="s2-klein", resolver=resolver)
+    assert exc.value.path == "action"
+    assert exc.value.message.startswith("degree 2: identity ")
+
+    space = _space_doc(pi1={"catalog": "Z2xZ2"},
+                       pi1_action={"a": {"2": [[-1]]}})
+    with pytest.raises(ModelError) as exc:
+        _load(space)
+    assert exc.value.path == "pi1_action"
+    assert exc.value.message == "degree 2: action is not a homomorphism"
+    # a and b both flipping, so that ab = a * b fixes it, is one.
+    space["pi1_action"] = {"a": {"2": [[-1]]}, "b": {"2": [[-1]]}}
+    assert _load(space).pi1_action_trivial is False
+
+
 def test_serialize_rejects_derived_models():
     orbit = orbit_space(BY_NAME["s3-z4"])
     with pytest.raises(UnsupportedError):
