@@ -304,9 +304,6 @@ class FgAbelian:
     def neg(self, a: Sequence[int]) -> Tuple[int, ...]:
         return self.reduce(tuple(-x for x in a))
 
-    def scale(self, k: int, a: Sequence[int]) -> Tuple[int, ...]:
-        return self.reduce(tuple(k * x for x in a))
-
     def describe(self) -> str:
         """ASCII name, e.g. "Z^2 x Z/2 x Z/4"; the trivial group is "1"."""
         parts = []
@@ -340,21 +337,6 @@ def canonical_form(rank: int, torsion: Sequence[int]) -> FgAbelian:
         return FgAbelian(rank, ())
     diag = snf_diagonal(diagonal_matrix(len(torsion), len(torsion), list(torsion)))
     return FgAbelian(rank, tuple(d for d in diag if d >= 2))
-
-
-def direct_product(a: FgAbelian, b: FgAbelian) -> FgAbelian:
-    return canonical_form(a.rank + b.rank, a.torsion + b.torsion)
-
-
-def power(a: FgAbelian, k: int) -> FgAbelian:
-    if k < 0:
-        raise InvalidInputError("power exponent must be non-negative")
-    return canonical_form(a.rank * k, a.torsion * k)
-
-
-def is_isomorphic(a: FgAbelian, b: FgAbelian) -> bool:
-    # Canonical form is unique, so equality decides isomorphism.
-    return a == b
 
 
 def _presentation_rows(ambient_rank: int, ambient_torsion: Sequence[int],
@@ -429,21 +411,10 @@ def subgroup_structure(ambient: FgAbelian, generators: IntMatrix) -> FgAbelian:
     m = generators.rows
     if m == 0:
         return TRIVIAL
-    n = ambient.n_coords
-    if generators.cols != n:
-        raise InvalidInputError("generator columns do not match ambient coordinates")
-    k = len(ambient.torsion)
-    # Stack [gens | torsion-slack] so x*M = 0 captures relations in ambient.
-    rows = []
-    for row in generators.entries:
-        fixed = list(row[:ambient.rank])
-        fixed.extend(c % t for c, t in zip(row[ambient.rank:], ambient.torsion))
-        rows.append(fixed)
-    for i, t in enumerate(ambient.torsion):
-        rel = [0] * n
-        rel[ambient.rank + i] = t
-        rows.append(rel)
-    basis = kernel_lattice(IntMatrix.from_rows(rows, cols=n))
+    # Stack the generators over the torsion relations so that x*M = 0
+    # captures the relations among the generators in the ambient.
+    rows = _presentation_rows(ambient.rank, ambient.torsion, generators)
+    basis = kernel_lattice(IntMatrix.from_rows(rows, cols=ambient.n_coords))
     projected = [row[:m] for row in basis]
     return cokernel(m, [], IntMatrix.from_rows(projected, cols=m))
 

@@ -23,9 +23,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from . import fox, rhodes
 from .abelian import INFINITY
-from .errors import (BookkeepingError, InsufficientDataError,
-                     InvalidInputError, ModelError, NotFoundError, ThgError,
-                     UnsupportedError)
+from .errors import BookkeepingError, ModelError, NotFoundError, ThgError
 from .fingroup import (CayleyGroup, abelian_structure, from_catalog,
                        is_abelian, is_isomorphic)
 from .report import CheckReport, FAIL, PASS
@@ -769,16 +767,9 @@ def run(argv: Sequence[str], out=None, err=None) -> int:
                 return EXIT_CHECK_FAILED
             raise
         return _HANDLERS[args.verb](args, models, out)
-    except _Usage as exc:
+    except (_Usage, NotFoundError) as exc:
         err.write(f"thg: {exc}\n")
         return EXIT_USAGE
-    except NotFoundError as exc:
-        err.write(f"thg: {exc}\n")
-        return EXIT_USAGE
-    except (InsufficientDataError, UnsupportedError, InvalidInputError,
-            ModelError) as exc:
-        err.write(f"thg: {exc}\n")
-        return EXIT_COMPUTATION
     except ThgError as exc:
         err.write(f"thg: {exc}\n")
         return EXIT_COMPUTATION

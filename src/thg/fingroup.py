@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .abelian import FgAbelian, canonical_form, prime_exponent, prime_factors
+from .abelian import (TRIVIAL, FgAbelian, canonical_form, prime_exponent,
+                      prime_factors)
 from .errors import InvalidInputError, NotFoundError, UnsupportedError
 
 # The one cap on Cayley tables: the largest order that is tabulated from an
@@ -169,10 +170,6 @@ def full_subgroup(g: CayleyGroup) -> SubgroupRef:
     return SubgroupRef(g, tuple(range(g.order)))
 
 
-def trivial_subgroup(g: CayleyGroup) -> SubgroupRef:
-    return SubgroupRef(g, (g.identity_index,))
-
-
 def center(g: CayleyGroup) -> SubgroupRef:
     """Elements commuting with everything; always a normal subgroup.
 
@@ -281,7 +278,7 @@ def abelian_structure(g: CayleyGroup) -> FgAbelian:
         raise InvalidInputError("abelian_structure needs an abelian group")
     n = g.order
     if n == 1:
-        return FgAbelian(0, ())
+        return TRIVIAL
     return abelian_structure_by_counting(
         list(range(n)), lambda x, y: g.table[x][y], g.identity_index)
 
@@ -296,7 +293,7 @@ def abelian_structure_by_counting(elements, mul, identity) -> FgAbelian:
     """
     n = len(elements)
     if n == 1:
-        return FgAbelian(0, ())
+        return TRIVIAL
 
     def power(x, k):
         out = identity
@@ -421,6 +418,8 @@ def _product(a: CayleyGroup, b: CayleyGroup) -> CayleyGroup:
 
 def from_catalog(name: str) -> CayleyGroup:
     """Build a named group: trivial, Z(k), Z2xZ2, Q8, D4, or x-products.
+    A group whose order would pass TABLE_CAP is refused before its table
+    is built.
 
     >>> from_catalog("Q8").order
     8
@@ -449,6 +448,7 @@ def _try_catalog(name: str) -> Optional[CayleyGroup]:
     if name.startswith("Z(") and name.endswith(")"):
         body = name[2:-1]
         if body.isdigit() and int(body) >= 1:
+            _check_order(name, int(body))
             return _cyclic(int(body))
         # else fall through: "Z(4)xZ(2)" also matches the delimiters
     for pos in range(1, len(name) - 1):
@@ -459,8 +459,15 @@ def _try_catalog(name: str) -> Optional[CayleyGroup]:
             continue
         right = _try_catalog(name[pos + 1:])
         if right is not None:
+            _check_order(name, left.order * right.order)
             return _product(left, right)
     return None
+
+
+def _check_order(name: str, order: int) -> None:
+    if order > TABLE_CAP:
+        raise UnsupportedError(f"group {name!r} has order {order}, beyond "
+                               f"the table cap {TABLE_CAP}")
 
 
 # ---------------------------------------------------------------------------

@@ -29,14 +29,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from .abelian import FgAbelian, INFINITY
-from .errors import BookkeepingError, InsufficientDataError, InvalidInputError
+from .errors import BookkeepingError, InvalidInputError
 from .report import FAIL, INDETERMINATE, PASS, CheckReport
 from .spacecat import (SpaceModel, group_describe, group_is_abelian,
                        group_order, group_rank, subgroup_index_in,
-                       subgroup_structure_in)
+                       subgroup_rows, subgroup_structure_in)
 from .tower import TowerSummary, make_summary
 from .verdict import Indeterminate, Verdict, is_indeterminate, is_true, tri_all
 
@@ -135,10 +135,7 @@ def recursive_tau_multiplicity(n: int, i: int) -> int:
 def _check_degree(x: SpaceModel, n: int, lowest: int = 1) -> None:
     if n < lowest:
         raise InvalidInputError(f"tower degree must be at least {lowest}, got {n}")
-    if n > x.truncation and not x.aspherical:
-        raise InsufficientDataError(
-            f"{x.name} carries homotopy data up to degree {x.truncation}; "
-            f"the degree-{n} tower needs more")
+    x.pi_at(n)  # InsufficientDataError past the model's data
 
 
 def whitehead_gottlieb_conflicts(x: SpaceModel) -> List[str]:
@@ -155,9 +152,10 @@ def whitehead_gottlieb_conflicts(x: SpaceModel) -> List[str]:
         target = x.pi_at(i + j - 1)
         sides = ((i, j),) if i == j else ((i, j), (j, i))
         for deg, other in sides:
-            gens = _gottlieb_generators(x, deg)
-            if gens is None:
+            data = x.gottlieb_at(deg)
+            if data is None:
                 continue
+            gens = subgroup_rows(x.pi_at(deg), data)
             other_coords = x.pi_at(other).n_coords
             for g in gens:
                 for b in range(other_coords):
@@ -173,28 +171,6 @@ def whitehead_gottlieb_conflicts(x: SpaceModel) -> List[str]:
                             f"{x.name}: pairing ({i},{j}) is nonzero on a "
                             f"degree-{deg} Gottlieb generator")
     return conflicts
-
-
-def _gottlieb_generators(x: SpaceModel, i: int):
-    """Generator vectors of G_i in pi_i coordinates, or None when unknown.
-
-    Only meaningful for i >= 2 (abelian ambient); pairing tables never
-    involve degree 1.
-    """
-    data = x.gottlieb.get(i)
-    grp = x.pi_at(i)
-    if group_order(grp) == 1:
-        return ()
-    if data is None:
-        return None
-    if data.kind == "trivial":
-        return ()
-    if data.kind == "full":
-        n = grp.n_coords
-        return tuple(tuple(1 if k == a else 0 for k in range(n)) for a in range(n))
-    if data.kind == "generators":
-        return data.generators
-    return None
 
 
 def tau_invariants(x: SpaceModel, n: int) -> TowerSummary:
@@ -276,16 +252,20 @@ def summary_layer_rank(s: TowerSummary) -> int:
     return sum(grp.rank * mult for _, grp, mult in s.layers)
 
 
-def split_identities(whole: TowerSummary, quot: TowerSummary,
-                     ker: TowerSummary, target: str, n: int, prefix: str,
-                     base_rank: int) -> CheckReport:
-    """Grade the three invariant-level identities of a split extension
-    whole = ker . quot whose kernel has trivial base.
+def fox_sequence_check(x: SpaceModel, n: int, target: Optional[str] = None,
+                       prefix: str = "fox-sequence") -> CheckReport:
+    """Verify tau_n = ker . tau_{n-1} at invariant level, degree n >= 2.
 
-    base_rank is the free rank of the shared base of whole and quot.
-    One entry each: layer multisets reconcile, free ranks add, finite
-    orders multiply.  Failures are entries, not errors.
+    The kernel of tau_n(X) -> tau_{n-1}(X) is the loop-space tower one
+    degree down, so the layer multisets must reconcile by Pascal's rule,
+    ranks must add, and finite orders must multiply: one entry each,
+    named target (X by default), with check ids prefix-layers, -rank and
+    -order.  Failures are entries, not errors.
     """
+    target = target or x.name
+    whole = tau_invariants(x, n)
+    quot = tau_invariants(x, n - 1)
+    ker = loop_tau_invariants(x, n)
     report = CheckReport(f"splitting of {target} at n={n}")
     wl, ql, kl = _layer_map(whole), _layer_map(quot), _layer_map(ker)
     problems = []
@@ -307,6 +287,8 @@ def split_identities(whole: TowerSummary, quot: TowerSummary,
                "layer multisets of the splitting reconcile degree by degree",
                "; ".join(problems))
 
+    # The base, pi_1, is shared by the whole tower and the quotient.
+    base_rank = group_rank(x.pi1)
     lhs_rank = base_rank + summary_layer_rank(whole)
     rhs_rank = summary_layer_rank(ker) + base_rank + summary_layer_rank(quot)
     report.add(f"{prefix}-rank", target, n,
@@ -321,20 +303,6 @@ def split_identities(whole: TowerSummary, quot: TowerSummary,
                "order is multiplicative along the splitting",
                f"{lhs_order} vs {rhs_order}")
     return report
-
-
-def fox_sequence_check(x: SpaceModel, n: int) -> CheckReport:
-    """Verify tau_n = ker . tau_{n-1} at invariant level, degree n >= 2.
-
-    The kernel of tau_n(X) -> tau_{n-1}(X) is the loop-space tower one
-    degree down, so the layer multisets must reconcile by Pascal's rule,
-    ranks must add, and finite orders must multiply.
-    """
-    whole = tau_invariants(x, n)
-    quot = tau_invariants(x, n - 1)
-    ker = loop_tau_invariants(x, n)
-    return split_identities(whole, quot, ker, x.name, n, "fox-sequence",
-                            group_rank(x.pi1))
 
 
 # ---------------------------------------------------------------------------

@@ -27,13 +27,12 @@ from .abelian import FgAbelian
 from .errors import BookkeepingError, InvalidInputError, UnsupportedError
 from .fingroup import (TABLE_CAP, CayleyGroup, SubgroupRef,
                        center as group_center, subgroup_as_group)
-from .fox import (gottlieb_fox_invariants, gottlieb_index_product,
-                  is_n_gottlieb, loop_tau_invariants, split_identities,
-                  tau_invariants)
+from .fox import (fox_sequence_check, gottlieb_fox_invariants,
+                  gottlieb_index_product, is_n_gottlieb, tau_invariants)
 from .report import (CONFIRMED, EXPECTED_EXCEPTION, FAIL, INDETERMINATE,
                      NOT_APPLICABLE, PASS, VACUOUS, VIOLATION, CheckReport)
-from .spacecat import (SpaceModel, SubgroupData, TransformationModel,
-                       group_is_trivial, group_rank, orbit_space)
+from .spacecat import (SpaceModel, TransformationModel, group_is_trivial,
+                       group_rank, orbit_space, subgroup_ref)
 from .tower import (TowerSummary, VirtAbelian, _element_name, abelianization,
                     center_structure, make_summary)
 from .verdict import (Indeterminate, Verdict, is_false, is_indeterminate,
@@ -200,17 +199,12 @@ def sigma1_group(tg: TransformationModel) -> CayleyGroup:
 def rhodes_split_check(tg: TransformationModel, n: int) -> CheckReport:
     """Verify sigma_n = ker . sigma_{n-1} at invariant level, n >= 2.
 
-    The kernel is the same loop-space tower as in the tau splitting,
-    with layers drawn from X (the covering identifies them degree by
-    degree); the base of the sigma towers is the orbit fundamental
-    group, unchanged between levels.
+    sigma_n is tau_n of the orbit space, which carries the pi_i of X in
+    degrees two and up (the covering identifies them), so this is the
+    Fox splitting of the orbit space, reported under the action's name.
     """
-    whole = sigma_invariants(tg, n)
-    quot = sigma_invariants(tg, n - 1)
-    ker = loop_tau_invariants(tg.space, n)
-    base_rank = group_rank(orbit_space(tg).pi1)
-    return split_identities(whole, quot, ker, tg.name, n, "rhodes-sequence",
-                            base_rank)
+    _require_free(tg)
+    return fox_sequence_check(orbit_space(tg), n, tg.name, "rhodes-sequence")
 
 
 # ---------------------------------------------------------------------------
@@ -601,30 +595,13 @@ def oprea_check(tg: TransformationModel,
         report.add("oprea-center", target.name, 1, FAIL, rule,
                    "orbit model carries no degree-1 subgroup data")
         return report
-    got = _resolve_degree1_subgroup(target, data)
-    if got is None:
+    if not isinstance(target.pi1, CayleyGroup):
         report.add("oprea-center", target.name, 1, INDETERMINATE, rule,
                    "degree-1 subgroup not resolvable to elements")
         return report
+    got = set(subgroup_ref(target.pi1, data).names())
     ok = got == center_names
     report.add("oprea-center", target.name, 1, PASS if ok else FAIL, rule,
                f"degree-1 subgroup {sorted(got)} vs center "
                f"{sorted(center_names)}")
     return report
-
-
-def _resolve_degree1_subgroup(space: SpaceModel,
-                              data: SubgroupData) -> Optional[set]:
-    """Element-name set of a degree-1 subgroup in a finite pi_1."""
-    pi1 = space.pi1
-    if not isinstance(pi1, CayleyGroup):
-        return None
-    if data.kind == "full":
-        return set(pi1.element_names)
-    if data.kind == "trivial":
-        return {pi1.element_names[pi1.identity_index]}
-    if data.kind == "elements":
-        return set(data.elements)
-    if data.kind == "center":
-        return set(group_center(pi1).names())
-    return None

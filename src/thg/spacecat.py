@@ -22,10 +22,10 @@ from functools import cached_property
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple, Union)
 
-from .abelian import (FgAbelian, INFINITY, IntMatrix, subgroup_index,
-                      subgroup_structure)
-from .errors import (InvalidInputError, ModelError, NotFoundError,
-                     ThgError, UnsupportedError)
+from .abelian import (TRIVIAL, FgAbelian, INFINITY, IntMatrix,
+                      subgroup_index, subgroup_structure)
+from .errors import (InsufficientDataError, InvalidInputError, ModelError,
+                     NotFoundError, UnsupportedError)
 from .fingroup import (TABLE_CAP, CayleyGroup, SubgroupRef, abelian_structure,
                        from_catalog, full_subgroup, is_abelian,
                        center as group_center, subgroup_as_group,
@@ -82,9 +82,9 @@ class SpaceModel:
             return self.pi1
         if self.aspherical:
             # Known in every degree, not just up to the truncation.
-            return FgAbelian(0, ())
+            return TRIVIAL
         if i > self.truncation:
-            raise UnsupportedError(
+            raise InsufficientDataError(
                 f"{self.name} carries data up to degree {self.truncation}; "
                 f"degree {i} was requested")
         return self.pi[i]
@@ -147,7 +147,7 @@ class TransformationModel:
         action and the cocycle, validated when built."""
         pi1 = self.space.pi1
         if group_is_trivial(pi1):
-            return make_virtabelian(self.group, FgAbelian(0, ()), {}, {})
+            return make_virtabelian(self.group, TRIVIAL, {}, {})
         if not isinstance(pi1, FgAbelian):
             raise UnsupportedError(
                 "sigma_1 is tabulated over an abelian fundamental group only")
@@ -235,6 +235,45 @@ def _nested_all_zero(t) -> bool:
 # Subgroup bookkeeping
 
 
+def subgroup_rows(ambient: GroupLike,
+                  data: SubgroupData) -> Tuple[Tuple[int, ...], ...]:
+    """Generator rows, in ambient coordinates, of the described subgroup
+    of an abelian ambient group.
+
+    >>> subgroup_rows(FgAbelian(2), FULL)
+    ((1, 0), (0, 1))
+    """
+    if data.kind == "elements":
+        raise InvalidInputError("element lists need a finite ambient group")
+    if not isinstance(ambient, FgAbelian):
+        raise InvalidInputError("generator matrices need an abelian ambient group")
+    if data.kind == "generators":
+        return data.generators
+    if data.kind == "trivial":
+        return ()
+    # full, and center, which is everything in an abelian group
+    n = ambient.n_coords
+    return tuple(tuple(1 if k == a else 0 for k in range(n)) for a in range(n))
+
+
+def subgroup_ref(ambient: GroupLike, data: SubgroupData) -> SubgroupRef:
+    """The described subgroup of a finite ambient group, by its members.
+
+    >>> subgroup_ref(from_catalog("Q8"), CENTER).names()
+    ('1', '-1')
+    """
+    if data.kind == "generators":
+        raise InvalidInputError("generator matrices need an abelian ambient group")
+    if not isinstance(ambient, CayleyGroup):
+        raise InvalidInputError("element lists need a finite ambient group")
+    if data.kind == "full":
+        return full_subgroup(ambient)
+    if data.kind == "center":
+        return group_center(ambient)
+    names = data.elements if data.kind == "elements" else ()
+    return subgroup_generated(ambient, [ambient.index_of(n) for n in names])
+
+
 def subgroup_index_in(ambient: GroupLike, data: SubgroupData) -> Union[int, float]:
     """Index of the described subgroup in its ambient group.
 
@@ -247,20 +286,12 @@ def subgroup_index_in(ambient: GroupLike, data: SubgroupData) -> Union[int, floa
         return 1
     if data.kind == "trivial":
         return group_order(ambient)
-    if data.kind == "generators":
-        if not isinstance(ambient, FgAbelian):
-            raise InvalidInputError("generator matrices need an abelian ambient group")
-        rows = [list(g) for g in data.generators]
-        return subgroup_index(ambient, IntMatrix.from_rows(rows, cols=ambient.n_coords))
-    if data.kind == "elements":
-        if not isinstance(ambient, CayleyGroup):
-            raise InvalidInputError("element lists need a finite ambient group")
-        return ambient.order // len(data.elements)
-    # center
     if isinstance(ambient, FgAbelian):
-        return 1
-    if isinstance(ambient, CayleyGroup):
-        return ambient.order // group_center(ambient).order
+        rows = subgroup_rows(ambient, data)
+        return subgroup_index(ambient, IntMatrix.from_rows(rows, cols=ambient.n_coords))
+    if isinstance(ambient, CayleyGroup) or data.kind != "center":
+        return group_order(ambient) // subgroup_ref(ambient, data).order
+    # The center of an extension.
     struct = center_structure(ambient)
     total, part = ambient.order(), struct.order()
     if part == INFINITY:
@@ -274,24 +305,14 @@ def subgroup_index_in(ambient: GroupLike, data: SubgroupData) -> Union[int, floa
 def subgroup_structure_in(ambient: GroupLike, data: SubgroupData) -> Optional[FgAbelian]:
     """Isomorphism type of the described subgroup, when abelian; else None."""
     if data.kind == "trivial":
-        return FgAbelian(0, ())
-    if data.kind == "generators":
-        if not isinstance(ambient, FgAbelian):
-            raise InvalidInputError("generator matrices need an abelian ambient group")
-        rows = [list(g) for g in data.generators]
-        return subgroup_structure(ambient, IntMatrix.from_rows(rows, cols=ambient.n_coords))
+        return TRIVIAL
     if isinstance(ambient, FgAbelian):
-        # full and center coincide with the whole group here.
-        return ambient
+        if data.kind in ("full", "center"):
+            return ambient  # both are the whole group here
+        rows = subgroup_rows(ambient, data)
+        return subgroup_structure(ambient, IntMatrix.from_rows(rows, cols=ambient.n_coords))
     if isinstance(ambient, CayleyGroup):
-        if data.kind == "full":
-            ref = full_subgroup(ambient)
-        elif data.kind == "elements":
-            ref = subgroup_generated(ambient,
-                                     [ambient.index_of(n) for n in data.elements])
-        else:
-            ref = group_center(ambient)
-        grp = subgroup_as_group(ambient, ref)
+        grp = subgroup_as_group(ambient, subgroup_ref(ambient, data))
         return abelian_structure(grp) if is_abelian(grp) else None
     # VirtAbelian ambient.
     if data.kind == "center":
@@ -422,7 +443,7 @@ def parse_layer_aut(raw, layer: FgAbelian, path: str) -> LayerAut:
         _fail(path, str(exc))
 
 
-def parse_group_spec(raw, path: str, resolver: Optional[Resolver] = None) -> GroupLike:
+def parse_group_spec(raw, path: str) -> GroupLike:
     obj = _as_map(raw, path)
     keys = set(obj)
     if keys == {"rank", "torsion"}:
@@ -431,12 +452,12 @@ def parse_group_spec(raw, path: str, resolver: Optional[Resolver] = None) -> Gro
         name = _as_str(obj["catalog"], f"{path}.catalog")
         try:
             return from_catalog(name)
-        except NotFoundError as exc:
+        except (NotFoundError, UnsupportedError) as exc:
             _fail(f"{path}.catalog", str(exc))
     if keys == {"names", "table", "identity"}:
         return _parse_cayley_table(obj, path)
     if keys == {"base", "layer", "action", "cocycle"}:
-        base = parse_group_spec(obj["base"], f"{path}.base", resolver)
+        base = parse_group_spec(obj["base"], f"{path}.base")
         if not isinstance(base, CayleyGroup):
             _fail(f"{path}.base", "extension base must be a finite group")
         layer = parse_abelian_spec(obj["layer"], f"{path}.layer")
@@ -587,6 +608,45 @@ def _parse_whitehead(raw, pi_of, truncation: int, path: str):
     return out
 
 
+def _parse_action_table(raw, group: CayleyGroup,
+                        layer_at: Callable[[int], GroupLike], low: int,
+                        high: int, path: str,
+                        group_label: str) -> Dict[int, Tuple[LayerAut, ...]]:
+    """One automorphism per element of group in each degree named by an
+    {element: {degree: matrix}} table, degrees low..high with layers
+    layer_at(degree).  Elements left out act as the identity, and each
+    degree is checked to be an action.  "identity" may stand on a
+    non-abelian layer, and is then skipped."""
+    obj = _as_map(raw, path)
+    staged: Dict[int, Dict[int, LayerAut]] = {}
+    for name, degrees in obj.items():
+        try:
+            q = group.index_of(name)
+        except NotFoundError:
+            _fail(f"{path}.{name}", f"not an element of the {group_label}")
+        degmap = _as_map(degrees, f"{path}.{name}")
+        for key, mat in degmap.items():
+            i = _degree_key(key, f"{path}.{name}", low, high)
+            layer = layer_at(i)
+            if not isinstance(layer, FgAbelian):
+                if mat == "identity":
+                    continue
+                _fail(f"{path}.{name}.{key}",
+                      "matrices need an abelian homotopy group in this degree")
+            staged.setdefault(i, {})[q] = parse_layer_aut(
+                mat, layer, f"{path}.{name}.{key}")
+    out: Dict[int, Tuple[LayerAut, ...]] = {}
+    for i, table in staged.items():
+        ident = identity_aut(layer_at(i))
+        auts = tuple(table.get(q, ident) for q in range(group.order))
+        try:
+            check_action(group, auts)
+        except InvalidInputError as exc:
+            _fail(path, f"degree {i}: {exc}")
+        out[i] = auts
+    return out
+
+
 def _parse_pi1_action(raw, pi1: GroupLike, pi: Dict[int, FgAbelian],
                       truncation: int, path: str) -> bool:
     """Returns whether the action is trivial; explicit tables are validated."""
@@ -596,29 +656,9 @@ def _parse_pi1_action(raw, pi1: GroupLike, pi: Dict[int, FgAbelian],
     if not isinstance(pi1, CayleyGroup):
         _fail(path, "explicit fundamental group actions need a finite "
                     "fundamental group given as a table or catalog name")
-    per_degree: Dict[int, Dict[int, LayerAut]] = {}
-    for name, degrees in obj.items():
-        try:
-            q = pi1.index_of(name)
-        except NotFoundError:
-            _fail(f"{path}.{name}", "not an element of the fundamental group")
-        degmap = _as_map(degrees, f"{path}.{name}")
-        for key, mat in degmap.items():
-            i = _degree_key(key, f"{path}.{name}", 2, truncation)
-            aut = parse_layer_aut(mat, pi.get(i, FgAbelian(0, ())),
-                                  f"{path}.{name}.{key}")
-            per_degree.setdefault(i, {})[q] = aut
-    trivial = True
-    for i, table in per_degree.items():
-        ident = identity_aut(pi.get(i, FgAbelian(0, ())))
-        auts = [table.get(q, ident) for q in range(pi1.order)]
-        try:
-            check_action(pi1, auts)
-        except InvalidInputError as exc:
-            _fail(path, f"degree {i}: {exc}")
-        if any(not a.is_identity() for a in auts):
-            trivial = False
-    return trivial
+    table = _parse_action_table(obj, pi1, lambda i: pi.get(i, TRIVIAL), 2,
+                                truncation, path, "fundamental group")
+    return all(a.is_identity() for auts in table.values() for a in auts)
 
 
 def _space_from_doc(doc: dict, path: str = "") -> SpaceModel:
@@ -654,7 +694,7 @@ def _space_from_doc(doc: dict, path: str = "") -> SpaceModel:
                 return pi1
             _fail(_join(path, "whitehead"),
                   "degree-1 pairings need an abelian fundamental group")
-        return pi.get(i, FgAbelian(0, ()))
+        return pi.get(i, TRIVIAL)
 
     whitehead = _parse_whitehead(doc.get("whitehead", "trivial"), pi_of,
                                  truncation, _join(path, "whitehead"))
@@ -710,34 +750,9 @@ def _transformation_from_doc(doc: dict, name: str,
     free = _as_bool(doc["free"], "free")
 
     warnings: List[str] = list(space.warnings)
-    action_raw = _as_map(doc["action"], "action")
-    staged: Dict[int, Dict[int, LayerAut]] = {}
-    for elt_name, degrees in action_raw.items():
-        try:
-            q = group.index_of(elt_name)
-        except NotFoundError:
-            _fail(f"action.{elt_name}", "not an element of the acting group")
-        degmap = _as_map(degrees, f"action.{elt_name}")
-        for key, mat in degmap.items():
-            i = _degree_key(key, f"action.{elt_name}", 1, space.truncation)
-            target = space.pi_at(i)
-            if not isinstance(target, FgAbelian):
-                if mat == "identity":
-                    continue
-                _fail(f"action.{elt_name}.{key}",
-                      "matrices need an abelian homotopy group in this degree")
-            staged.setdefault(i, {})[q] = parse_layer_aut(
-                mat, target, f"action.{elt_name}.{key}")
-    action_by_degree: Dict[int, Tuple[LayerAut, ...]] = {}
-    for i, table in staged.items():
-        layer = space.pi_at(i)
-        ident = identity_aut(layer)
-        auts = tuple(table.get(q, ident) for q in range(group.order))
-        try:
-            check_action(group, auts)
-        except InvalidInputError as exc:
-            _fail("action", f"degree {i}: {exc}")
-        action_by_degree[i] = auts
+    action_by_degree = _parse_action_table(doc["action"], group, space.pi_at,
+                                           1, space.truncation, "action",
+                                           "acting group")
 
     cocycle: Optional[Dict[Tuple[int, int], Tuple[int, ...]]] = None
     if "cocycle" in doc:
@@ -802,22 +817,27 @@ def load_model(document: Union[bytes, str], name: Optional[str] = None,
     conventionally the file stem.  resolver maps space names to loaded
     SpaceModels for transformation files that reference by name.
     """
-    if isinstance(document, bytes):
-        try:
-            document = document.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ModelError("", f"not valid UTF-8: {exc}") from None
+    doc = _parse_document(document, "")
+    if doc["kind"] == "space":
+        return _space_from_doc(doc)
+    return _transformation_from_doc(doc, name or "unnamed", resolver)
+
+
+def _parse_document(document: Union[bytes, str], path: str) -> dict:
+    """The JSON object in document, of kind "space" or "transformation";
+    anything else is a ModelError at path (a file name, or "")."""
     try:
+        if isinstance(document, bytes):
+            document = document.decode("utf-8")
         doc = json.loads(document)
+    except UnicodeDecodeError as exc:
+        raise ModelError(path, f"not valid UTF-8: {exc}") from None
     except json.JSONDecodeError as exc:
-        raise ModelError("", f"not valid JSON: {exc}") from None
-    obj = _as_map(doc, "")
-    kind = obj.get("kind")
-    if kind == "space":
-        return _space_from_doc(obj)
-    if kind == "transformation":
-        return _transformation_from_doc(obj, name or "unnamed", resolver)
-    _fail("kind", 'expected "space" or "transformation"')
+        raise ModelError(path, f"not valid JSON: {exc}") from None
+    obj = _as_map(doc, path)
+    if obj.get("kind") not in ("space", "transformation"):
+        _fail(_join(path, "kind"), 'expected "space" or "transformation"')
+    return obj
 
 
 def serialize(model: Model) -> str:
@@ -959,27 +979,27 @@ def _catalog(files: Iterable[Tuple[str, bytes]]) -> List[Model]:
     """Models from (file name, contents) pairs: spaces first, then the
     transformations, which may name a space; each alphabetical by name.
     A transformation is named by its file stem.  A document that is not
-    an object, or whose kind is neither "space" nor "transformation", is
-    a ModelError whose path starts with its file name."""
-    staged = []
-    for fname, data in sorted(files):
-        try:
-            doc = json.loads(data.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ModelError(fname, f"not valid JSON: {exc}") from None
-        if not isinstance(doc, dict):
-            raise ModelError(fname, f"expected an object, got {type(doc).__name__}")
-        kind = doc.get("kind")
-        if kind not in ("space", "transformation"):
-            raise ModelError(f"{fname}.kind", 'expected "space" or "transformation"')
-        staged.append((fname[:-len(".json")], data, kind))
+    an object, whose kind is neither "space" nor "transformation", or
+    whose model name an earlier file already took, is a ModelError whose
+    path starts with its file name."""
+    docs = [(fname, _parse_document(data, fname))
+            for fname, data in sorted(files)]
     spaces: Dict[str, SpaceModel] = {}
-    for stem, data, kind in staged:
-        if kind == "space":
-            model = load_model(data, name=stem)
+    for fname, doc in docs:
+        if doc["kind"] == "space":
+            model = _space_from_doc(doc)
+            if model.name in spaces:
+                _fail(f"{fname}.name",
+                      f"an earlier file already has a space named {model.name!r}")
             spaces[model.name] = model
-    transformations = [load_model(data, name=stem, resolver=spaces.__getitem__)
-                       for stem, data, kind in staged if kind == "transformation"]
+    transformations = []
+    for fname, doc in docs:
+        if doc["kind"] == "transformation":
+            stem = fname[:-len(".json")]
+            if stem in spaces:
+                _fail(fname, f"a space is already named {stem!r}")
+            transformations.append(
+                _transformation_from_doc(doc, stem, spaces.__getitem__))
     return (sorted(spaces.values(), key=lambda m: m.name)
             + sorted(transformations, key=lambda m: m.name))
 

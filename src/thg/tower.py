@@ -75,32 +75,10 @@ class LayerAut:
     def is_identity(self) -> bool:
         return self.same_as(identity_aut(self.layer))
 
-    def inverse(self) -> "LayerAut":
-        return LayerAut(self.layer, _unimodular_inverse(self.free_matrix),
-                        self.torsion_signs)
-
 
 def identity_aut(layer: FgAbelian) -> LayerAut:
     return LayerAut(layer, IntMatrix.identity(layer.rank),
                     (1,) * len(layer.torsion))
-
-
-def _unimodular_inverse(m: IntMatrix) -> IntMatrix:
-    n = m.rows
-    d = det(m)
-    if d not in (1, -1):
-        raise InvalidInputError("matrix is not unimodular")
-    # Adjugate over cofactors; dividing by det just flips signs here.
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = IntMatrix.from_rows(
-                [[m.entries[a][b] for b in range(n) if b != i]
-                 for a in range(n) if a != j], cols=n - 1)
-            row.append((-1) ** (i + j) * det(minor) * d)
-        rows.append(row)
-    return IntMatrix.from_rows(rows, cols=n)
 
 
 def check_action(base: CayleyGroup, action: Sequence[LayerAut]) -> None:
@@ -217,18 +195,6 @@ class VirtAbelian:
             self.layer.add(x.layer_coords, self.action[x.base_index].apply(y.layer_coords)),
             self.cocycle[x.base_index][y.base_index])
         return TowerElement(coords, self.base.table[x.base_index][y.base_index])
-
-    def inverse(self, x: TowerElement) -> TowerElement:
-        q = x.base_index
-        qi = self.base.inv(q)
-        # (a,q)(b,qi) = (a + q.b + c(q,qi), e) = identity
-        b = self.action[q].inverse().apply(
-            self.layer.neg(self.layer.add(x.layer_coords, self.cocycle[q][qi])))
-        return TowerElement(self.layer.reduce(b), qi)
-
-    def conjugate(self, x: TowerElement, y: TowerElement) -> TowerElement:
-        """x y x^-1."""
-        return self.multiply(self.multiply(x, y), self.inverse(x))
 
     def enumerate_elements(self) -> List[TowerElement]:
         if self.layer.order() == INFINITY:

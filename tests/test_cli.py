@@ -266,3 +266,31 @@ def test_catalog_rejects_a_document_of_unknown_kind(tmp_path, kind, path):
     entries = json.loads(out)["report"]["entries"]
     assert [(e["check"], e["target"], e["status"]) for e in entries] == [
         ("catalog-load", path, "fail")]
+
+
+@pytest.mark.parametrize("copy_from, copy_to, path", [
+    ("s1.json", "zz-s1-copy.json", "zz-s1-copy.json.name"),
+    ("s2-z2.json", "S1.json", "S1.json")])
+def test_catalog_rejects_a_duplicate_model_name(tmp_path, copy_from, copy_to,
+                                                path):
+    # A second space named S1, or a transformation whose file stem is S1.
+    mutated = tmp_path / "catalog"
+    shutil.copytree(CATALOG_DIR, mutated)
+    shutil.copy(mutated / copy_from, mutated / copy_to)
+    code, out, err = invoke("list", "--catalog-dir", str(mutated))
+    assert code == EXIT_COMPUTATION and out == ""
+    assert err.startswith(f"thg: {path}: ")
+    code, out, _ = invoke("verify", "--all", "--max-n", "2",
+                          "--catalog-dir", str(mutated), "--format", "json")
+    assert code == EXIT_CHECK_FAILED
+    entries = json.loads(out)["report"]["entries"]
+    assert [(e["check"], e["target"], e["status"]) for e in entries] == [
+        ("catalog-load", path, "fail")]
+
+
+def test_requests_past_the_data_exit_1_with_one_sentence():
+    classify = invoke("classify", "s3-q8", "--max-n", "7")
+    tau = invoke("tau", "S3", "--n", "7")
+    assert classify[:2] == tau[:2] == (EXIT_COMPUTATION, "")
+    assert classify[2] == tau[2] == (
+        "thg: S3 carries data up to degree 6; degree 7 was requested\n")

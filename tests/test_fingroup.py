@@ -10,13 +10,12 @@ import itertools
 import pytest
 
 from thg.abelian import FgAbelian
-from thg.errors import InvalidInputError, NotFoundError
+from thg.errors import InvalidInputError, NotFoundError, UnsupportedError
 from thg.fingroup import (CayleyGroup, SubgroupRef, abelian_structure,
                           abelianization, center, commutator_subgroup,
                           find_isomorphism, from_catalog, full_subgroup,
                           is_abelian, is_isomorphic, is_normal, order_profile,
-                          quotient, subgroup_as_group, subgroup_generated,
-                          trivial_subgroup)
+                          quotient, subgroup_as_group, subgroup_generated)
 
 
 def brute_force_isomorphic(a: CayleyGroup, b: CayleyGroup) -> bool:
@@ -130,7 +129,7 @@ def test_subgroup_ref_requires_closure():
 def test_full_and_trivial_subgroups():
     d4 = from_catalog("D4")
     assert full_subgroup(d4).order == 8
-    assert trivial_subgroup(d4).order == 1
+    assert subgroup_generated(d4, []).order == 1
     assert quotient(d4, full_subgroup(d4)).order == 1
 
 
@@ -180,3 +179,13 @@ def test_product_groups_multiply_componentwise():
     assert g.order == 6
     assert is_isomorphic(g, from_catalog("Z(6)"))
     assert abelian_structure(g) == FgAbelian(0, (6,))
+
+
+@pytest.mark.parametrize("name", ["Z(65)", "Z(4)xZ(4)xZ(8)", "Z(1000000000)"])
+def test_catalog_groups_past_the_table_cap_are_refused(name):
+    with pytest.raises(UnsupportedError):
+        from_catalog(name)
+
+
+def test_catalog_product_at_the_table_cap_builds():
+    assert from_catalog("Q8xZ(4)xZ2").order == 64

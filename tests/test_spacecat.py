@@ -67,7 +67,9 @@ def test_find_model_and_sphere_templates():
 
 def test_pi_at_beyond_truncation():
     s3 = BY_NAME["S3"]
-    with pytest.raises(UnsupportedError):
+    with pytest.raises(InsufficientDataError,
+                       match="^S3 carries data up to degree 6; degree 7 "
+                             "was requested$"):
         s3.pi_at(7)
     t3 = BY_NAME["T3"]
     assert t3.pi_at(12) == FgAbelian(0, ())  # aspherical: trivial forever
@@ -295,3 +297,71 @@ def test_serialize_rejects_derived_models():
 def test_orbit_names_are_descriptive():
     assert orbit_space(BY_NAME["s3-z4"]).name == "S3/s3-z4"
     assert orbit_space(BY_NAME["t3-z2"]).name == "T3/t3-z2"
+
+
+# Every way an action table can fail, for a transformation's "action"
+# (Z2xZ2 acting on a space whose pi_1 is Q8) and for a space's
+# "pi1_action" (pi_1 = Z2xZ2), with the exact path and message.
+_ACTION_TABLE_FAILURES = [
+    ("action", {"nope": {"2": [[1]]}},
+     "action.nope", "not an element of the acting group"),
+    ("action", {"a": [[-1]]}, "action.a", "expected an object, got list"),
+    ("action", {"a": {"02": [[-1]]}},
+     "action.a.02", "degree keys must be positive integers"),
+    ("action", {"a": {"4": [[-1]]}},
+     "action.a.4", "degree must lie between 1 and 3"),
+    ("action", {"a": {"1": [[1]]}}, "action.a.1",
+     "matrices need an abelian homotopy group in this degree"),
+    ("action", {"a": {"2": [[1, 0], [0, 1]]}},
+     "action.a.2", "expected a 1 x 1 matrix"),
+    ("action", {"a": {"2": [[2]]}},
+     "action.a.2", "free block must be unimodular"),
+    ("action", {"a": {"2": [[-1]]}},
+     "action", "degree 2: action is not a homomorphism"),
+    ("action", {"e": {"2": [[-1]]}, "a": {"2": [[-1]]}},
+     "action", "degree 2: identity base element must act trivially"),
+    ("pi1_action", {"nope": {"2": [[1]]}},
+     "pi1_action.nope", "not an element of the fundamental group"),
+    ("pi1_action", {"a": [[-1]]},
+     "pi1_action.a", "expected an object, got list"),
+    ("pi1_action", {"a": {"02": [[-1]]}},
+     "pi1_action.a.02", "degree keys must be positive integers"),
+    ("pi1_action", {"a": {"1": [[-1]]}},
+     "pi1_action.a.1", "degree must lie between 2 and 3"),
+    ("pi1_action", {"a": {"2": [[1, 0], [0, 1]]}},
+     "pi1_action.a.2", "expected a 1 x 1 matrix"),
+    ("pi1_action", {"a": {"2": [[2]]}},
+     "pi1_action.a.2", "free block must be unimodular"),
+    ("pi1_action", {"a": {"2": [[-1]]}},
+     "pi1_action", "degree 2: action is not a homomorphism"),
+    ("pi1_action", {"e": {"2": [[-1]]}, "a": {"2": [[-1]]}},
+     "pi1_action", "degree 2: identity base element must act trivially"),
+]
+
+
+@pytest.mark.parametrize("field, table, path, message", _ACTION_TABLE_FAILURES)
+def test_action_table_failures_name_path_and_message(field, table, path, message):
+    if field == "action":
+        space = _load(_space_doc(pi1={"catalog": "Q8"}))
+        doc = {"kind": "transformation", "space": "X",
+               "group": {"catalog": "Z2xZ2"}, "free": False, "action": table}
+        with pytest.raises(ModelError) as exc:
+            load_model(json.dumps(doc), name="x-klein",
+                       resolver={"X": space}.__getitem__)
+    else:
+        with pytest.raises(ModelError) as exc:
+            _load(_space_doc(pi1={"catalog": "Z2xZ2"}, pi1_action=table))
+    assert (exc.value.path, exc.value.message) == (path, message)
+
+
+def test_oversized_catalog_group_is_a_model_error_at_its_path():
+    with pytest.raises(ModelError) as exc:
+        _load(_space_doc(pi1={"catalog": "Z(3000)"}))
+    assert exc.value.path == "pi1.catalog"
+    space = _load(_space_doc())
+    doc = {"kind": "transformation", "space": "X",
+           "group": {"catalog": "Z(3000)"}, "free": False, "action": {}}
+    with pytest.raises(ModelError) as exc:
+        load_model(json.dumps(doc), name="x-big",
+                   resolver={"X": space}.__getitem__)
+    assert exc.value.path == "group.catalog"
