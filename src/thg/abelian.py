@@ -280,6 +280,10 @@ class FgAbelian:
     def is_trivial(self) -> bool:
         return self.rank == 0 and not self.torsion
 
+    def is_abelian(self) -> bool:
+        return True
+
+    @property
     def order(self) -> ExtendedNatural:
         if self.rank > 0:
             return INFINITY
@@ -387,7 +391,7 @@ def subgroup_index(ambient: FgAbelian, generators: IntMatrix) -> ExtendedNatural
     >>> subgroup_index(FgAbelian(2), IntMatrix.from_rows([[1, 0]]))
     inf
     """
-    return cokernel(ambient.rank, ambient.torsion, generators).order()
+    return cokernel(ambient.rank, ambient.torsion, generators).order
 
 
 def kernel_lattice(m: IntMatrix) -> List[Tuple[int, ...]]:

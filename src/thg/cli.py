@@ -25,12 +25,11 @@ from . import fox, rhodes
 from .abelian import INFINITY
 from .errors import BookkeepingError, ModelError, NotFoundError, ThgError
 from .fingroup import (CayleyGroup, abelian_structure, from_catalog,
-                       is_abelian, is_isomorphic)
+                       is_isomorphic)
 from .report import CheckReport, FAIL, PASS
 from .spacecat import (Model, SpaceModel, TransformationModel,
                        builtin_catalog, catalog_from_dir, find_model,
-                       group_describe, group_rank, orbit_space, serialize,
-                       subgroup_index_in)
+                       orbit_space, serialize, subgroup_index_in)
 from .tower import TowerSummary, VirtAbelian, abelianization, center_structure
 from .verdict import Indeterminate
 
@@ -82,7 +81,7 @@ def _report_doc(r: CheckReport) -> dict:
 
 def identify_group(g: CayleyGroup) -> str:
     """Readable isomorphism-type label for a small group."""
-    if is_abelian(g):
+    if g.is_abelian():
         return abelian_structure(g).describe()
     if g.order == 8:
         for name in ("Q8", "D4"):
@@ -162,7 +161,7 @@ def _cmd_list(args, models, out) -> int:
             rows.append({"name": m.name, "kind": "space",
                          "truncation": m.truncation,
                          "aspherical": m.aspherical,
-                         "pi1": group_describe(m.pi1)})
+                         "pi1": m.pi1.describe()})
         else:
             rows.append({"name": m.name, "kind": "transformation",
                          "space": m.space.name,
@@ -254,10 +253,10 @@ def _cmd_gsigma(args, models, out) -> int:
         if r.realized is not None:
             item["realized"] = {"group": identify_group(r.realized),
                                 "order": r.realized.order,
-                                "abelian": is_abelian(r.realized)}
+                                "abelian": r.realized.is_abelian()}
             lines.append(f"  realized: {item['realized']['group']} "
                          f"(order {r.realized.order}, abelian: "
-                         f"{str(is_abelian(r.realized)).lower()})")
+                         f"{str(r.realized.is_abelian()).lower()})")
         results.append(item)
     doc = {"command": {"verb": "gsigma", "target": tg.name},
            "results": results}
@@ -476,8 +475,8 @@ def _verify_action(report: CheckReport, tg: TransformationModel,
                    "orbit-space order equals |G| times the tau order",
                    f"{_order_doc(s.finite_order)} vs {tg.group.order} * "
                    f"{_order_doc(tau_x.finite_order)}")
-        orbit_rank = group_rank(orbit_pi1) + fox.summary_layer_rank(s)
-        tau_rank = group_rank(tg.space.pi1) + fox.summary_layer_rank(tau_x)
+        orbit_rank = orbit_pi1.rank + fox.summary_layer_rank(s)
+        tau_rank = tg.space.pi1.rank + fox.summary_layer_rank(tau_x)
         if orbit_rank != tau_rank:
             raise BookkeepingError(
                 f"sigma_{n}({tg.name}): orbit rank {orbit_rank} vs "
@@ -585,7 +584,7 @@ def _apply_goldens(report: CheckReport, models: Sequence[Model]) -> None:
         x = by_name.get(name)
         if not isinstance(x, SpaceModel):
             continue
-        got = group_describe(x.pi1)
+        got = x.pi1.describe()
         want = _GOLDEN_PI1[name]
         report.add("frozen-fundamental-group", name, 1,
                    PASS if got == want else FAIL,
@@ -652,11 +651,11 @@ def _golden_orbit_facts(report: CheckReport, by_name: Dict[str, Model]) -> None:
         report.add("frozen-orbit-pi1", "rp3-z2z2", 1,
                    PASS if ok else FAIL,
                    "quotient fundamental group is the quaternion group",
-                   group_describe(pi1))
+                   pi1.describe())
         gr = rhodes.gottlieb_rhodes_invariants(tg, 1)
         ok = (not isinstance(gr, Indeterminate)
               and gr.finite_order == 8 and gr.realized is not None
-              and not is_abelian(gr.realized)
+              and not gr.realized.is_abelian()
               and is_isomorphic(gr.realized, from_catalog("Q8")))
         report.add("frozen-gsigma1", "rp3-z2z2", 1, PASS if ok else FAIL,
                    "degree-1 evaluation subgroup realizes as the "

@@ -67,6 +67,21 @@ class CayleyGroup:
                         if t[ab][c] != t[a][t[b][c]]:
                             raise InvalidInputError("multiplication table is not associative")
 
+    @property
+    def rank(self) -> int:
+        """Free rank; a finite group has none."""
+        return 0
+
+    def is_trivial(self) -> bool:
+        return self.order == 1
+
+    def is_abelian(self) -> bool:
+        return all(self.table[i][j] == self.table[j][i]
+                   for i in range(self.order) for j in range(i + 1, self.order))
+
+    def describe(self) -> str:
+        return f"finite group of order {self.order}"
+
     def mul(self, i: int, j: int) -> int:
         return self.table[i][j]
 
@@ -184,11 +199,6 @@ def center(g: CayleyGroup) -> SubgroupRef:
     return SubgroupRef(g, members)
 
 
-def is_abelian(g: CayleyGroup) -> bool:
-    return all(g.table[i][j] == g.table[j][i]
-               for i in range(g.order) for j in range(i + 1, g.order))
-
-
 def is_normal(g: CayleyGroup, n: SubgroupRef) -> bool:
     if n.parent is not g and n.parent != g:
         raise InvalidInputError("subgroup belongs to a different group")
@@ -274,7 +284,7 @@ def abelian_structure(g: CayleyGroup) -> FgAbelian:
     #{x : x^(p^j) = e} determine the partition of exponents at each prime,
     and the partitions interleave into the divisor chain.
     """
-    if not is_abelian(g):
+    if not g.is_abelian():
         raise InvalidInputError("abelian_structure needs an abelian group")
     n = g.order
     if n == 1:

@@ -34,9 +34,8 @@ from typing import Dict, List, Optional, Tuple, Union
 from .abelian import FgAbelian, INFINITY
 from .errors import BookkeepingError, InvalidInputError
 from .report import FAIL, INDETERMINATE, PASS, CheckReport
-from .spacecat import (SpaceModel, group_describe, group_is_abelian,
-                       group_order, group_rank, subgroup_index_in,
-                       subgroup_rows, subgroup_structure_in)
+from .spacecat import (SpaceModel, subgroup_index_in, subgroup_rows,
+                       subgroup_structure_in)
 from .tower import TowerSummary, make_summary
 from .verdict import Indeterminate, Verdict, is_indeterminate, is_true, tri_all
 
@@ -196,7 +195,7 @@ def tau_invariants(x: SpaceModel, n: int) -> TowerSummary:
         direct = True  # nothing to twist
     else:
         direct = x.whitehead_trivial() and x.pi1_action_trivial
-    return make_summary(group_describe(x.pi1), group_order(x.pi1), layers, direct)
+    return make_summary(x.pi1.describe(), x.pi1.order, layers, direct)
 
 
 def loop_tau_invariants(x: SpaceModel, n: int) -> TowerSummary:
@@ -288,7 +287,7 @@ def fox_sequence_check(x: SpaceModel, n: int, target: Optional[str] = None,
                "; ".join(problems))
 
     # The base, pi_1, is shared by the whole tower and the quotient.
-    base_rank = group_rank(x.pi1)
+    base_rank = x.pi1.rank
     lhs_rank = base_rank + summary_layer_rank(whole)
     rhs_rank = summary_layer_rank(ker) + base_rank + summary_layer_rank(quot)
     report.add(f"{prefix}-rank", target, n,
@@ -324,7 +323,7 @@ def is_n_gottlieb(x: SpaceModel, n: int) -> Verdict:
     if data is not None:
         return subgroup_index_in(grp, data) == 1
     if n == 1:
-        if not group_is_abelian(grp):
+        if not grp.is_abelian():
             return False
         if not x.pi1_action_trivial:
             return False

@@ -31,8 +31,8 @@ from .fox import (fox_sequence_check, gottlieb_fox_invariants,
                   gottlieb_index_product, is_n_gottlieb, tau_invariants)
 from .report import (CONFIRMED, EXPECTED_EXCEPTION, FAIL, INDETERMINATE,
                      NOT_APPLICABLE, PASS, VACUOUS, VIOLATION, CheckReport)
-from .spacecat import (SpaceModel, TransformationModel, group_is_trivial,
-                       group_rank, orbit_space, subgroup_ref)
+from .spacecat import (SpaceModel, TransformationModel, orbit_space,
+                       subgroup_ref)
 from .tower import (TowerSummary, VirtAbelian, _element_name, abelianization,
                     center_structure, make_summary)
 from .verdict import (Indeterminate, Verdict, is_false, is_indeterminate,
@@ -191,7 +191,7 @@ def sigma1_group(tg: TransformationModel) -> CayleyGroup:
     cay = tg.sigma1_table
     if cay is None:
         raise UnsupportedError(
-            f"sigma_1 of {tg.name} has order {tg.sigma1_extension.order()}, "
+            f"sigma_1 of {tg.name} has order {tg.sigma1_extension.order}, "
             f"beyond the tabulation cap {TABLE_CAP}")
     return cay
 
@@ -331,7 +331,7 @@ def _equivariant_verdict(tg: TransformationModel, orbit: SpaceModel,
     space's, and degree one has no derivation rule beyond the forced
     simply-connected case.
     """
-    if group_is_trivial(tg.group):
+    if tg.group.is_trivial():
         return RuledVerdict(is_n_gottlieb(tg.space, n),
                             "trivial group: the equivariant condition is "
                             "the ordinary one")
@@ -339,7 +339,7 @@ def _equivariant_verdict(tg: TransformationModel, orbit: SpaceModel,
         return RuledVerdict(is_n_gottlieb(orbit, n),
                             "projection identifies the equivariant subgroup "
                             "with the orbit space's")
-    if group_is_trivial(tg.space.pi1):
+    if tg.space.pi1.is_trivial():
         return RuledVerdict(True, "forced: trivial fundamental group")
     return RuledVerdict(
         Indeterminate(f"no derivation rule for the degree-1 equivariant "
@@ -505,7 +505,7 @@ def _audit_aspherical_rank(report: CheckReport, tg: TransformationModel,
                    "rank of pi_1(X)",
                    "no abelianization route for this group form")
         return
-    want = group_rank(tg.space.pi1)
+    want = tg.space.pi1.rank
     ok = ab.torsion == () and ab.rank == want
     report.add("aspherical-rank", tg.name, 1,
                CONFIRMED if ok else VIOLATION,

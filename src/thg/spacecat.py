@@ -27,12 +27,15 @@ from .abelian import (TRIVIAL, FgAbelian, INFINITY, IntMatrix,
 from .errors import (InsufficientDataError, InvalidInputError, ModelError,
                      NotFoundError, UnsupportedError)
 from .fingroup import (TABLE_CAP, CayleyGroup, SubgroupRef, abelian_structure,
-                       from_catalog, full_subgroup, is_abelian,
+                       from_catalog, full_subgroup,
                        center as group_center, subgroup_as_group,
                        subgroup_generated)
 from .tower import (LayerAut, VirtAbelian, abelianization, center_structure,
                     check_action, identity_aut, make_virtabelian, to_cayley)
 
+# Every group value answers order, rank, is_trivial(), is_abelian() and
+# describe().  An isinstance test is left only where the form itself
+# matters: a check on document input, or an algorithm chosen by form.
 GroupLike = Union[CayleyGroup, FgAbelian, VirtAbelian]
 
 
@@ -95,8 +98,7 @@ class SpaceModel:
         A trivial homotopy group forces the answer: its only subgroup is
         everything, so the data is "full" whether or not the file says so.
         """
-        grp = self.pi_at(i)
-        if group_order(grp) == 1:
+        if self.pi_at(i).is_trivial():
             return FULL
         return self.gottlieb.get(i)
 
@@ -121,42 +123,29 @@ class TransformationModel:
     raw: Optional[dict] = None
     warnings: Tuple[str, ...] = ()
 
-    def action_at(self, degree: int) -> Tuple[LayerAut, ...]:
-        """Induced automorphisms of pi(degree), one per group element."""
-        grp = self.space.pi_at(degree)
-        if degree in self.action_by_degree:
-            return self.action_by_degree[degree]
-        if not isinstance(grp, FgAbelian):
-            raise UnsupportedError(
-                "induced maps on a non-abelian fundamental group are only "
-                "supported when trivial")
-        ident = identity_aut(grp)
-        return (ident,) * self.group.order
-
     def action_trivial_at(self, degree: int) -> bool:
-        grp = self.space.pi_at(degree)
-        if degree not in self.action_by_degree:
-            return True
-        if not isinstance(grp, FgAbelian):
-            return True
-        return all(aut.is_identity() for aut in self.action_by_degree[degree])
+        self.space.pi_at(degree)  # a degree past the data is an error
+        return all(aut.is_identity()
+                   for aut in self.action_by_degree.get(degree, ()))
 
     @cached_property
     def sigma1_extension(self) -> VirtAbelian:
         """sigma_1(X, G): pi_1(X) extended by G through the degree-1
         action and the cocycle, validated when built."""
         pi1 = self.space.pi1
-        if group_is_trivial(pi1):
+        if pi1.is_trivial():
             return make_virtabelian(self.group, TRIVIAL, {}, {})
         if not isinstance(pi1, FgAbelian):
             raise UnsupportedError(
-                "sigma_1 is tabulated over an abelian fundamental group only")
+                "sigma_1 and the orbit fundamental group are built over an "
+                "abelian or trivial fundamental group only")
         if self.cocycle is None:
             raise InvalidInputError(
-                "tabulating sigma_1 needs an explicit cocycle table; write {} "
-                "for the zero cocycle")
-        return make_virtabelian(self.group, pi1,
-                                dict(enumerate(self.action_at(1))), self.cocycle)
+                "sigma_1 and the orbit fundamental group need an explicit "
+                "cocycle table; write {} for the zero cocycle")
+        # With no degree-1 table, make_virtabelian fills in the identity.
+        action = dict(enumerate(self.action_by_degree.get(1, ())))
+        return make_virtabelian(self.group, pi1, action, self.cocycle)
 
     @cached_property
     def sigma1_table(self) -> Optional[CayleyGroup]:
@@ -164,7 +153,7 @@ class TransformationModel:
         infinite or past TABLE_CAP.  The one tabulation of the extension:
         the orbit space, sigma_1 and G sigma_1 all read it."""
         ext = self.sigma1_extension
-        order = ext.order()
+        order = ext.order
         if order == INFINITY or order > TABLE_CAP:
             return None
         return to_cayley(ext)
@@ -179,50 +168,6 @@ class TransformationModel:
 
 Model = Union[SpaceModel, TransformationModel]
 Resolver = Callable[[str], SpaceModel]
-
-
-def group_order(grp: GroupLike) -> Union[int, float]:
-    if isinstance(grp, CayleyGroup):
-        return grp.order
-    if isinstance(grp, (FgAbelian, VirtAbelian)):
-        return grp.order()
-    raise InvalidInputError(f"not a group value: {type(grp).__name__}")
-
-
-def group_is_trivial(grp: GroupLike) -> bool:
-    return group_order(grp) == 1
-
-
-def group_is_abelian(grp: GroupLike) -> bool:
-    if isinstance(grp, CayleyGroup):
-        return is_abelian(grp)
-    if isinstance(grp, FgAbelian):
-        return True
-    return grp.is_abelian()
-
-
-def group_describe(grp: GroupLike) -> str:
-    """Human-readable structure label used in reports."""
-    if isinstance(grp, FgAbelian):
-        return grp.describe()
-    if isinstance(grp, CayleyGroup):
-        return f"finite group of order {grp.order}"
-    o = grp.order()
-    if o == INFINITY:
-        return (f"extension of {grp.layer.describe()} by a base of order "
-                f"{grp.base.order}")
-    return f"finite group of order {int(o)}"
-
-
-def group_rank(grp: GroupLike) -> int:
-    """Free rank.  A finite-index subgroup has the same rank as the whole
-    group, so an extension of a lattice by a finite group inherits the
-    lattice's rank."""
-    if isinstance(grp, FgAbelian):
-        return grp.rank
-    if isinstance(grp, CayleyGroup):
-        return 0
-    return grp.layer.rank
 
 
 def _nested_all_zero(t) -> bool:
@@ -285,15 +230,15 @@ def subgroup_index_in(ambient: GroupLike, data: SubgroupData) -> Union[int, floa
     if data.kind == "full":
         return 1
     if data.kind == "trivial":
-        return group_order(ambient)
+        return ambient.order
     if isinstance(ambient, FgAbelian):
         rows = subgroup_rows(ambient, data)
         return subgroup_index(ambient, IntMatrix.from_rows(rows, cols=ambient.n_coords))
     if isinstance(ambient, CayleyGroup) or data.kind != "center":
-        return group_order(ambient) // subgroup_ref(ambient, data).order
+        return ambient.order // subgroup_ref(ambient, data).order
     # The center of an extension.
     struct = center_structure(ambient)
-    total, part = ambient.order(), struct.order()
+    total, part = ambient.order, struct.order
     if part == INFINITY:
         # Same free rank as the whole group or not: compare via structure.
         return 1 if total == INFINITY and struct.rank == ambient.layer.rank else INFINITY
@@ -313,7 +258,7 @@ def subgroup_structure_in(ambient: GroupLike, data: SubgroupData) -> Optional[Fg
         return subgroup_structure(ambient, IntMatrix.from_rows(rows, cols=ambient.n_coords))
     if isinstance(ambient, CayleyGroup):
         grp = subgroup_as_group(ambient, subgroup_ref(ambient, data))
-        return abelian_structure(grp) if is_abelian(grp) else None
+        return abelian_structure(grp) if grp.is_abelian() else None
     # VirtAbelian ambient.
     if data.kind == "center":
         return center_structure(ambient)
@@ -562,7 +507,7 @@ def _validate_subgroup_against(data: SubgroupData, ambient: GroupLike,
         closed = subgroup_generated(ambient, indices)
         if closed.element_indices != indices:
             _fail(path, "element list is not closed under multiplication")
-        if degree == 1 and not is_abelian(ambient):
+        if degree == 1 and not ambient.is_abelian():
             zc = set(group_center(ambient).element_indices)
             if not set(indices) <= zc:
                 # Gottlieb: G_1 always lands in the center.
@@ -783,7 +728,7 @@ def _transformation_from_doc(doc: dict, name: str,
         if sphere_dimension > space.truncation:
             _fail("sphere_dimension", "exceeds the space truncation")
         top = space.pi_at(sphere_dimension)
-        if not (isinstance(top, FgAbelian) and top == FgAbelian(1)):
+        if top != FgAbelian(1):
             _fail("sphere_dimension",
                   "the marked degree must carry an infinite cyclic group")
     if "notes" in doc and not isinstance(doc["notes"], str):
@@ -875,26 +820,18 @@ def _build_orbit_space(tg: TransformationModel) -> SpaceModel:
     X = tg.space
     pi1X = X.pi1
     new_pi1: GroupLike
-    if group_is_trivial(pi1X):
+    if pi1X.is_trivial():
         new_pi1 = tg.group
-    elif isinstance(pi1X, FgAbelian):
-        if tg.cocycle is None:
-            raise InvalidInputError(
-                "building the orbit fundamental group needs an explicit "
-                "cocycle table; write {} for the zero cocycle")
+    else:
         table = tg.sigma1_table
         new_pi1 = table if table is not None else tg.sigma1_extension
-    else:
-        raise UnsupportedError(
-            "orbit fundamental groups are only built over an abelian or "
-            "trivial fundamental group of the total space")
 
     gottlieb: Dict[int, SubgroupData] = {
         i: data for i, data in X.gottlieb.items() if i >= 2}
     if X.aspherical:
         gottlieb[1] = CENTER
     elif (tg.sphere_dimension is not None and tg.sphere_dimension % 2 == 1
-          and group_is_trivial(pi1X)):
+          and pi1X.is_trivial()):
         # Free actions on odd spheres: the quotient's degree-1 group is
         # the center of its fundamental group (Oprea).
         gottlieb[1] = CENTER

@@ -124,7 +124,7 @@ def make_summary(base_name_or_order: Union[str, int], base_order: Union[int, flo
                  is_direct_product: bool) -> TowerSummary:
     total = base_order
     for _, grp, mult in layers:
-        o = grp.order()
+        o = grp.order
         if mult > 0 and o == INFINITY:
             total = INFINITY
         elif total != INFINITY:
@@ -176,9 +176,27 @@ class VirtAbelian:
                     if lhs != rhs:
                         raise InvalidInputError("cocycle condition fails; product not associative")
 
+    @property
     def order(self) -> Union[int, float]:
-        o = self.layer.order()
+        o = self.layer.order
         return INFINITY if o == INFINITY else o * self.base.order
+
+    @property
+    def rank(self) -> int:
+        """Free rank.  A finite-index subgroup has the same rank as the
+        whole group, so an extension of a lattice by a finite group
+        inherits the lattice's rank."""
+        return self.layer.rank
+
+    def is_trivial(self) -> bool:
+        return self.order == 1
+
+    def describe(self) -> str:
+        o = self.order
+        if o == INFINITY:
+            return (f"extension of {self.layer.describe()} by a base of "
+                    f"order {self.base.order}")
+        return f"finite group of order {o}"
 
     def element(self, coords: Sequence[int], base_index: int) -> TowerElement:
         if not 0 <= base_index < self.base.order:
@@ -197,7 +215,7 @@ class VirtAbelian:
         return TowerElement(coords, self.base.table[x.base_index][y.base_index])
 
     def enumerate_elements(self) -> List[TowerElement]:
-        if self.layer.order() == INFINITY:
+        if self.layer.order == INFINITY:
             raise UnsupportedError("cannot enumerate an infinite layer")
         out = []
         for coords in itertools.product(*(range(t) for t in self.layer.torsion)):
@@ -229,7 +247,7 @@ def make_virtabelian(base: CayleyGroup, layer: FgAbelian,
 
     >>> from .fingroup import from_catalog
     >>> g = make_virtabelian(from_catalog("Z(2)"), FgAbelian(0, (2,)))
-    >>> g.order()
+    >>> g.order
     4
     """
     action = dict(action or {})
@@ -368,7 +386,7 @@ def center_structure(g: VirtAbelian) -> FgAbelian:
     >>> center_structure(direct_sum_group(from_catalog("Q8"), FgAbelian(0, (3,))))
     FgAbelian(rank=0, torsion=(6,))
     """
-    if g.layer.order() != INFINITY:
+    if g.layer.order != INFINITY:
         elements = g.enumerate_elements()
         if len(elements) > ENUM_CAP:
             raise UnsupportedError("finite layer too large to enumerate")
@@ -451,7 +469,7 @@ def to_cayley(g: VirtAbelian) -> CayleyGroup:
     ...               from_catalog("Q8"))
     True
     """
-    total = g.order()
+    total = g.order
     if total == INFINITY:
         raise UnsupportedError("cannot tabulate an infinite group")
     if total > TABLE_CAP:

@@ -256,7 +256,7 @@ def test_cokernel_and_index_match_coset_enumeration():
         residues, add = enum
         assert idx == len(residues), entries
         assert quo.rank == 0, entries
-        assert quo.order() == len(residues), entries
+        assert quo.order == len(residues), entries
         if len(residues) <= 120:
             zero = reduce_mod((0,) * n, echelon_basis(entries, n))
             assert (order_multiset(residues, add, zero)
@@ -280,7 +280,7 @@ def test_solve_integer_against_membership():
         # m live in the lattice spanned by column reduction, so bump b
         # off it when the quotient is nontrivial.
         quo = cokernel(m.rows, [], m.transpose())
-        if quo.order() != 1:
+        if quo.order != 1:
             probe = solve_integer(m, tuple(v + 1 for v in b))
             if probe is not None:
                 assert m.apply(tuple(probe)) == tuple(v + 1 for v in b)
@@ -347,7 +347,7 @@ small_groups = st.builds(
 @given(small_groups, small_groups)
 def test_direct_product_order_multiplies(a, b):
     p = canonical_form(a.rank + b.rank, a.torsion + b.torsion)
-    assert p.order() == a.order() * b.order()
+    assert p.order == a.order * b.order
     assert p.rank == a.rank + b.rank
     assert p == canonical_form(b.rank + a.rank, b.torsion + a.torsion)
 

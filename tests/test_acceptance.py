@@ -16,7 +16,7 @@ from thg.abelian import (INFINITY, FgAbelian, IntMatrix, cokernel,
                          snf_diagonal, subgroup_index)
 from thg.cli import run
 from thg.errors import ThgError
-from thg.fingroup import center, from_catalog, is_abelian, is_isomorphic
+from thg.fingroup import center, from_catalog, is_isomorphic
 from thg.fox import (fox_sequence_check, gottlieb_fox_crosscheck,
                      gottlieb_fox_invariants, gottlieb_index_product,
                      is_n_gottlieb, multiplicities, tau_invariants)
@@ -58,7 +58,7 @@ def test_criterion_1_quaternion_golden(verdict):
     r = gottlieb_rhodes_invariants(tg, 1)
     if isinstance(r, ThgError) or r.finite_order != 8:
         problems.append("Gsigma1 order is not 8")
-    elif r.realized is None or r.realized.order != 8 or is_abelian(r.realized):
+    elif r.realized is None or r.realized.order != 8 or r.realized.is_abelian():
         problems.append("Gsigma1 does not realize as a non-abelian group of order 8")
     gt = gottlieb_fox_invariants(tg.space, 1)
     if [(g.describe(), m) for _, g, m in gt.layers] != [("Z/2", 1)]:
@@ -188,7 +188,7 @@ def test_criterion_8_algebra_kernel_oracles(verdict):
                 bad.append(("infinite", entries))
         else:
             residues, add = enum
-            if idx != len(residues) or quo.order() != len(residues):
+            if idx != len(residues) or quo.order != len(residues):
                 bad.append(("index", entries))
             elif len(residues) <= 60:
                 zero = reduce_mod((0,) * n, echelon_basis(entries, n))

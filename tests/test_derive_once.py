@@ -25,7 +25,7 @@ FREE_NAMES = [m.name for m in ACTIONS if m.free]
 
 def _finite_sigma1(tg):
     try:
-        return tg.sigma1_extension.order() != INFINITY
+        return tg.sigma1_extension.order != INFINITY
     except ThgError:
         return False
 

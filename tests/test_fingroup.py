@@ -14,7 +14,7 @@ from thg.errors import InvalidInputError, NotFoundError, UnsupportedError
 from thg.fingroup import (CayleyGroup, SubgroupRef, abelian_structure,
                           abelianization, center, commutator_subgroup,
                           find_isomorphism, from_catalog, full_subgroup,
-                          is_abelian, is_isomorphic, is_normal, order_profile,
+                          is_isomorphic, is_normal, order_profile,
                           quotient, subgroup_as_group, subgroup_generated)
 
 
@@ -66,9 +66,9 @@ def test_catalog_orders_and_commutativity():
     assert from_catalog("trivial").order == 1
     assert from_catalog("Z(12)").order == 12
     assert from_catalog("Z(4)xZ2").order == 8
-    assert is_abelian(from_catalog("Z2xZ2"))
-    assert not is_abelian(from_catalog("Q8"))
-    assert not is_abelian(from_catalog("D4"))
+    assert from_catalog("Z2xZ2").is_abelian()
+    assert not from_catalog("Q8").is_abelian()
+    assert not from_catalog("D4").is_abelian()
     with pytest.raises(NotFoundError):
         from_catalog("S3")
 
@@ -96,7 +96,7 @@ def test_commutator_and_abelianization():
     assert abelianization(from_catalog("D4")) == FgAbelian(0, (2, 2))
     assert abelianization(from_catalog("Z(6)")) == FgAbelian(0, (6,))
     q = quotient(q8, comm)
-    assert q.order == 4 and is_abelian(q)
+    assert q.order == 4 and q.is_abelian()
     assert is_isomorphic(q, from_catalog("Z2xZ2"))
 
 

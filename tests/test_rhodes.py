@@ -6,7 +6,7 @@ import pytest
 
 from thg.abelian import FgAbelian, INFINITY
 from thg.errors import InvalidInputError, UnsupportedError
-from thg.fingroup import center, from_catalog, is_abelian, is_isomorphic
+from thg.fingroup import center, from_catalog, is_isomorphic
 from thg.fox import tau_invariants
 from thg.report import (CONFIRMED, EXPECTED_EXCEPTION, FAIL, INDETERMINATE,
                         NOT_APPLICABLE, PASS, VACUOUS, VIOLATION)
@@ -15,7 +15,7 @@ from thg.rhodes import (IN_G0, NOT_IN_G0, UNDETERMINED, aspherical_gottlieb_chec
                         gottlieb_rhodes_invariants, oprea_check,
                         rhodes_split_check, sigma1_group, sigma_invariants)
 from thg.spacecat import (SpaceModel, TransformationModel, builtin_catalog,
-                          group_rank, load_model, orbit_space)
+                          load_model, orbit_space)
 from thg.verdict import Indeterminate, is_false, is_indeterminate, is_true
 
 MODELS = builtin_catalog()
@@ -107,7 +107,7 @@ def test_sigma1_groups_of_spherical_quotients():
     assert is_isomorphic(sigma1_group(BY_NAME["s3-q8"]), from_catalog("Q8"))
     assert is_isomorphic(sigma1_group(BY_NAME["s2-z2"]), from_catalog("Z2"))
     q8 = sigma1_group(BY_NAME["rp3-z2z2"])
-    assert q8.order == 8 and not is_abelian(q8)
+    assert q8.order == 8 and not q8.is_abelian()
     assert is_isomorphic(q8, from_catalog("Q8"))
 
 
@@ -134,7 +134,7 @@ def test_quaternion_gottlieb_rhodes_realization():
     assert r.finite_order == 8
     assert r.g0.subgroup.order == 4
     assert r.realized is not None and r.realized.order == 8
-    assert not is_abelian(r.realized)
+    assert not r.realized.is_abelian()
     assert is_isomorphic(r.realized, from_catalog("Q8"))
     assert [(l, g.describe(), m) for l, g, m in r.summary.layers] == [
         ("G1", "Z/2", 1)]
@@ -216,7 +216,7 @@ def test_aspherical_check_on_the_flat_quotient():
 def test_aspherical_rank_agreement():
     # The quotient's fundamental group keeps the free rank of the torus.
     orbit = orbit_space(BY_NAME["t3-z2"])
-    assert group_rank(orbit.pi1) == group_rank(BY_NAME["T3"].pi1) == 3
+    assert orbit.pi1.rank == BY_NAME["T3"].pi1.rank == 3
 
 
 def test_oprea_check_with_recorded_quotients():

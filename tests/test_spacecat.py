@@ -1,22 +1,20 @@
-"""Catalog loading, validation, orbit spaces, and group helpers."""
+"""Catalog loading, validation, orbit spaces, and the shared group surface."""
 
 import json
 import pathlib
 
 import pytest
 
-from thg.abelian import FgAbelian, INFINITY
-from thg.errors import (InsufficientDataError, ModelError, NotFoundError,
-                        UnsupportedError)
+from thg.abelian import TRIVIAL, FgAbelian, INFINITY
+from thg.errors import (InsufficientDataError, InvalidInputError, ModelError,
+                        NotFoundError, UnsupportedError)
 from thg.fingroup import CayleyGroup, from_catalog, is_isomorphic
 from thg.spacecat import (FULL, CENTER, TRIVIAL_SUBGROUP, SpaceModel,
                           SubgroupData, TransformationModel, builtin_catalog,
-                          catalog_from_dir, find_model, group_describe,
-                          group_is_abelian, group_is_trivial, group_order,
-                          group_rank, load_model, orbit_space, serialize,
-                          sphere_space, subgroup_index_in,
-                          subgroup_structure_in)
-from thg.tower import VirtAbelian, center_structure
+                          catalog_from_dir, find_model, load_model,
+                          orbit_space, serialize, sphere_space,
+                          subgroup_index_in, subgroup_structure_in)
+from thg.tower import VirtAbelian, center_structure, make_virtabelian
 
 CATALOG_DIR = pathlib.Path(__file__).resolve().parents[1] / "src" / "thg" / "catalog"
 
@@ -102,7 +100,7 @@ def test_orbit_space_of_torus_quotient():
     orbit = orbit_space(BY_NAME["t3-z2"])
     assert orbit.aspherical
     assert isinstance(orbit.pi1, VirtAbelian)
-    assert orbit.pi1.order() == INFINITY
+    assert orbit.pi1.order == INFINITY
     assert center_structure(orbit.pi1) == FgAbelian(1)
     # Aspherical: no higher homotopy for the fundamental group to move.
     assert orbit.pi1_action_trivial is True
@@ -122,7 +120,7 @@ def test_orbit_space_with_trivial_group_is_the_space():
     tg = BY_NAME["t3-trivial"]
     orbit = orbit_space(tg)
     assert orbit.aspherical
-    assert group_order(orbit.pi1) == INFINITY
+    assert orbit.pi1.order == INFINITY
 
 
 def test_transformation_accessors():
@@ -136,21 +134,40 @@ def test_transformation_accessors():
 
 
 def test_group_helpers_across_representations():
-    z = FgAbelian(2, (3,))
-    assert group_order(z) == INFINITY
-    assert group_rank(z) == 2
-    assert group_describe(z) == "Z^2 x Z/3"
-    assert not group_is_trivial(z) and group_is_abelian(z)
+    # (group, order, rank, trivial, abelian, label), one row per form:
+    # invariant factors, Cayley tables and extensions, finite and infinite.
+    cases = [
+        (TRIVIAL, 1, 0, True, True, "1"),
+        (FgAbelian(2, (3,)), INFINITY, 2, False, True, "Z^2 x Z/3"),
+        (from_catalog("Z(1)"), 1, 0, True, True, "finite group of order 1"),
+        (from_catalog("Q8"), 8, 0, False, False, "finite group of order 8"),
+        (make_virtabelian(from_catalog("Z(2)"), FgAbelian(0, (2,))),
+         4, 0, False, True, "finite group of order 4"),
+        (orbit_space(BY_NAME["t3-z2"]).pi1, INFINITY, 3, False, False,
+         "extension of Z^3 by a base of order 2"),
+    ]
+    for grp, order, rank, trivial, abelian, label in cases:
+        assert grp.order == order, label
+        assert grp.rank == rank, label
+        assert grp.is_trivial() is trivial, label
+        assert grp.is_abelian() is abelian, label
+        assert grp.describe() == label
 
-    q8 = from_catalog("Q8")
-    assert group_order(q8) == 8
-    assert group_rank(q8) == 0
-    assert not group_is_abelian(q8)
 
-    virt = orbit_space(BY_NAME["t3-z2"]).pi1
-    assert group_order(virt) == INFINITY
-    assert group_rank(virt) == 3
-    assert not group_is_abelian(virt)
+def test_orbit_space_guards_keep_their_error_types():
+    resolver = {m.name: m for m in MODELS
+                if isinstance(m, SpaceModel)}.__getitem__
+    # An abelian pi_1 without a cocycle table: the extension is unknown.
+    doc = {"kind": "transformation", "space": "T3",
+           "group": {"catalog": "Z(2)"}, "free": True, "action": {}}
+    tg = load_model(json.dumps(doc), name="t3-z2-bare", resolver=resolver)
+    with pytest.raises(InvalidInputError):
+        orbit_space(tg)
+    # A tabulated, non-abelian pi_1: no extension is built over it.
+    doc = dict(doc, space="S3modQ8")
+    tg = load_model(json.dumps(doc), name="s3modq8-z2", resolver=resolver)
+    with pytest.raises(UnsupportedError):
+        orbit_space(tg)
 
 
 def test_subgroup_structure_in_resolves_each_ambient_kind():

@@ -37,7 +37,7 @@ def z4_inversion():
 
 def test_quaternion_from_klein_cocycle():
     q = klein_quaternion()
-    assert q.order() == 8
+    assert q.order == 8
     assert not q.is_abelian()
     assert is_isomorphic(to_cayley(q), from_catalog("Q8"))
 
@@ -98,7 +98,7 @@ def test_infinite_dihedral_center_is_trivial():
     layer = FgAbelian(1)
     flip = LayerAut(layer, IntMatrix.from_rows([[-1]]), ())
     dihedral = make_virtabelian(Z2, layer, {T: flip}, {})
-    assert dihedral.order() == INFINITY
+    assert dihedral.order == INFINITY
     assert center_structure(dihedral) == FgAbelian(0, ())
     assert abelianization(dihedral) == FgAbelian(0, (2, 2))
     with pytest.raises(UnsupportedError):
@@ -157,7 +157,7 @@ def test_extension_order_bookkeeping():
     assert to_cayley(klein_quaternion()).order == 8
     layer = FgAbelian(1)
     flip = LayerAut(layer, IntMatrix.from_rows([[-1]]), ())
-    assert make_virtabelian(Z2, layer, {T: flip}, {}).order() == INFINITY
+    assert make_virtabelian(Z2, layer, {T: flip}, {}).order == INFINITY
 
 
 def test_layer_aut_requires_invertible_torsion_scaling():
