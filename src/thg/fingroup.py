@@ -2,13 +2,17 @@
 
 Small groups only: the isomorphism search is capped at order 64, which
 comfortably covers the catalog (nothing above Q8 x Z(2) ever shows up in
-practice).  Construction validates the table fully, so a CayleyGroup in
-hand is known to be a group, not just an array.
+practice).  Construction checks that the table is a Latin square with a
+two-sided identity and inverses, and, up to TABLE_CAP, that it is
+associative.  Associativity is checked by Light's test on a generating
+set, which proves it for every triple, so a CayleyGroup in hand is known
+to be a group, not just an array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .abelian import (TRIVIAL, FgAbelian, canonical_form, prime_exponent,
@@ -16,7 +20,7 @@ from .abelian import (TRIVIAL, FgAbelian, canonical_form, prime_exponent,
 from .errors import InvalidInputError, NotFoundError, UnsupportedError
 
 # The one cap on Cayley tables: the largest order that is tabulated from an
-# extension, checked for associativity in full, or searched for isomorphisms.
+# extension, checked for associativity, or searched for isomorphisms.
 TABLE_CAP = 64
 
 
@@ -59,13 +63,23 @@ class CayleyGroup:
             if self.inverse(i) is None:
                 raise InvalidInputError("element lacks a two-sided inverse")
         if n <= TABLE_CAP:
+            # Light's test: (ab)c = a(bc) for every b in the generating
+            # set.  The middle factors b for which it holds contain e and
+            # are closed under products, so it then holds for every b.
             t = self.table
-            for a in range(n):
-                for b in range(n):
+            for b in self.generators:
+                for a in range(n):
                     ab = t[a][b]
                     for c in range(n):
                         if t[ab][c] != t[a][t[b][c]]:
                             raise InvalidInputError("multiplication table is not associative")
+
+    @cached_property
+    def generators(self) -> Tuple[int, ...]:
+        """A short generating set, computed once: every element is
+        e s1 s2 ... sk with each si in it, multiplied left to right.
+        Never contains the identity; empty for the trivial group."""
+        return tuple(_generating_sequence(self))
 
     @property
     def rank(self) -> int:
@@ -542,7 +556,7 @@ def find_isomorphism(a: CayleyGroup, b: CayleyGroup) -> Optional[Dict[int, int]]
     """
     if a.order != b.order:
         return None
-    gens = _generating_sequence(a)
+    gens = a.generators
     if not gens:  # trivial group
         return {a.identity_index: b.identity_index}
     gen_orders = [a.element_order(x) for x in gens]

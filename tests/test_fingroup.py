@@ -189,3 +189,21 @@ def test_catalog_groups_past_the_table_cap_are_refused(name):
 
 def test_catalog_product_at_the_table_cap_builds():
     assert from_catalog("Q8xZ(4)xZ2").order == 64
+
+
+# The named catalog groups and the product bases of the benchmark's
+# algebra-kernels workload, up to the table cap.
+GENERATED_GROUPS = ("trivial", "Z(1)", "Z2", "Z(2)", "Z(4)", "Z(6)", "Z2xZ2",
+                    "Q8", "D4", "Q8xZ2", "D4xZ2", "Q8xZ(4)", "D4xZ(4)",
+                    "Q8xZ(4)xZ2", "D4xZ(4)xZ2")
+
+
+@pytest.mark.parametrize("name", GENERATED_GROUPS)
+def test_generators_are_a_short_generating_set_computed_once(name):
+    g = from_catalog(name)
+    gens = g.generators
+    assert subgroup_generated(g, gens).order == g.order
+    assert g.identity_index not in gens
+    # Each greedy generator at least doubles the subgroup generated so far.
+    assert 2 ** len(gens) <= g.order
+    assert g.generators is gens
