@@ -121,10 +121,6 @@ def det(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def is_unimodular(m: IntMatrix) -> bool:
-    return m.rows == m.cols and det(m) in (1, -1)
-
-
 def _snf_inplace(a: List[List[int]], want_transforms: bool):
     """Reduce a to Smith form; return (diag, left, right) with lists.
 

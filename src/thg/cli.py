@@ -128,26 +128,19 @@ class _Usage(Exception):
     pass
 
 
-def _degrees(args) -> List[int]:
+def _degrees(args, default: int = 1) -> List[int]:
+    """The degrees a verb asks for: [N] for --n N, 1..N for --max-n N,
+    1..default otherwise.  The battery verbs take the last as their bound."""
     if args.n is not None and args.max_n is not None:
         raise _Usage("--n and --max-n are mutually exclusive")
     if args.n is not None:
         if args.n < 1:
             raise _Usage("--n must be at least 1")
         return [args.n]
-    top = args.max_n if args.max_n is not None else 1
+    top = args.max_n if args.max_n is not None else default
     if top < 1:
         raise _Usage("--max-n must be at least 1")
     return list(range(1, top + 1))
-
-
-def _max_n(args, default: int = 4) -> int:
-    if args.n is not None and args.max_n is not None:
-        raise _Usage("--n and --max-n are mutually exclusive")
-    top = args.max_n if args.max_n is not None else (args.n or default)
-    if top < 1:
-        raise _Usage("the degree bound must be at least 1")
-    return top
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +279,7 @@ def _cmd_g0(args, models, out) -> int:
 
 def _cmd_classify(args, models, out) -> int:
     tg = _transformation_target(args.target, models)
-    rep = rhodes.classify(tg, _max_n(args))
+    rep = rhodes.classify(tg, _degrees(args, 4)[-1])
     per = []
     lines = [f"classification of {tg.name} through n = {rep.max_n}"]
     for d in rep.per_degree:
@@ -326,7 +319,7 @@ def _cmd_audit(args, models, out) -> int:
         targets = [_transformation_target(args.target, models)]
     else:
         raise _Usage("audit needs a target model or --all")
-    max_n = _max_n(args)
+    max_n = _degrees(args, 4)[-1]
     report = CheckReport("implication audits")
     for tg in targets:
         cap = _model_cap(tg.space, max_n)
@@ -381,7 +374,7 @@ def _paired_orbit_model(tg: TransformationModel,
 def _cmd_verify(args, models, out) -> int:
     if not args.all and not args.target:
         raise _Usage("verify needs a target model or --all")
-    max_n = _max_n(args)
+    max_n = _degrees(args, 4)[-1]
     if args.all:
         spaces = [m for m in models if isinstance(m, SpaceModel)]
         actions = [m for m in models if isinstance(m, TransformationModel)]

@@ -96,9 +96,6 @@ class CayleyGroup:
     def describe(self) -> str:
         return f"finite group of order {self.order}"
 
-    def mul(self, i: int, j: int) -> int:
-        return self.table[i][j]
-
     def inverse(self, i: int) -> Optional[int]:
         e = self.identity_index
         for j in range(self.order):

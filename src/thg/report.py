@@ -75,9 +75,6 @@ class CheckReport:
     def passed(self) -> bool:
         return not any(e.status in _FAILING for e in self.entries)
 
-    def failures(self) -> List[CheckEntry]:
-        return [e for e in self.entries if e.status in _FAILING]
-
     def counts(self) -> Dict[str, int]:
         out: Dict[str, int] = {}
         for e in self.entries:

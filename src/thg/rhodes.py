@@ -33,7 +33,7 @@ from .report import (CONFIRMED, EXPECTED_EXCEPTION, FAIL, INDETERMINATE,
                      NOT_APPLICABLE, PASS, VACUOUS, VIOLATION, CheckReport)
 from .spacecat import (SpaceModel, TransformationModel, orbit_space,
                        subgroup_ref)
-from .tower import (TowerSummary, VirtAbelian, _element_name, abelianization,
+from .tower import (TowerSummary, VirtAbelian, abelianization,
                     center_structure, make_summary)
 from .verdict import (Indeterminate, Verdict, is_false, is_indeterminate,
                       is_true, tri_all, verdict_label)
@@ -271,12 +271,10 @@ def _realize_gsigma1(tg: TransformationModel, g0: G0Result,
         return None
     if cay is None:
         return None
-    virt = tg.sigma1_extension
-    member_indices = sorted(
-        cay.index_of(_element_name(virt, el))
-        for el in virt.enumerate_elements()
-        if g0.subgroup.contains(el.base_index))
-    ref = SubgroupRef(cay, tuple(member_indices))
+    # The table's row i is the extension's enumerate_elements()[i].
+    ref = SubgroupRef(cay, tuple(
+        i for i, el in enumerate(tg.sigma1_extension.enumerate_elements())
+        if g0.subgroup.contains(el.base_index)))
     realized = subgroup_as_group(cay, ref)
     if realized.order != summary.finite_order:
         raise BookkeepingError(

@@ -30,8 +30,9 @@ from .fingroup import (TABLE_CAP, CayleyGroup, SubgroupRef, abelian_structure,
                        from_catalog, full_subgroup,
                        center as group_center, subgroup_as_group,
                        subgroup_generated)
-from .tower import (LayerAut, VirtAbelian, abelianization, center_structure,
-                    check_action, identity_aut, make_virtabelian, to_cayley)
+from .tower import (LayerAut, VirtAbelian, abelianization, center_index,
+                    center_structure, check_action, identity_aut,
+                    make_virtabelian, to_cayley)
 
 # Every group value answers order, rank, is_trivial(), is_abelian() and
 # describe().  An isinstance test is left only where the form itself
@@ -236,15 +237,7 @@ def subgroup_index_in(ambient: GroupLike, data: SubgroupData) -> Union[int, floa
         return subgroup_index(ambient, IntMatrix.from_rows(rows, cols=ambient.n_coords))
     if isinstance(ambient, CayleyGroup) or data.kind != "center":
         return ambient.order // subgroup_ref(ambient, data).order
-    # The center of an extension.
-    struct = center_structure(ambient)
-    total, part = ambient.order, struct.order
-    if part == INFINITY:
-        # Same free rank as the whole group or not: compare via structure.
-        return 1 if total == INFINITY and struct.rank == ambient.layer.rank else INFINITY
-    if total == INFINITY:
-        return INFINITY
-    return int(total) // int(part)
+    return center_index(ambient)
 
 
 def subgroup_structure_in(ambient: GroupLike, data: SubgroupData) -> Optional[FgAbelian]:

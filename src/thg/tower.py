@@ -16,15 +16,14 @@ invariants (layer types with multiplicities) travel as TowerSummary.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .abelian import (FgAbelian, INFINITY, IntMatrix, cokernel, det,
-                      kernel_lattice, solve_integer)
+from .abelian import (ExtendedNatural, FgAbelian, INFINITY, IntMatrix, cokernel,
+                      det, kernel_lattice, solve_integer)
 from .errors import InvalidInputError, UnsupportedError
-from .fingroup import TABLE_CAP, CayleyGroup, abelian_structure_by_counting
-
-ENUM_CAP = 4096
+from .fingroup import TABLE_CAP, CayleyGroup
 
 
 @dataclass(frozen=True)
@@ -208,11 +207,6 @@ class VirtAbelian:
                     f"order {self.base.order}")
         return f"finite group of order {o}"
 
-    def element(self, coords: Sequence[int], base_index: int) -> TowerElement:
-        if not 0 <= base_index < self.base.order:
-            raise InvalidInputError("base index out of range")
-        return TowerElement(self.layer.reduce(coords), base_index)
-
     def identity(self) -> TowerElement:
         return TowerElement(self.layer.zero(), self.base.identity_index)
 
@@ -288,26 +282,6 @@ def direct_sum_group(base: CayleyGroup, layer: FgAbelian) -> VirtAbelian:
 # Center
 
 
-def _central_base_candidates(g: VirtAbelian) -> List[int]:
-    """Base elements q that could carry central elements (a, q)."""
-    base = g.base
-    out = []
-    for q in range(base.order):
-        if not all(base.table[q][r] == base.table[r][q] for r in range(base.order)):
-            continue
-        # Conjugation by (a, q) moves the layer through action(q); a central
-        # element therefore needs action(q) = identity.
-        if not g.action[q].is_identity():
-            continue
-        out.append(q)
-    return out
-
-
-def _commutation_rhs(g: VirtAbelian, q: int, r: int) -> Tuple[int, ...]:
-    """Right-hand side c(r, q) - c(q, r) of the centrality system at (q, r)."""
-    return g.layer.add(g.cocycle[r][q], g.layer.neg(g.cocycle[q][r]))
-
-
 def _solve_centrality(g: VirtAbelian, q: int) -> Optional[Tuple[int, ...]]:
     """Layer part a with (a, q) central, if any.
 
@@ -323,7 +297,7 @@ def _solve_centrality(g: VirtAbelian, q: int) -> Optional[Tuple[int, ...]]:
     n_slack = 0
     slack_cols: List[Tuple[int, int]] = []  # (row index, modulus)
     for r in range(g.base.order):
-        target = _commutation_rhs(g, q, r)
+        target = lay.add(g.cocycle[r][q], lay.neg(g.cocycle[q][r]))
         aut = g.action[r]
         for i in range(rank):
             row = [0] * (rank + k)
@@ -384,76 +358,105 @@ def _fixed_layer_data(g: VirtAbelian):
     return free_basis, torsion_gens
 
 
+def _center_data(g: VirtAbelian):
+    """What the center's structure and its index are both read from.
+
+    Returns (free basis, torsion generators, lifts) where the first two
+    come from _fixed_layer_data and lifts maps each base element q that
+    carries central elements to one a_q with (a_q, q) central, a_e = 0.
+    The central elements over q are then a_q plus the fixed layer.
+    """
+    free_basis, torsion_gens = _fixed_layer_data(g)
+    base = g.base
+    lifts: Dict[int, Tuple[int, ...]] = {}
+    for q in range(base.order):
+        # A central (a, q) commutes with the layer, so action(q) is the
+        # identity, and maps into the center of the base.
+        if not g.action[q].is_identity():
+            continue
+        if not all(base.table[q][r] == base.table[r][q] for r in range(base.order)):
+            continue
+        a = _solve_centrality(g, q)
+        if a is not None:
+            lifts[q] = a
+    lifts[base.identity_index] = g.layer.zero()
+    return free_basis, torsion_gens, lifts
+
+
 def center_structure(g: VirtAbelian) -> FgAbelian:
     """Isomorphism type of the center, in invariant-factor form.
 
-    Finite layers are handled by enumeration; torsion-free layers by
-    exact linear algebra (fixed lattice plus one affine commutation
-    system per candidate base element).  Layers mixing free rank with
-    torsion are not supported.
+    One algorithm for any layer, finite, free or mixed.  Z(E) meets the
+    layer in its fixed subgroup and maps onto the base elements C that
+    carry central elements, so it is the abelian group on the fixed free
+    basis, the fixed torsion generators (each of its order o) and one
+    lift l_q per q in C, with l_e = 0 and l_q + l_r - l_qr = delta(q, r),
+    the factor-set presentation of an extension of C by the fixed layer
+    (K. S. Brown, Cohomology of Groups, IV.3).
 
     >>> from .fingroup import from_catalog
     >>> center_structure(direct_sum_group(from_catalog("Q8"), FgAbelian(0, (3,))))
     FgAbelian(rank=0, torsion=(6,))
     """
-    if g.layer.order != INFINITY:
-        elements = g.enumerate_elements()
-        if len(elements) > ENUM_CAP:
-            raise UnsupportedError("finite layer too large to enumerate")
-        gens = [TowerElement(g.layer.zero(), q) for q in range(g.base.order)]
-        for i in range(len(g.layer.torsion)):
-            coords = [0] * g.layer.n_coords
-            coords[g.layer.rank + i] = 1
-            gens.append(g.element(coords, g.base.identity_index))
-        central = [x for x in elements
-                   if all(g.multiply(x, y) == g.multiply(y, x) for y in gens)]
-        return abelian_structure_by_counting(central, g.multiply, g.identity())
-    if g.layer.torsion:
-        raise UnsupportedError("center of an infinite layer with torsion is not supported")
-    free_basis, _ = _fixed_layer_data(g)
-    f = len(free_basis)
-    candidates = []
-    solutions: Dict[int, Tuple[int, ...]] = {}
-    for q in _central_base_candidates(g):
-        a = _solve_centrality(g, q)
-        if a is not None:
-            candidates.append(q)
-            solutions[q] = a
-    # Center = extension of the solvable base part by the fixed lattice;
-    # present it on generators (fixed basis, one lift per base element).
-    pos = {q: t for t, q in enumerate(candidates)}
-    m = len(candidates)
-    rows = []
-    e = g.base.identity_index
-    row = [0] * (f + m)
-    row[f + pos[e]] = 1
-    rows.append(row)  # the lift of the identity is the identity
+    free_basis, torsion_gens, lifts = _center_data(g)
+    lay = g.layer
+    f, m = len(free_basis), len(lifts)
+    # Coordinates: [fixed free basis | lifts | fixed torsion generators]
+    pos = {q: f + t for t, q in enumerate(lifts)}
+    tors_col = {i: (f + m + t, u) for t, (i, u, _) in enumerate(torsion_gens)}
+    width = f + m + len(torsion_gens)
+    row = [0] * width
+    row[pos[g.base.identity_index]] = 1
+    rows = [row]
     basis_matrix = IntMatrix.from_rows([list(b) for b in free_basis],
-                                       cols=g.layer.rank).transpose()
-    for q in candidates:
-        for r in candidates:
+                                       cols=lay.rank).transpose()
+    for q, a_q in lifts.items():
+        for r, a_r in lifts.items():
             qr = g.base.table[q][r]
             # (a_q, q)(a_r, r) = (delta, e)(a_qr, qr) with delta in the
-            # fixed lattice; action(q) is the identity on the layer here.
-            delta = g.layer.add(
-                g.layer.add(solutions[q], solutions[r]),
-                g.layer.add(g.cocycle[q][r], g.layer.neg(solutions[qr])))
+            # fixed layer; action(q) is the identity on the layer here.
+            delta = lay.add(lay.add(a_q, a_r),
+                            lay.add(g.cocycle[q][r], lay.neg(lifts[qr])))
+            row = [0] * width
             if f:
-                coeffs = solve_integer(basis_matrix, delta)
+                coeffs = solve_integer(basis_matrix, delta[:lay.rank])
                 if coeffs is None:
                     raise InvalidInputError("central defect left the fixed lattice")
-            else:
-                if any(delta):
+                row[:f] = coeffs
+            elif any(delta[:lay.rank]):
+                raise InvalidInputError("central defect left the fixed lattice")
+            # Coordinate i's fixed residues are the multiples of its u.
+            for i, d in enumerate(delta[lay.rank:]):
+                if i in tors_col:
+                    col, u = tors_col[i]
+                    row[col], d = divmod(d, u)
+                if d:
                     raise InvalidInputError("central defect left the fixed lattice")
-                coeffs = ()
-            row = [0] * (f + m)
-            for t in range(f):
-                row[t] = coeffs[t]
-            row[f + pos[q]] += 1
-            row[f + pos[r]] += 1
-            row[f + pos[qr]] -= 1
+            row[pos[q]] += 1
+            row[pos[r]] += 1
+            row[pos[qr]] -= 1
             rows.append(row)
-    return cokernel(f + m, [], IntMatrix.from_rows(rows, cols=f + m))
+    return cokernel(f + m, [o for _, _, o in torsion_gens],
+                    IntMatrix.from_rows(rows, cols=width))
+
+
+def center_index(g: VirtAbelian) -> ExtendedNatural:
+    """[E : Z(E)] = [Q : C] [A : Fix(A)], infinity when the fixed layer
+    has lower rank than the layer.  Z(E) maps onto C with kernel Fix(A),
+    and E maps onto Q with kernel A.
+
+    >>> from .fingroup import from_catalog
+    >>> center_index(direct_sum_group(from_catalog("Q8"), FgAbelian(1)))
+    4
+    """
+    free_basis, torsion_gens, lifts = _center_data(g)
+    if len(free_basis) < g.layer.rank:
+        return INFINITY
+    # The fixed lattice is a kernel, hence a direct summand: at full rank
+    # it is all of the free part.  The torsion part has one Z/o per
+    # torsion generator.
+    fixed_torsion = math.prod(o for _, _, o in torsion_gens)
+    return g.base.order // len(lifts) * (math.prod(g.layer.torsion) // fixed_torsion)
 
 
 # ---------------------------------------------------------------------------
@@ -471,8 +474,9 @@ def _element_name(g: VirtAbelian, x: TowerElement) -> str:
 def to_cayley(g: VirtAbelian) -> CayleyGroup:
     """The whole extension as an explicit multiplication table.
 
-    Names keep the base names verbatim when the layer is trivial, and
-    otherwise read "(coords;base)".
+    Row i is the element enumerate_elements()[i].  Names keep the base
+    names verbatim when the layer is trivial, and otherwise read
+    "(coords;base)".
 
     >>> from .fingroup import from_catalog, is_isomorphic
     >>> is_isomorphic(to_cayley(direct_sum_group(from_catalog("Q8"), FgAbelian(0, ()))),

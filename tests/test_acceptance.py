@@ -94,12 +94,12 @@ def test_criterion_3_split_sequence_suites(verdict):
         for n in range(2, x.truncation + 1):
             rep = fox_sequence_check(x, n)
             if not rep.passed:
-                bad.append((x.name, n, rep.failures()))
+                bad.append((x.name, n, rep.lines()))
     for tg in ACTIONS:
         for n in range(2, tg.space.truncation + 1):
             rep = rhodes_split_check(tg, n)
             if not rep.passed:
-                bad.append((tg.name, n, rep.failures()))
+                bad.append((tg.name, n, rep.lines()))
     verdict("criterion 3: fox and rhodes split sequences across the catalog",
              not bad, str(bad))
 

@@ -61,6 +61,17 @@ def test_usage_errors():
     assert invoke("frobnicate")[0] == EXIT_USAGE
 
 
+def test_a_zero_degree_bound_is_a_usage_error_on_every_verb():
+    # The battery verbs take --n N as their bound, and read it through
+    # the same parser as the tower verbs.
+    for argv in (("tau", "S1"), ("classify", "s3-q8"), ("verify", "S1"),
+                 ("audit", "s3-q8")):
+        code, out, err = invoke(*argv, "--n", "0")
+        assert (code, out, err) == (EXIT_USAGE, "", "thg: --n must be at least 1\n"), argv
+        code, _, err = invoke(*argv, "--max-n", "0")
+        assert (code, err) == (EXIT_USAGE, "thg: --max-n must be at least 1\n"), argv
+
+
 def test_show_emits_the_canonical_document():
     code, out, _ = invoke("show", "s3-z4")
     assert code == EXIT_OK

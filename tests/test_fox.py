@@ -165,7 +165,7 @@ def test_fox_sequence_check_passes_catalog_wide():
     for x in SPACES:
         for n in range(2, x.truncation + 1):
             report = fox_sequence_check(x, n)
-            assert report.passed, (x.name, n, report.failures())
+            assert report.passed, (x.name, n, report.lines())
             assert {e.status for e in report.entries} == {PASS}
 
 
@@ -242,7 +242,7 @@ def test_gottlieb_index_product():
 def test_crosscheck_two_sided_agreement():
     for x in SPACES:
         report = gottlieb_fox_crosscheck(x, x.truncation)
-        assert report.passed, (x.name, report.failures())
+        assert report.passed, (x.name, report.lines())
         assert all(e.status in (PASS, INDETERMINATE) for e in report.entries)
         assert any(e.status == PASS for e in report.entries), x.name
     # Both sides false at degree 1 for the quaternionic quotient, and

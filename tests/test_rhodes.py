@@ -120,7 +120,7 @@ def test_rhodes_split_check_passes_catalog_wide():
     for tg in ACTIONS:
         for n in range(2, tg.space.truncation + 1):
             report = rhodes_split_check(tg, n)
-            assert report.passed, (tg.name, n, report.failures())
+            assert report.passed, (tg.name, n, report.lines())
             assert {e.status for e in report.entries} == {PASS}
 
 
