@@ -13,13 +13,20 @@ modulo their invariant factor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import Iterable, List, Sequence, Tuple
 
 from .errors import InvalidInputError
 
-INFINITY = float("inf")
-ExtendedNatural = Union[int, float]
+# An infinite order is 0, the invariant factor of a free Z = Z/0 (as in
+# snf_diagonal): 0 * k = 0 and 0 ** 0 = 1 carry the infinity rule.
+INFINITY = 0
+
+
+def order_text(order: int) -> str:
+    """An order as check details and messages print it: "inf" if infinite."""
+    return "inf" if order == INFINITY else str(order)
 
 
 @dataclass(frozen=True)
@@ -280,13 +287,8 @@ class FgAbelian:
         return True
 
     @property
-    def order(self) -> ExtendedNatural:
-        if self.rank > 0:
-            return INFINITY
-        out = 1
-        for t in self.torsion:
-            out *= t
-        return out
+    def order(self) -> int:
+        return INFINITY if self.rank else math.prod(self.torsion)
 
     def zero(self) -> Tuple[int, ...]:
         return (0,) * self.n_coords
@@ -377,15 +379,15 @@ def cokernel(ambient_rank: int, ambient_torsion: Sequence[int],
     return FgAbelian(n - len(nonzero), tuple(d for d in nonzero if d >= 2))
 
 
-def subgroup_index(ambient: FgAbelian, generators: IntMatrix) -> ExtendedNatural:
-    """Index of the subgroup spanned by generator rows; infinity on rank deficit.
+def subgroup_index(ambient: FgAbelian, generators: IntMatrix) -> int:
+    """Index of the subgroup spanned by generator rows; INFINITY on rank deficit.
 
     >>> subgroup_index(FgAbelian(1), IntMatrix.from_rows([[2]]))
     2
     >>> subgroup_index(FgAbelian(0, (2,)), IntMatrix.from_rows([[1]]))
     1
     >>> subgroup_index(FgAbelian(2), IntMatrix.from_rows([[1, 0]]))
-    inf
+    0
     """
     return cokernel(ambient.rank, ambient.torsion, generators).order
 

@@ -46,8 +46,8 @@ EXIT_CHECK_FAILED = 3
 # Formatting helpers
 
 
-def _order_doc(order: Union[int, float]) -> Union[int, str]:
-    return "infinity" if order == INFINITY else int(order)
+def _order_doc(order: int) -> Union[int, str]:
+    return "infinity" if order == INFINITY else order
 
 
 def _summary_doc(s: TowerSummary) -> dict:
@@ -494,7 +494,7 @@ def _verify_action(report: CheckReport, tg: TransformationModel,
 # Frozen catalog facts
 
 # Index of each recorded evaluation subgroup in its homotopy group.
-_GOLDEN_GOTTLIEB_INDEX: Dict[str, Dict[int, Union[int, float]]] = {
+_GOLDEN_GOTTLIEB_INDEX: Dict[str, Dict[int, int]] = {
     "S1": {1: 1},
     "S2": {2: INFINITY, 3: INFINITY, 4: 2},
     "S3": {3: 1, 4: 1, 5: 1, 6: 1},

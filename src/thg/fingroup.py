@@ -1,12 +1,11 @@
 """Finite groups as Cayley tables.
 
 Small groups only: the isomorphism search is capped at order 64, which
-comfortably covers the catalog (nothing above Q8 x Z(2) ever shows up in
-practice).  Construction checks that the table is a Latin square with a
-two-sided identity and inverses, and, up to TABLE_CAP, that it is
-associative.  Associativity is checked by Light's test on a generating
-set, which proves it for every triple, so a CayleyGroup in hand is known
-to be a group, not just an array.
+covers the catalog.  Construction checks that the table is a Latin
+square with a two-sided identity and inverses, and, up to TABLE_CAP,
+that it is associative.  Associativity is checked by Light's test on a
+generating set, which proves it for every triple, so a CayleyGroup in
+hand is known to be a group, not just an array.
 """
 
 from __future__ import annotations

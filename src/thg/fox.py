@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
-from .abelian import FgAbelian, INFINITY
+from .abelian import FgAbelian, order_text
 from .errors import BookkeepingError, InvalidInputError
 from .report import FAIL, INDETERMINATE, PASS, CheckReport
 from .spacecat import (SpaceModel, subgroup_index_in, subgroup_rows,
@@ -300,7 +300,7 @@ def fox_sequence_check(x: SpaceModel, n: int, target: Optional[str] = None,
     report.add(f"{prefix}-order", target, n,
                PASS if lhs_order == rhs_order else FAIL,
                "order is multiplicative along the splitting",
-               f"{lhs_order} vs {rhs_order}")
+               f"{order_text(lhs_order)} vs {order_text(rhs_order)}")
     return report
 
 
@@ -331,23 +331,18 @@ def is_n_gottlieb(x: SpaceModel, n: int) -> Verdict:
         f"{x.name} has no evaluation-subgroup data at degree {n}")
 
 
-def gottlieb_index_product(x: SpaceModel, n: int) -> Union[int, float, Indeterminate]:
+def gottlieb_index_product(x: SpaceModel, n: int) -> Union[int, Indeterminate]:
     """prod_{i=1..n} [pi_i : G_i]^{C(n-1, i-1)}, the index of the
     evaluation subgroup of tau_n when everything in sight is known.
     """
     _check_degree(x, n)
-    product: Union[int, float] = 1
+    product = 1
     for i in range(1, n + 1):
         data = x.gottlieb_at(i)
         if data is None:
             return Indeterminate(
                 f"{x.name} has no evaluation-subgroup data at degree {i}")
-        idx = subgroup_index_in(x.pi_at(i), data)
-        gamma = _binom(n - 1, i - 1)
-        if idx == INFINITY:
-            product = INFINITY if gamma > 0 else product
-        else:
-            product *= int(idx) ** gamma
+        product *= subgroup_index_in(x.pi_at(i), data) ** _binom(n - 1, i - 1)
     return product
 
 
@@ -373,7 +368,7 @@ def gottlieb_fox_crosscheck(x: SpaceModel, max_n: int) -> CheckReport:
         side_b = product == 1
         agree = is_true(side_a) == side_b
         detail = (f"Gottlieb through degree {n}: {is_true(side_a)}; "
-                  f"index product {product}")
+                  f"index product {order_text(product)}")
         report.add("gottlieb-fox-equivalence", x.name, n,
                    PASS if agree else FAIL,
                    "n-Gottlieb iff the tower index product is 1", detail)

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
-from .abelian import FgAbelian
+from .abelian import FgAbelian, order_text
 from .errors import BookkeepingError, InvalidInputError, UnsupportedError
 from .fingroup import (TABLE_CAP, CayleyGroup, SubgroupRef,
                        center as group_center, subgroup_as_group)
@@ -191,7 +191,7 @@ def sigma1_group(tg: TransformationModel) -> CayleyGroup:
     cay = tg.sigma1_table
     if cay is None:
         raise UnsupportedError(
-            f"sigma_1 of {tg.name} has order {tg.sigma1_extension.order}, "
+            f"sigma_1 of {tg.name} has order {order_text(tg.sigma1_extension.order)}, "
             f"beyond the tabulation cap {TABLE_CAP}")
     return cay
 
@@ -227,7 +227,7 @@ class GottliebRhodesResult:
     realized: Optional[CayleyGroup] = None
 
     @property
-    def finite_order(self) -> Union[int, float]:
+    def finite_order(self) -> int:
         return self.summary.finite_order
 
 
@@ -279,7 +279,7 @@ def _realize_gsigma1(tg: TransformationModel, g0: G0Result,
     if realized.order != summary.finite_order:
         raise BookkeepingError(
             f"G sigma_1({tg.name}): realized order {realized.order} vs "
-            f"bookkeeping {summary.finite_order}")
+            f"bookkeeping {order_text(summary.finite_order)}")
     return realized
 
 
@@ -369,11 +369,12 @@ def classify(tg: TransformationModel, max_n: int) -> ClassificationReport:
         product = gottlieb_index_product(x, n)
         if isinstance(product, Indeterminate):
             fox_v: Verdict = product
+            shown = "unknown"
         else:
             fox_v = product == 1
-        fox = RuledVerdict(fox_v,
-                           "binomial-weighted index product over the tower "
-                           f"= {product if not isinstance(product, Indeterminate) else 'unknown'}")
+            shown = order_text(product)
+        fox = RuledVerdict(fox_v, "binomial-weighted index product over the "
+                           f"tower = {shown}")
         rhodes = RuledVerdict(tri_all([fox_v, g0_all]),
                               "Gottlieb-Fox together with G0 = G")
         equiv = _equivariant_verdict(tg, orbit, n)

@@ -220,8 +220,8 @@ def subgroup_ref(ambient: GroupLike, data: SubgroupData) -> SubgroupRef:
     return subgroup_generated(ambient, [ambient.index_of(n) for n in names])
 
 
-def subgroup_index_in(ambient: GroupLike, data: SubgroupData) -> Union[int, float]:
-    """Index of the described subgroup in its ambient group.
+def subgroup_index_in(ambient: GroupLike, data: SubgroupData) -> int:
+    """Index of the described subgroup in its ambient group, or INFINITY.
 
     >>> subgroup_index_in(FgAbelian(1), SubgroupData("generators", ((2,),)))
     2

@@ -20,8 +20,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .abelian import (ExtendedNatural, FgAbelian, INFINITY, IntMatrix, cokernel,
-                      det, kernel_lattice, solve_integer)
+from .abelian import (FgAbelian, INFINITY, IntMatrix, cokernel, det,
+                      kernel_lattice, solve_integer)
 from .errors import InvalidInputError, UnsupportedError
 from .fingroup import TABLE_CAP, CayleyGroup
 
@@ -72,7 +72,9 @@ class LayerAut:
                                       self.layer.torsion))
 
     def is_identity(self) -> bool:
-        return self.same_as(identity_aut(self.layer))
+        # same_as(identity_aut(layer)) without that LayerAut's det
+        return (self.free_matrix == IntMatrix.identity(self.layer.rank) and all(
+            (s - 1) % m == 0 for s, m in zip(self.torsion_signs, self.layer.torsion)))
 
 
 def identity_aut(layer: FgAbelian) -> LayerAut:
@@ -115,25 +117,23 @@ class TowerSummary:
     """Invariant-level description of a tower-shaped group.
 
     layers are (degree label, group, multiplicity) triples; finite_order
-    multiplies everything out, or is infinity when any part is infinite.
+    multiplies everything out: an int, INFINITY (0) when any part is infinite.
     """
 
     base_name_or_order: Union[str, int]
     layers: Tuple[Tuple[str, FgAbelian, int], ...]
     is_direct_product: bool
-    finite_order: Union[int, float]
+    finite_order: int
 
 
-def make_summary(base_name_or_order: Union[str, int], base_order: Union[int, float],
+def make_summary(base_name_or_order: Union[str, int], base_order: int,
                  layers: Sequence[Tuple[str, FgAbelian, int]],
                  is_direct_product: bool) -> TowerSummary:
     total = base_order
     for _, grp, mult in layers:
-        o = grp.order
-        if mult > 0 and o == INFINITY:
-            total = INFINITY
-        elif total != INFINITY:
-            total *= o ** mult
+        # Once infinite, stay so without raising 1 to huge multiplicities.
+        if total != INFINITY and mult:
+            total *= grp.order ** mult
     return TowerSummary(base_name_or_order, tuple(layers), is_direct_product, total)
 
 
@@ -186,9 +186,8 @@ class VirtAbelian:
                         raise InvalidInputError("cocycle condition fails; product not associative")
 
     @property
-    def order(self) -> Union[int, float]:
-        o = self.layer.order
-        return INFINITY if o == INFINITY else o * self.base.order
+    def order(self) -> int:
+        return self.layer.order * self.base.order
 
     @property
     def rank(self) -> int:
@@ -440,8 +439,8 @@ def center_structure(g: VirtAbelian) -> FgAbelian:
                     IntMatrix.from_rows(rows, cols=width))
 
 
-def center_index(g: VirtAbelian) -> ExtendedNatural:
-    """[E : Z(E)] = [Q : C] [A : Fix(A)], infinity when the fixed layer
+def center_index(g: VirtAbelian) -> int:
+    """[E : Z(E)] = [Q : C] [A : Fix(A)], INFINITY (0) when the fixed layer
     has lower rank than the layer.  Z(E) maps onto C with kernel Fix(A),
     and E maps onto Q with kernel A.
 
