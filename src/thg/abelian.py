@@ -14,6 +14,7 @@ modulo their invariant factor.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
@@ -296,9 +297,9 @@ class FgAbelian:
     def reduce(self, coords: Sequence[int]) -> Tuple[int, ...]:
         if len(coords) != self.n_coords:
             raise InvalidInputError("coordinate length does not match group")
-        free = tuple(int(c) for c in coords[:self.rank])
-        tors = tuple(int(c) % t for c, t in zip(coords[self.rank:], self.torsion))
-        return free + tors
+        rank = self.rank
+        return (tuple(map(int, coords[:rank]))
+                + tuple(map(operator.mod, map(int, coords[rank:]), self.torsion)))
 
     def add(self, a: Sequence[int], b: Sequence[int]) -> Tuple[int, ...]:
         return self.reduce(tuple(x + y for x, y in zip(a, b, strict=True)))

@@ -160,23 +160,12 @@ class SubgroupRef:
 
 
 def _closure(g: CayleyGroup, seeds: Iterable[int]) -> List[int]:
-    seen = {g.identity_index}
-    frontier = [g.identity_index]
     gens = list(seeds)
     for s in gens:
         if not 0 <= s < g.order:
             raise InvalidInputError("seed index out of range")
     # Finite group: closure under products already contains inverses.
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for s in gens:
-                y = g.table[x][s]
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return sorted(seen)
+    return sorted([g.identity_index] + [y for _, _, y in _spanning_tree(g, gens)])
 
 
 def subgroup_generated(g: CayleyGroup, seeds: Sequence[int]) -> SubgroupRef:
@@ -219,11 +208,11 @@ def is_normal(g: CayleyGroup, n: SubgroupRef) -> bool:
 
 def commutator_subgroup(g: CayleyGroup) -> SubgroupRef:
     comms = set()
+    inv = [g.inv(x) for x in range(g.order)]
     for x in range(g.order):
-        xi = g.inv(x)
         for y in range(g.order):
             # [x, y] = x y x^-1 y^-1
-            comms.add(g.table[g.table[g.table[x][y]][xi]][g.inv(y)])
+            comms.add(g.table[g.table[g.table[x][y]][inv[x]]][inv[y]])
     return subgroup_generated(g, sorted(comms))
 
 
@@ -508,47 +497,38 @@ def _generating_sequence(g: CayleyGroup) -> List[int]:
     return gens
 
 
-def _closure_words(g: CayleyGroup, gens: Sequence[int]) -> Dict[int, Tuple[int, ...]]:
-    """Each reachable element as a word (tuple of positions into gens)."""
-    words: Dict[int, Tuple[int, ...]] = {g.identity_index: ()}
+def _spanning_tree(g: CayleyGroup, gens: Sequence[int]) -> List[Tuple[int, int, int]]:
+    """Edges (x, k, y) with y = x gens[k] of the breadth-first tree of
+    <gens> rooted at the identity, in discovery order."""
+    seen = {g.identity_index}
     frontier = [g.identity_index]
+    edges = []
     while frontier:
         nxt = []
         for x in frontier:
-            for t, s in enumerate(gens):
+            for k, s in enumerate(gens):
                 y = g.table[x][s]
-                if y not in words:
-                    words[y] = words[x] + (t,)
+                if y not in seen:
+                    seen.add(y)
+                    edges.append((x, k, y))
                     nxt.append(y)
         frontier = nxt
-    return words
-
-
-def _word_image(b: CayleyGroup, images: Sequence[int], word: Tuple[int, ...]) -> int:
-    out = b.identity_index
-    for t in word:
-        out = b.table[out][images[t]]
-    return out
-
-
-def _partial_map_ok(a: CayleyGroup, b: CayleyGroup,
-                    gens: Sequence[int], images: Sequence[int]) -> bool:
-    words = _closure_words(a, gens)
-    phi = {x: _word_image(b, images, w) for x, w in words.items()}
-    if len(set(phi.values())) != len(phi):
-        return False
-    for x in phi:
-        for y in phi:
-            if phi[a.table[x][y]] != b.table[phi[x]][phi[y]]:
-                return False
-    return True
+    return edges
 
 
 def find_isomorphism(a: CayleyGroup, b: CayleyGroup) -> Optional[Dict[int, int]]:
     """An explicit isomorphism a -> b as an index map, or None.
 
-    Generator images are chosen by backtracking; each partial choice must
-    already be an injective homomorphism on the subgroup generated so far.
+    Generator images are chosen by backtracking, depth t fixing the image
+    of gens[t].  Each partial choice must already be an injective
+    homomorphism on H = <gens[:t+1]>.  The map phi is built along the
+    breadth-first tree of H, computed once per depth, as
+    phi(x gens[k]) = phi(x) images[k] on each tree edge; then phi must be
+    injective and satisfy phi(x gens[k]) = phi(x) images[k] for every x
+    in H and every k <= t.  That is enough: every y in H is a word
+    gens[k1] ... gens[km], so by induction on m,
+    phi(x y) = phi(x) images[k1] ... images[km] = phi(x) phi(y).
+    The map returned is phi at the last depth.
     """
     if a.order != b.order:
         return None
@@ -559,23 +539,39 @@ def find_isomorphism(a: CayleyGroup, b: CayleyGroup) -> Optional[Dict[int, int]]
     by_order: Dict[int, List[int]] = {}
     for y in range(b.order):
         by_order.setdefault(b.element_order(y), []).append(y)
-
+    trees = [_spanning_tree(a, gens[:t + 1]) for t in range(len(gens))]
+    at, bt = a.table, b.table
     images: List[int] = []
 
-    def extend(t: int) -> bool:
-        if t == len(gens):
-            return True
+    def partial_map(t: int) -> Optional[Dict[int, int]]:
+        phi = {a.identity_index: b.identity_index}
+        hit = {b.identity_index}
+        for x, k, y in trees[t]:
+            fy = bt[phi[x]][images[k]]
+            if fy in hit:  # not injective
+                return None
+            hit.add(fy)
+            phi[y] = fy
+        for x, fx in phi.items():
+            for k in range(t + 1):
+                if phi[at[x][gens[k]]] != bt[fx][images[k]]:
+                    return None
+        return phi
+
+    def extend(t: int) -> Optional[Dict[int, int]]:
         for y in by_order.get(gen_orders[t], ()):
             images.append(y)
-            if _partial_map_ok(a, b, gens[:t + 1], images) and extend(t + 1):
-                return True
+            phi = partial_map(t)
+            if phi is not None:
+                if t + 1 == len(gens):
+                    return phi
+                phi = extend(t + 1)
+                if phi is not None:
+                    return phi
             images.pop()
-        return False
-
-    if not extend(0):
         return None
-    words = _closure_words(a, gens)
-    return {x: _word_image(b, images, w) for x, w in words.items()}
+
+    return extend(0)
 
 
 def is_isomorphic(a: CayleyGroup, b: CayleyGroup) -> bool:

@@ -9,14 +9,19 @@ factor-set data: elements are pairs (a, q), multiplied by
 where q.b is the action and c the cocycle.  The cocycle condition is
 checked on construction, so associativity is a theorem, not a hope.
 
-Element arithmetic lives here; groups that only ever appear as counted
-invariants (layer types with multiplicities) travel as TowerSummary.
+No element is multiplied one at a time: a finite extension becomes a
+CayleyGroup through to_cayley, which fills the product table from index
+tables over the layer's points, keeping enumerate_elements() as its row
+order.  The center and the abelianization are read off the factor set.
+Groups that only ever appear as counted invariants (layer types with
+multiplicities) travel as TowerSummary.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -44,7 +49,8 @@ class LayerAut:
         r = self.layer.rank
         if self.free_matrix.rows != r or self.free_matrix.cols != r:
             raise InvalidInputError("free block must be rank x rank")
-        if r > 0 and det(self.free_matrix) not in (1, -1):
+        # A signed permutation is unimodular; only other blocks need det.
+        if not _is_signed_permutation(self.free_matrix) and det(self.free_matrix) not in (1, -1):
             raise InvalidInputError("free block must be unimodular")
         if len(self.torsion_signs) != len(self.layer.torsion):
             raise InvalidInputError("one sign per torsion coordinate required")
@@ -52,10 +58,13 @@ class LayerAut:
             raise InvalidInputError("torsion multipliers must be +1 or -1")
 
     def apply(self, coords: Sequence[int]) -> Tuple[int, ...]:
-        g = self.layer
-        free = self.free_matrix.apply(coords[:g.rank])
-        tors = tuple(s * c for s, c in zip(self.torsion_signs, coords[g.rank:]))
-        return g.reduce(free + tors)
+        return self.layer.reduce(self.apply_unreduced(coords))
+
+    def apply_unreduced(self, coords: Sequence[int]) -> Tuple[int, ...]:
+        """The image of coords before the torsion coordinates are reduced."""
+        rank = self.layer.rank
+        return (self.free_matrix.apply(coords[:rank])
+                + tuple(map(operator.mul, self.torsion_signs, coords[rank:])))
 
     def compose(self, other: "LayerAut") -> "LayerAut":
         """self after other."""
@@ -75,6 +84,19 @@ class LayerAut:
         # same_as(identity_aut(layer)) without that LayerAut's det
         return (self.free_matrix == IntMatrix.identity(self.layer.rank) and all(
             (s - 1) % m == 0 for s, m in zip(self.torsion_signs, self.layer.torsion)))
+
+
+def _is_signed_permutation(m: IntMatrix) -> bool:
+    """Exactly one +1 or -1 in each row and each column, zeros elsewhere."""
+    columns = set()
+    for row in m.entries:
+        if row.count(0) != m.cols - 1:
+            return False
+        unit = 1 if 1 in row else -1
+        if unit not in row:
+            return False
+        columns.add(row.index(unit))
+    return len(columns) == m.rows
 
 
 def identity_aut(layer: FgAbelian) -> LayerAut:
@@ -173,16 +195,22 @@ class VirtAbelian:
         # The cocycle condition at (q, r, s) is associativity of the
         # extension with middle factor (0, r).  Layer elements (a, e)
         # pass it, c being normalised and the action linear, so Light's
-        # test needs r only in the base's generating set.
-        lay = self.layer
+        # test needs r only in the base's generating set.  Each triple
+        # forms c(r,s)^q + c(q,rs) - c(q,r) - c(qr,s) unreduced, skips an
+        # identity action, and tests the free part for zero and each
+        # torsion entry modulo its factor.
+        rank, torsion = self.layer.rank, self.layer.torsion
+        t, c = self.base.table, self.cocycle
+        moved = [None if aut.is_identity() else aut for aut in self.action]
         for r in self.base.generators:
+            c_r, t_r = c[r], t[r]
             for q in range(q_count):
+                c_q, aut = c[q], moved[q]
+                c_q_r, c_qr = c_q[r], c[t[q][r]]
                 for s in range(q_count):
-                    lhs = lay.add(self.action[q].apply(self.cocycle[r][s]),
-                                  self.cocycle[q][self.base.table[r][s]])
-                    rhs = lay.add(self.cocycle[q][r],
-                                  self.cocycle[self.base.table[q][r]][s])
-                    if lhs != rhs:
+                    x = c_r[s] if aut is None else aut.apply_unreduced(c_r[s])
+                    d = [u + v - w - z for u, v, w, z in zip(x, c_q[t_r[s]], c_q_r, c_qr[s])]
+                    if any(d[:rank]) or any(map(operator.mod, d[rank:], torsion)):
                         raise InvalidInputError("cocycle condition fails; product not associative")
 
     @property
@@ -205,17 +233,6 @@ class VirtAbelian:
             return (f"extension of {self.layer.describe()} by a base of "
                     f"order {self.base.order}")
         return f"finite group of order {o}"
-
-    def identity(self) -> TowerElement:
-        return TowerElement(self.layer.zero(), self.base.identity_index)
-
-    def multiply(self, x: TowerElement, y: TowerElement) -> TowerElement:
-        if len(x.layer_coords) != self.layer.n_coords or len(y.layer_coords) != self.layer.n_coords:
-            raise InvalidInputError("element coordinates do not match layer")
-        coords = self.layer.add(
-            self.layer.add(x.layer_coords, self.action[x.base_index].apply(y.layer_coords)),
-            self.cocycle[x.base_index][y.base_index])
-        return TowerElement(coords, self.base.table[x.base_index][y.base_index])
 
     def enumerate_elements(self) -> List[TowerElement]:
         if self.layer.order == INFINITY:
@@ -473,9 +490,15 @@ def _element_name(g: VirtAbelian, x: TowerElement) -> str:
 def to_cayley(g: VirtAbelian) -> CayleyGroup:
     """The whole extension as an explicit multiplication table.
 
-    Row i is the element enumerate_elements()[i].  Names keep the base
-    names verbatim when the layer is trivial, and otherwise read
-    "(coords;base)".
+    Row i is the element enumerate_elements()[i], the layer point
+    i // |Q| paired with the base element i % |Q|; rhodes reads rows in
+    that order.  Names keep the base names verbatim when the layer is
+    trivial, and otherwise read "(coords;base)".
+
+    The table is filled from index tables over the finite layer's points:
+    add[i][j] for sums, act[q][i] for the action and coc[q][r] for the
+    cocycle, so the product (a + q.b + c(q,r), qr) is four lookups.  The
+    result is still validated as a group by CayleyGroup.
 
     >>> from .fingroup import from_catalog, is_isomorphic
     >>> is_isomorphic(to_cayley(direct_sum_group(from_catalog("Q8"), FgAbelian(0, ()))),
@@ -487,11 +510,20 @@ def to_cayley(g: VirtAbelian) -> CayleyGroup:
         raise UnsupportedError("cannot tabulate an infinite group")
     if total > TABLE_CAP:
         raise UnsupportedError(f"table realization is capped at order {TABLE_CAP}")
-    elements = g.enumerate_elements()
-    index = {x: i for i, x in enumerate(elements)}
-    table = tuple(tuple(index[g.multiply(x, y)] for y in elements) for x in elements)
-    names = tuple(_element_name(g, x) for x in elements)
-    return CayleyGroup(len(elements), names, table, index[g.identity()])
+    lay, base, nq = g.layer, g.base.table, g.base.order
+    points = list(itertools.product(*(range(t) for t in lay.torsion)))
+    point = {x: i for i, x in enumerate(points)}
+    add = [[point[lay.add(x, y)] for y in points] for x in points]
+    act = [[point[aut.apply(x)] for x in points] for aut in g.action]
+    coc = [[point[x] for x in row] for row in g.cocycle]
+    na = len(points)
+    table = tuple(
+        tuple(add[add[a][act[q][b]]][coc[q][r]] * nq + base[q][r]
+              for b in range(na) for r in range(nq))
+        for a in range(na) for q in range(nq))
+    names = tuple(_element_name(g, x) for x in g.enumerate_elements())
+    # The zero point is first, so the identity is (0, e) at index e.
+    return CayleyGroup(total, names, table, g.base.identity_index)
 
 
 def abelianization(g: VirtAbelian) -> FgAbelian:

@@ -31,6 +31,19 @@ def klein_quaternion():
     return make_virtabelian(KLEIN, FgAbelian(0, (2,)), {}, cocycle)
 
 
+def product(g, x, y):
+    """(a, q) * (b, r) = (a + q.b + c(q, r), qr), written out element by
+    element: the reference that to_cayley's tables are checked against."""
+    lay, q, r = g.layer, x.base_index, y.base_index
+    coords = lay.add(lay.add(x.layer_coords, g.action[q].apply(y.layer_coords)),
+                     g.cocycle[q][r])
+    return TowerElement(coords, g.base.table[q][r])
+
+
+def one(g):
+    return TowerElement(g.layer.zero(), g.base.identity_index)
+
+
 def z4_inversion():
     return LayerAut(FgAbelian(0, (4,)), IntMatrix.zeros(0, 0), (-1,))
 
@@ -81,17 +94,23 @@ def test_element_arithmetic_in_the_quaternion_model():
     layer = FgAbelian(0, (4,))
     q8 = make_virtabelian(Z2, layer, {T: z4_inversion()}, {(T, T): (2,)})
     t = TowerElement((0,), T)
-    t2 = q8.multiply(t, t)
+    t2 = product(q8, t, t)
     assert t2 == TowerElement((2,), 0)
-    t4 = q8.identity()
+    t4 = one(q8)
     for _ in range(4):
-        t4 = q8.multiply(t4, t)
-    assert t4 == q8.identity()
+        t4 = product(q8, t4, t)
+    assert t4 == one(q8)
     t_inv = TowerElement((2,), T)  # t^3
-    assert q8.multiply(t, t_inv) == q8.identity()
-    assert q8.multiply(t_inv, t) == q8.identity()
+    assert product(q8, t, t_inv) == one(q8)
+    assert product(q8, t_inv, t) == one(q8)
     a = TowerElement((1,), 0)
-    assert q8.multiply(q8.multiply(t, a), t_inv) == TowerElement((3,), 0)
+    assert product(q8, product(q8, t, a), t_inv) == TowerElement((3,), 0)
+    # The same relations in the table that to_cayley builds.
+    cay, elements = to_cayley(q8), q8.enumerate_elements()
+    at = {x: i for i, x in enumerate(elements)}
+    assert cay.table[at[t]][at[t]] == at[t2]
+    assert cay.table[at[t]][at[t_inv]] == cay.identity_index == at[one(q8)]
+    assert cay.table[cay.table[at[t]][at[a]]][at[t_inv]] == at[TowerElement((3,), 0)]
 
 
 def test_infinite_dihedral_center_is_trivial():
@@ -139,9 +158,9 @@ def test_conjugation_realizes_the_action():
     g = make_virtabelian(Z2, layer, {T: flip}, {})
     lift = TowerElement((0,), T)
     # Zero cocycle and T^2 = e: the lift is its own inverse.
-    assert g.multiply(lift, lift) == g.identity()
+    assert product(g, lift, lift) == one(g)
     x = TowerElement((5,), 0)
-    assert g.multiply(g.multiply(lift, x), lift) == TowerElement((-5,), 0)
+    assert product(g, product(g, lift, x), lift) == TowerElement((-5,), 0)
 
 
 def test_quaternion_center_and_tabulated_center_agree():
