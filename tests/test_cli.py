@@ -61,6 +61,35 @@ def test_usage_errors():
     assert invoke("frobnicate")[0] == EXIT_USAGE
 
 
+# argv -> (exit code, stderr).  Options may come before or after the
+# target; an argument a verb does not take is a usage error, not dropped.
+USAGE_TABLE = [
+    (("verify", "S3", "--all"), EXIT_USAGE, "thg: --all excludes a target\n"),
+    (("audit", "s3-q8", "--all"), EXIT_USAGE, "thg: --all excludes a target\n"),
+    (("tau", "S3", "--all"), EXIT_USAGE,
+     "thg: --all belongs to verify and audit only\n"),
+    (("list", "--n", "1"), EXIT_USAGE, "thg: list takes no --n or --max-n\n"),
+    (("show", "S3", "--max-n", "2"), EXIT_USAGE,
+     "thg: show takes no --n or --max-n\n"),
+    (("g0", "s3-q8", "--n", "1"), EXIT_USAGE,
+     "thg: g0 takes no --n or --max-n\n"),
+    (("list", "S3"), EXIT_USAGE, "thg: list takes no target\n"),
+    ((), EXIT_USAGE, "thg: the following arguments are required: verb\n"),
+    (("tau", "--n", "2", "S3"), EXIT_OK, ""),
+    (("verify", "--max-n", "2", "--all"), EXIT_OK, ""),
+    (("--help",), EXIT_OK, ""),
+]
+
+
+@pytest.mark.parametrize("argv, code, err", USAGE_TABLE)
+def test_usage_goes_through_the_given_streams(argv, code, err, capsys):
+    got_code, out, got_err = invoke(*argv)
+    assert (got_code, got_err) == (code, err)
+    assert capsys.readouterr() == ("", "")
+    if argv == ("--help",):
+        assert out.startswith("usage: thg ")
+
+
 def test_a_zero_degree_bound_is_a_usage_error_on_every_verb():
     # The battery verbs take --n N as their bound, and read it through
     # the same parser as the tower verbs.
@@ -124,6 +153,23 @@ def test_verify_detects_a_single_perturbed_catalog_value(tmp_path):
                           "--catalog-dir", str(mutated))
     assert code == EXIT_CHECK_FAILED
     assert "[fail]" in out
+
+
+def test_one_perturbed_frozen_value_fails_that_fact_only(tmp_path):
+    mutated = tmp_path / "catalog"
+    shutil.copytree(CATALOG_DIR, mutated)
+    target = mutated / "s5.json"
+    doc = json.loads(target.read_text())
+    assert doc["gottlieb"]["5"] == {"generators": [[2]]}
+    doc["gottlieb"]["5"] = {"generators": [[3]]}
+    target.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    code, out, _ = invoke("verify", "--all", "--max-n", "4",
+                          "--catalog-dir", str(mutated), "--format", "json")
+    assert code == EXIT_CHECK_FAILED
+    failed = [(e["check"], e["target"], e["n"], e["detail"])
+              for e in json.loads(out)["report"]["entries"]
+              if e["status"] == "fail"]
+    assert failed == [("frozen-gottlieb-index", "S5", 5, "index 3, expected 2")]
 
 
 def test_verify_reports_broken_catalog_as_failure(tmp_path):
