@@ -706,6 +706,13 @@ def run(argv: Sequence[str], out=None, err=None) -> int:
         target = find_model(args.target, models) if args.target else None
         if kind and target is not None and not isinstance(target, kind):
             raise _Usage(f"{args.target} {_WRONG_KIND[kind]}")
+        # The loader's warnings: the target's, or every space's when the
+        # verb reads the whole catalog (a transformation repeats its space's).
+        shown = [target] if target is not None else [
+            m for m in models if isinstance(m, SpaceModel)]
+        for m in shown:
+            for text in m.warnings:
+                err.write(f"thg: warning: {text}\n")
         return handler(args, target, models, out)
     except (_Usage, NotFoundError) as exc:
         err.write(f"thg: {exc}\n")

@@ -2,10 +2,10 @@
 
 Small groups only: the isomorphism search is capped at order 64, which
 covers the catalog.  Construction checks that the table is a Latin
-square with a two-sided identity and inverses, and, up to TABLE_CAP,
-that it is associative.  Associativity is checked by Light's test on a
-generating set, which proves it for every triple, so a CayleyGroup in
-hand is known to be a group, not just an array.
+square with a two-sided identity and inverses, and that it is
+associative.  Associativity is checked by Light's test on a generating
+set, which proves it for every triple, so a CayleyGroup in hand is known
+to be a group, not just an array.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from .abelian import (TRIVIAL, FgAbelian, canonical_form, prime_exponent,
                       prime_factors)
 from .errors import InvalidInputError, NotFoundError, UnsupportedError
 
-# The one cap on Cayley tables: the largest order that is tabulated from an
-# extension, checked for associativity, or searched for isomorphisms.
+# The one cap on Cayley tables: the largest order that is named in the
+# catalog, tabulated from an extension, or searched for isomorphisms.
 TABLE_CAP = 64
 
 
@@ -58,20 +58,19 @@ class CayleyGroup:
         for i in range(n):
             if self.table[e][i] != i or self.table[i][e] != i:
                 raise InvalidInputError("identity index is not a two-sided identity")
-        for i in range(n):
-            if self.inverse(i) is None:
+        t = self.table
+        for i, j in enumerate(self.inverses):
+            if t[j][i] != e:
                 raise InvalidInputError("element lacks a two-sided inverse")
-        if n <= TABLE_CAP:
-            # Light's test: (ab)c = a(bc) for every b in the generating
-            # set.  The middle factors b for which it holds contain e and
-            # are closed under products, so it then holds for every b.
-            t = self.table
-            for b in self.generators:
-                for a in range(n):
-                    ab = t[a][b]
-                    for c in range(n):
-                        if t[ab][c] != t[a][t[b][c]]:
-                            raise InvalidInputError("multiplication table is not associative")
+        # Light's test: (ab)c = a(bc) for every b in the generating set.
+        # The middle factors b for which it holds contain e and are closed
+        # under products, so it then holds for every b.
+        for b in self.generators:
+            for a in range(n):
+                ab = t[a][b]
+                for c in range(n):
+                    if t[ab][c] != t[a][t[b][c]]:
+                        raise InvalidInputError("multiplication table is not associative")
 
     @cached_property
     def generators(self) -> Tuple[int, ...]:
@@ -79,6 +78,13 @@ class CayleyGroup:
         e s1 s2 ... sk with each si in it, multiplied left to right.
         Never contains the identity; empty for the trivial group."""
         return tuple(_generating_sequence(self))
+
+    @cached_property
+    def inverses(self) -> Tuple[int, ...]:
+        """inverses[i] is the one j with i j = e, read off row i; the
+        constructor checks that j i = e as well."""
+        e = self.identity_index
+        return tuple(row.index(e) for row in self.table)
 
     @property
     def rank(self) -> int:
@@ -94,19 +100,6 @@ class CayleyGroup:
 
     def describe(self) -> str:
         return f"finite group of order {self.order}"
-
-    def inverse(self, i: int) -> Optional[int]:
-        e = self.identity_index
-        for j in range(self.order):
-            if self.table[i][j] == e and self.table[j][i] == e:
-                return j
-        return None
-
-    def inv(self, i: int) -> int:
-        j = self.inverse(i)
-        if j is None:
-            raise InvalidInputError("element lacks an inverse")
-        return j
 
     def index_of(self, name: str) -> int:
         try:
@@ -124,7 +117,7 @@ class CayleyGroup:
 
     def conjugate(self, x: int, h: int) -> int:
         """x h x^-1."""
-        return self.table[self.table[x][h]][self.inv(x)]
+        return self.table[self.table[x][h]][self.inverses[x]]
 
 
 @dataclass(frozen=True)
@@ -142,7 +135,7 @@ class SubgroupRef:
         if g.identity_index not in members:
             raise InvalidInputError("subgroup must contain the identity")
         for a in members:
-            if g.inv(a) not in members:
+            if g.inverses[a] not in members:
                 raise InvalidInputError("subgroup must be closed under inverses")
             for b in members:
                 if g.table[a][b] not in members:
@@ -208,7 +201,7 @@ def is_normal(g: CayleyGroup, n: SubgroupRef) -> bool:
 
 def commutator_subgroup(g: CayleyGroup) -> SubgroupRef:
     comms = set()
-    inv = [g.inv(x) for x in range(g.order)]
+    inv = g.inverses
     for x in range(g.order):
         for y in range(g.order):
             # [x, y] = x y x^-1 y^-1
@@ -285,11 +278,8 @@ def abelian_structure(g: CayleyGroup) -> FgAbelian:
     """
     if not g.is_abelian():
         raise InvalidInputError("abelian_structure needs an abelian group")
-    n = g.order
-    if n == 1:
-        return TRIVIAL
     return abelian_structure_by_counting(
-        list(range(n)), lambda x, y: g.table[x][y], g.identity_index)
+        list(range(g.order)), lambda x, y: g.table[x][y], g.identity_index)
 
 
 def abelian_structure_by_counting(elements, mul, identity) -> FgAbelian:
@@ -350,8 +340,6 @@ def abelian_structure_by_counting(elements, mul, identity) -> FgAbelian:
 
 
 def _cyclic(k: int) -> CayleyGroup:
-    if k == 1:
-        return CayleyGroup(1, ("e",), ((0,),), 0)
     names = tuple("e" if j == 0 else "t" if j == 1 else f"t{j}" for j in range(k))
     table = tuple(tuple((a + b) % k for b in range(k)) for a in range(k))
     return CayleyGroup(k, names, table, 0)
@@ -369,34 +357,22 @@ def _klein_four() -> CayleyGroup:
     return CayleyGroup(4, names, table, 0)
 
 
-_Q8_MUL = {
-    ("i", "i"): (-1, "1"), ("j", "j"): (-1, "1"), ("k", "k"): (-1, "1"),
-    ("i", "j"): (1, "k"), ("j", "k"): (1, "i"), ("k", "i"): (1, "j"),
-    ("j", "i"): (-1, "k"), ("k", "j"): (-1, "i"), ("i", "k"): (-1, "j"),
-}
-
-
 def _quaternion() -> CayleyGroup:
+    # Index 2 * axis + sign, axes 1, i, j, k and sign 1 for a minus:
+    # ij = k, jk = i, ki = j and the reverse products carry a minus.
     names = ("1", "-1", "i", "-i", "j", "-j", "k", "-k")
 
-    def split(nm):
-        return (-1, nm[1:]) if nm.startswith("-") else (1, nm)
+    def mul(a, b):
+        (ax, sa), (bx, sb) = divmod(a, 2), divmod(b, 2)
+        if ax == 0 or bx == 0:
+            axis, sign = ax + bx, 0
+        elif ax == bx:
+            axis, sign = 0, 1
+        else:
+            axis, sign = 6 - ax - bx, int((bx - ax) % 3 == 2)
+        return 2 * axis + (sa ^ sb ^ sign)
 
-    def join(sign, axis):
-        return axis if sign == 1 else "-" + axis
-
-    def mul(na, nb):
-        sa, xa = split(na)
-        sb, xb = split(nb)
-        if xa == "1":
-            return join(sa * sb, xb)
-        if xb == "1":
-            return join(sa * sb, xa)
-        s, x = _Q8_MUL[(xa, xb)]
-        return join(sa * sb * s, x)
-
-    idx = {nm: t for t, nm in enumerate(names)}
-    table = tuple(tuple(idx[mul(a, b)] for b in names) for a in names)
+    table = tuple(tuple(mul(a, b) for b in range(8)) for a in range(8))
     return CayleyGroup(8, names, table, 0)
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
-from .abelian import FgAbelian, order_text
+from .abelian import order_text
 from .errors import BookkeepingError, InvalidInputError, UnsupportedError
 from .fingroup import (TABLE_CAP, CayleyGroup, SubgroupRef,
                        center as group_center, subgroup_as_group)
@@ -494,9 +494,7 @@ def _audit_aspherical_rank(report: CheckReport, tg: TransformationModel,
     again a lattice of the same rank, so the orbit fundamental group
     must abelianize to a torsion-free group of the rank of pi_1(X)."""
     pi1 = orbit.pi1
-    if isinstance(pi1, FgAbelian):
-        ab = pi1
-    elif isinstance(pi1, VirtAbelian):
+    if isinstance(pi1, VirtAbelian):
         ab = abelianization(pi1)
     else:
         report.add("aspherical-rank", tg.name, 1, INDETERMINATE,

@@ -626,15 +626,8 @@ def _space_from_doc(doc: dict, path: str = "") -> SpaceModel:
                       f"degree {i} is missing; every degree up to the "
                       "truncation must be listed")
 
-    def pi_of(i: int) -> FgAbelian:
-        if i == 1:
-            if isinstance(pi1, FgAbelian):
-                return pi1
-            _fail(_join(path, "whitehead"),
-                  "degree-1 pairings need an abelian fundamental group")
-        return pi.get(i, TRIVIAL)
-
-    whitehead = _parse_whitehead(doc.get("whitehead", "trivial"), pi_of,
+    whitehead = _parse_whitehead(doc.get("whitehead", "trivial"),
+                                 lambda i: pi.get(i, TRIVIAL),
                                  truncation, _join(path, "whitehead"))
     pi1_action_trivial = _parse_pi1_action(doc.get("pi1_action", "trivial"),
                                            pi1, pi, truncation,

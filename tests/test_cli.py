@@ -345,6 +345,38 @@ def test_catalog_rejects_a_duplicate_model_name(tmp_path, copy_from, copy_to,
         ("catalog-load", path, "fail")]
 
 
+def test_loader_warnings_go_to_stderr(tmp_path):
+    # Two spaces that load with one warning each, one per warning rule.
+    q8 = {"kind": "space", "name": "Q8W", "truncation": 2,
+          "aspherical": False, "pi1": {"catalog": "Q8"},
+          "pi": {"2": {"rank": 0, "torsion": []}},
+          "gottlieb": {"1": {"elements": ["1", "-1", "i", "-i"]}}}
+    z2 = {"kind": "space", "name": "Z2W", "truncation": 2,
+          "aspherical": False, "pi1": {"catalog": "Z2"},
+          "pi": {"2": {"rank": 1, "torsion": []}},
+          "pi1_action": {"t": {"2": [[-1]]}}, "gottlieb": {"1": "full"}}
+    for doc in (q8, z2):
+        (tmp_path / f"{doc['name']}.json").write_text(json.dumps(doc))
+    q8_line = ("thg: warning: gottlieb.1: degree-1 evaluation subgroup "
+               "exceeds the center of the fundamental group\n")
+    z2_line = ("thg: warning: gottlieb.1: a full degree-1 evaluation "
+               "subgroup is inconsistent with a nontrivial fundamental "
+               "group action on higher degrees\n")
+    catalog = ("--catalog-dir", str(tmp_path))
+    code, out, err = invoke("show", "Q8W", *catalog)
+    assert (code, err) == (EXIT_OK, q8_line)
+    assert "warning" not in out
+    code, _, err = invoke("show", "Z2W", *catalog)
+    assert (code, err) == (EXIT_OK, z2_line)
+    code, out, err = invoke("list", *catalog)
+    assert (code, err) == (EXIT_OK, q8_line + z2_line)
+    assert "warning" not in out
+    _, _, err = invoke("verify", "--all", "--max-n", "2", *catalog)
+    assert err == q8_line + z2_line
+    # The shipped catalog loads without a warning.
+    assert invoke("list")[2] == ""
+
+
 def test_requests_past_the_data_exit_1_with_one_sentence():
     classify = invoke("classify", "s3-q8", "--max-n", "7")
     tau = invoke("tau", "S3", "--n", "7")

@@ -6,16 +6,19 @@ are still affordable.
 """
 
 import itertools
+import json
 
 import pytest
 
 from thg.abelian import FgAbelian
-from thg.errors import InvalidInputError, NotFoundError, UnsupportedError
+from thg.errors import (InvalidInputError, ModelError, NotFoundError,
+                        UnsupportedError)
 from thg.fingroup import (CayleyGroup, SubgroupRef, abelian_structure,
                           abelianization, center, commutator_subgroup,
                           find_isomorphism, from_catalog, full_subgroup,
                           is_isomorphic, is_normal, order_profile,
                           quotient, subgroup_as_group, subgroup_generated)
+from thg.spacecat import load_model
 
 
 def brute_force_isomorphic(a: CayleyGroup, b: CayleyGroup) -> bool:
@@ -136,7 +139,7 @@ def test_full_and_trivial_subgroups():
 def test_element_orders_and_inverses():
     q8 = from_catalog("Q8")
     for i in range(q8.order):
-        assert q8.table[i][q8.inverse(i)] == q8.identity_index
+        assert q8.table[i][q8.inverses[i]] == q8.identity_index
     assert q8.element_order(q8.index_of("-1")) == 2
     assert q8.element_order(q8.index_of("j")) == 4
     z6 = from_catalog("Z(6)")
@@ -172,6 +175,35 @@ def test_bad_tables_rejected():
     with pytest.raises(InvalidInputError):
         CayleyGroup(order=5, element_names=("e", "a", "b", "c", "d"),
                     table=loop5, identity_index=0)
+
+
+def test_associativity_is_checked_past_the_table_cap():
+    # Z/66 with the intercalate at rows and columns 1 and 34 swapped: still
+    # a Latin square with identity 0 and two-sided inverses, but
+    # (1 1) 2 = 37 while 1 (1 2) = 4.
+    n = 66
+    rows = [[(a + b) % n for b in range(n)] for a in range(n)]
+    rows[1][1], rows[1][34] = rows[1][34], rows[1][1]
+    rows[34][1], rows[34][34] = rows[34][34], rows[34][1]
+    names = tuple(f"g{i}" for i in range(n))
+    with pytest.raises(InvalidInputError, match="not associative"):
+        CayleyGroup(n, names, tuple(map(tuple, rows)), 0)
+    doc = {"kind": "space", "name": "loop66", "truncation": 1,
+           "aspherical": True, "pi": {},
+           "pi1": {"names": list(names), "table": rows, "identity": "g0"}}
+    with pytest.raises(ModelError) as exc:
+        load_model(json.dumps(doc))
+    assert (exc.value.path, exc.value.message) == (
+        "pi1", "multiplication table is not associative")
+
+
+def test_quaternion_table_is_unchanged():
+    # 1, -1, i, -i, j, -j, k, -k: the table the catalog has always built.
+    assert from_catalog("Q8").table == (
+        (0, 1, 2, 3, 4, 5, 6, 7), (1, 0, 3, 2, 5, 4, 7, 6),
+        (2, 3, 1, 0, 6, 7, 5, 4), (3, 2, 0, 1, 7, 6, 4, 5),
+        (4, 5, 7, 6, 1, 0, 2, 3), (5, 4, 6, 7, 0, 1, 3, 2),
+        (6, 7, 4, 5, 3, 2, 1, 0), (7, 6, 5, 4, 2, 3, 0, 1))
 
 
 def test_product_groups_multiply_componentwise():

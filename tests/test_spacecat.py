@@ -234,6 +234,34 @@ def test_malformed_documents_are_rejected_with_paths():
         _load({"kind": "widget"})
 
 
+INLINE_EXTENSION = {"base": {"catalog": "Z(2)"},
+                    "layer": {"rank": 1, "torsion": []},
+                    "action": {"t": [[-1]]}, "cocycle": {}}
+
+
+def test_inline_extension_pi1_loads():
+    # Z extended by Z/2 acting by -1: the infinite dihedral group.
+    pi1 = _load(_space_doc(pi1=INLINE_EXTENSION)).pi1
+    assert isinstance(pi1, VirtAbelian)
+    assert (pi1.order, pi1.rank) == (INFINITY, 1)
+    assert pi1.describe() == "extension of Z by a base of order 2"
+
+
+@pytest.mark.parametrize("field, value, path, message", [
+    ("base", {"rank": 1, "torsion": []}, "pi1.base",
+     "extension base must be a finite group"),
+    ("action", {"x": [[1]]}, "pi1.action.x", "not an element of the base group"),
+    ("action", {"t": [[2]]}, "pi1.action.t", "free block must be unimodular"),
+    ("cocycle", {"t,t": [1]}, "pi1",
+     "cocycle condition fails; product not associative"),
+])
+def test_inline_extension_pi1_failures_name_path_and_message(field, value,
+                                                             path, message):
+    with pytest.raises(ModelError) as exc:
+        _load(_space_doc(pi1=dict(INLINE_EXTENSION, **{field: value})))
+    assert (exc.value.path, exc.value.message) == (path, message)
+
+
 def test_whitehead_table_width_checked():
     doc = _space_doc(truncation=5,
                      pi={"2": {"rank": 1, "torsion": []},
