@@ -14,11 +14,12 @@ fields, so identical invocations are byte-identical.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
+import re
 import sys
+from types import SimpleNamespace
 from typing import List, Optional, Sequence, Union
 
 from . import fox, rhodes
@@ -27,7 +28,7 @@ from .errors import BookkeepingError, ModelError, NotFoundError, ThgError
 from .fingroup import (CayleyGroup, abelian_structure, from_catalog,
                        is_isomorphic)
 from .report import CheckReport, FAIL, PASS
-from .spacecat import (Model, SpaceModel, TransformationModel,
+from .spacecat import (Catalog, SpaceModel, TransformationModel,
                        builtin_catalog, catalog_from_dir, find_model,
                        orbit_space, serialize, subgroup_index_in)
 from .tower import TowerSummary, VirtAbelian, abelianization, center_structure
@@ -108,28 +109,35 @@ class _Usage(Exception):
 _BATTERY = ("verify", "audit")
 
 
+# The largest degree a verb takes.  The largest integer printed at degree
+# N has about 0.3 N digits, and CPython refuses to render an int of more
+# than 4,300 digits (sys.get_int_max_str_digits()); at this cap it has
+# about 3,000.
+DEGREE_CAP = 10_000
+
+
 def _degrees(args, default: int = 1) -> List[int]:
     """The degrees a verb asks for: [N] for --n N, 1..N for --max-n N,
     1..default otherwise.  The battery verbs take the last as their bound."""
     if args.n is not None and args.max_n is not None:
         raise _Usage("--n and --max-n are mutually exclusive")
+    for flag, value in (("--n", args.n), ("--max-n", args.max_n)):
+        if value is not None and value < 1:
+            raise _Usage(f"{flag} must be at least 1")
+        if value is not None and value > DEGREE_CAP:
+            raise _Usage(f"{flag} must be at most {DEGREE_CAP}")
     if args.n is not None:
-        if args.n < 1:
-            raise _Usage("--n must be at least 1")
         return [args.n]
-    top = args.max_n if args.max_n is not None else default
-    if top < 1:
-        raise _Usage("--max-n must be at least 1")
-    return list(range(1, top + 1))
+    return list(range(1, (args.max_n or default) + 1))
 
 
 # ---------------------------------------------------------------------------
 # Verbs
 
 
-def _cmd_list(args, _, models, out) -> int:
+def _cmd_list(args, _, catalog, out) -> int:
     rows, lines = [], []
-    for m in models:
+    for m in catalog:
         if isinstance(m, SpaceModel):
             rows.append({"name": m.name, "kind": "space",
                          "truncation": m.truncation,
@@ -150,12 +158,12 @@ def _cmd_list(args, _, models, out) -> int:
                  args.format, out)
 
 
-def _cmd_show(args, m, models, out) -> int:
+def _cmd_show(args, m, catalog, out) -> int:
     out.write(serialize(m))
     return EXIT_OK
 
 
-def _cmd_tau(args, x, models, out) -> int:
+def _cmd_tau(args, x, catalog, out) -> int:
     results, lines = [], []
     for n in _degrees(args):
         s = fox.tau_invariants(x, n)
@@ -165,7 +173,7 @@ def _cmd_tau(args, x, models, out) -> int:
     return _emit(doc, lines, args.format, out)
 
 
-def _cmd_sigma(args, tg, models, out) -> int:
+def _cmd_sigma(args, tg, catalog, out) -> int:
     results, lines = [], []
     for n in _degrees(args):
         s = rhodes.sigma_invariants(tg, n)
@@ -182,7 +190,7 @@ def _cmd_sigma(args, tg, models, out) -> int:
     return _emit(doc, lines, args.format, out)
 
 
-def _cmd_gtau(args, x, models, out) -> int:
+def _cmd_gtau(args, x, catalog, out) -> int:
     results, lines = [], []
     for n in _degrees(args):
         s = fox.gottlieb_fox_invariants(x, n)
@@ -196,7 +204,7 @@ def _cmd_gtau(args, x, models, out) -> int:
     return _emit(doc, lines, args.format, out)
 
 
-def _cmd_gsigma(args, tg, models, out) -> int:
+def _cmd_gsigma(args, tg, catalog, out) -> int:
     results, lines = [], []
     for n in _degrees(args):
         r = rhodes.gottlieb_rhodes_invariants(tg, n)
@@ -221,7 +229,7 @@ def _cmd_gsigma(args, tg, models, out) -> int:
     return _emit(doc, lines, args.format, out)
 
 
-def _cmd_g0(args, tg, models, out) -> int:
+def _cmd_g0(args, tg, catalog, out) -> int:
     r = rhodes.compute_g0(tg)
     per = {name: {"verdict": v, "rule": rule}
            for name, (v, rule) in r.per_element_verdict.items()}
@@ -245,7 +253,7 @@ _VERDICTS = (("gottlieb", "Gottlieb"), ("gottlieb_fox", "Gottlieb-Fox"),
              ("equivariant_gottlieb", "equivariant"))
 
 
-def _cmd_classify(args, tg, models, out) -> int:
+def _cmd_classify(args, tg, catalog, out) -> int:
     rep = rhodes.classify(tg, _degrees(args, 4)[-1])
     per = []
     lines = [f"classification of {tg.name} through n = {rep.max_n}"]
@@ -266,22 +274,22 @@ def _cmd_classify(args, tg, models, out) -> int:
     return _emit(doc, lines, args.format, out)
 
 
-def _cmd_audit(args, target, models, out) -> int:
+def _cmd_audit(args, target, catalog, out) -> int:
     targets = [target] if target is not None else [
-        m for m in models if isinstance(m, TransformationModel) and m.free]
+        m for m in catalog if isinstance(m, TransformationModel) and m.free]
     max_n = _degrees(args, 4)[-1]
     report = CheckReport("implication audits")
     for tg in targets:
-        _audit(report, tg, models, _model_cap(tg.space, max_n))
+        _audit(report, tg, catalog, _model_cap(tg.space, max_n))
     return _emit_report(report, args, out, max_n)
 
 
-def _audit(report: CheckReport, tg: TransformationModel,
-           models: Sequence[Model], cap: int) -> None:
+def _audit(report: CheckReport, tg: TransformationModel, catalog: Catalog,
+           cap: int) -> None:
     """The implication audits, which both audit and verify run."""
     report.extend(rhodes.equivariant_gottlieb_audit(tg, cap))
     report.extend(rhodes.aspherical_gottlieb_check(tg, cap))
-    report.extend(rhodes.oprea_check(tg, _paired_orbit_model(tg, models)))
+    report.extend(rhodes.oprea_check(tg, _paired_orbit_model(tg, catalog)))
 
 
 def _emit_report(report: CheckReport, args, out,
@@ -305,7 +313,7 @@ def _model_cap(x: SpaceModel, max_n: int) -> int:
 
 
 def _paired_orbit_model(tg: TransformationModel,
-                        models: Sequence[Model]) -> Optional[SpaceModel]:
+                        catalog: Catalog) -> Optional[SpaceModel]:
     """The catalog space modelling this action's quotient, when shipped.
 
     Matched by name: the quotient of S<k> by a catalog group G is
@@ -317,11 +325,7 @@ def _paired_orbit_model(tg: TransformationModel,
     group_spec = tg.raw.get("group")
     if not isinstance(group_spec, dict) or "catalog" not in group_spec:
         return None
-    name = f"S{tg.sphere_dimension}mod{group_spec['catalog']}"
-    try:
-        m = find_model(name, models)
-    except NotFoundError:
-        return None
+    m = catalog.get(f"S{tg.sphere_dimension}mod{group_spec['catalog']}")
     return m if isinstance(m, SpaceModel) else None
 
 
@@ -329,23 +333,23 @@ def _paired_orbit_model(tg: TransformationModel,
 # The verify battery
 
 
-def _cmd_verify(args, target, models, out) -> int:
+def _cmd_verify(args, target, catalog, out) -> int:
     max_n = _degrees(args, 4)[-1]
     if args.all:
-        spaces = [m for m in models if isinstance(m, SpaceModel)]
-        actions = [m for m in models if isinstance(m, TransformationModel)]
+        spaces = [m for m in catalog if isinstance(m, SpaceModel)]
+        actions = [m for m in catalog if isinstance(m, TransformationModel)]
     elif isinstance(target, SpaceModel):
         spaces, actions = [target], []
     else:
         spaces, actions = [target.space], [target]
-    report = build_verify_report(spaces, actions, models, max_n,
+    report = build_verify_report(spaces, actions, catalog, max_n,
                                  include_goldens=args.all)
     return _emit_report(report, args, out, max_n)
 
 
 def build_verify_report(spaces: Sequence[SpaceModel],
                         actions: Sequence[TransformationModel],
-                        models: Sequence[Model], max_n: int,
+                        catalog: Catalog, max_n: int,
                         include_goldens: bool) -> CheckReport:
     """The full consistency battery over the given models.
 
@@ -390,7 +394,7 @@ def build_verify_report(spaces: Sequence[SpaceModel],
             continue
         cap = _model_cap(tg.space, max_n)
         try:
-            _verify_action(report, tg, models, cap)
+            _verify_action(report, tg, catalog, cap)
         except BookkeepingError as exc:
             report.add("action-battery", tg.name, None, FAIL,
                        "internal bookkeeping agreement", str(exc))
@@ -399,9 +403,8 @@ def build_verify_report(spaces: Sequence[SpaceModel],
                        "transformation checks run to completion", str(exc))
 
     if include_goldens:
-        by_name = {m.name: m for m in models}
         for check, kind, name, n, rule, probe in _frozen_facts():
-            m = by_name.get(name)
+            m = catalog.get(name)
             if isinstance(m, kind):
                 ok, detail = probe(m)
                 report.add(check, name, n, PASS if ok else FAIL, rule, detail)
@@ -409,7 +412,7 @@ def build_verify_report(spaces: Sequence[SpaceModel],
 
 
 def _verify_action(report: CheckReport, tg: TransformationModel,
-                   models: Sequence[Model], cap: int) -> None:
+                   catalog: Catalog, cap: int) -> None:
     """The action's checks.  The extension tau_n(X) -> sigma_n -> G is
     graded here once per degree: its order as the sigma-order entry, its
     free rank as a BookkeepingError that the caller grades."""
@@ -440,7 +443,7 @@ def _verify_action(report: CheckReport, tg: TransformationModel,
                        f"{_order_doc(want)}")
     for n in range(2, cap + 1):
         report.extend(rhodes.rhodes_split_check(tg, n))
-    _audit(report, tg, models, cap)
+    _audit(report, tg, catalog, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -611,39 +614,124 @@ def _frozen_facts() -> tuple:
 # ---------------------------------------------------------------------------
 # Entry point
 
+# Each long option: the attribute it sets, and how its value is read: int,
+# a tuple of the allowed values, str, or None for a flag that takes none.
+# An option may be abbreviated to any unique prefix and given as
+# --opt=value; the last occurrence wins.
+_OPTIONS = {
+    "--n": ("n", int),
+    "--max-n": ("max_n", int),
+    "--all": ("all", None),
+    "--format": ("format", ("text", "json")),
+    "--catalog-dir": ("catalog_dir", str),
+    "--help": (None, None),
+}
 
-class _Parser(argparse.ArgumentParser):
-    """Reports through run's streams: --help writes to self.out, and every
-    usage error raises _Usage."""
+_HELP = """\
+usage: thg [-h] [--n N] [--max-n N] [--all] [--format {text,json}]
+           [--catalog-dir DIR]
+           %(verbs)s [target]
 
-    def print_help(self, file=None):
-        super().print_help(self.out)
+Torus homotopy groups, Rhodes groups, and evaluation subgroups over a catalog
+of finite models.
 
-    def error(self, message):
-        raise _Usage(message)
+positional arguments:
+  %(verbs)s
+  target                a catalog model name
+
+options:
+  -h, --help            show this help message and exit
+  --n N                 degree N only
+  --max-n N             degrees 1..N
+  --all                 every catalog model (verify and audit only)
+  --format {text,json}  output format (default: text)
+  --catalog-dir DIR     a directory of model documents (default:
+                        $THG_CATALOG_DIR, else the built-in catalog)
+
+Options may come before or after the target, may be written --opt=value,
+and may be abbreviated to a unique prefix (--max 3); the last of a
+repeated option wins.
+"""
+
+# A negative number is a value, never an option.
+_NEGATIVE = re.compile(r"-\d+|-\d*\.\d+")
 
 
-def _parse(argv: Sequence[str], out) -> Optional[argparse.Namespace]:
+def _is_option(arg: str) -> bool:
+    return arg.startswith("-") and arg != "-" and not _NEGATIVE.fullmatch(arg)
+
+
+def _choose(label: str, value: str, choices: Sequence[str]) -> str:
+    if value not in choices:
+        raise _Usage(f"argument {label}: invalid choice: {value!r} (choose "
+                     f"from {', '.join(map(repr, choices))})")
+    return value
+
+
+def _read(option: str, kind, text: str):
+    if kind is int:
+        try:
+            return int(text)
+        except ValueError:
+            raise _Usage(f"argument {option}: invalid int value: "
+                         f"{text!r}") from None
+    return text if kind is str else _choose(option, text, kind)
+
+
+def _long_option(flag: str) -> Optional[str]:
+    """The option that flag names, whole or as a unique prefix."""
+    if flag in _OPTIONS:
+        return flag
+    hits = [o for o in _OPTIONS if o.startswith(flag)]
+    return hits[0] if flag.startswith("--") and len(hits) == 1 else None
+
+
+def _parse(argv: Sequence[str], out) -> Optional[SimpleNamespace]:
     """The one parser: a verb, an optional target and the shared options,
     in any order, and the rules on which verb takes what.  None after
-    --help."""
-    parser = _Parser(
-        prog="thg",
-        description="Torus homotopy groups, Rhodes groups, and evaluation "
-                    "subgroups over a catalog of finite models.")
-    parser.out = out
-    parser.add_argument("verb", choices=VERBS)
-    parser.add_argument("target", nargs="?", help="a catalog model name")
-    parser.add_argument("--n", type=int, help="degree N only")
-    parser.add_argument("--max-n", type=int, metavar="N", help="degrees 1..N")
-    parser.add_argument("--all", action="store_true",
-                        help="every catalog model (verify and audit only)")
-    parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--catalog-dir", metavar="DIR")
-    try:
-        args = parser.parse_intermixed_args(argv)
-    except SystemExit:  # argparse exits only after printing --help
-        return None
+    --help, which wins over every usage error but a bad option value
+    before it."""
+    args = SimpleNamespace(verb=None, target=None, n=None, max_n=None,
+                           all=False, format="text", catalog_dir=None)
+    positionals, extra = [], []  # extra: what no rule reads, in argv order
+
+    def positional(arg: str) -> None:
+        (positionals if len(positionals) < 2 else extra).append(arg)
+
+    rest = iter(argv)
+    for arg in rest:
+        if arg == "--":  # everything after it is positional
+            for arg in rest:
+                positional(arg)
+        elif not _is_option(arg):
+            positional(arg)
+        else:
+            flag, eq, text = arg.partition("=")
+            option = _long_option(flag)
+            if arg == "-h" or option == "--help":
+                out.write(_HELP % {"verbs": "{%s}" % ",".join(VERBS)})
+                return None
+            if option is None:
+                extra.append(arg)
+                continue
+            attr, kind = _OPTIONS[option]
+            if kind is None:
+                if eq:
+                    raise _Usage(f"argument {option}: ignored explicit "
+                                 f"argument {text!r}")
+                setattr(args, attr, True)
+                continue
+            if not eq:
+                text = next(rest, None)
+                if text is None or _is_option(text):
+                    raise _Usage(f"argument {option}: expected one argument")
+            setattr(args, attr, _read(option, kind, text))
+    if not positionals:
+        raise _Usage("the following arguments are required: verb")
+    args.verb = _choose("verb", positionals[0], VERBS)
+    args.target = positionals[1] if len(positionals) > 1 else None
+    if extra:
+        raise _Usage(f"unrecognized arguments: {' '.join(extra)}")
     battery = args.verb in _BATTERY
     if args.all and not battery:
         raise _Usage("--all belongs to verify and audit only")
@@ -657,6 +745,7 @@ def _parse(argv: Sequence[str], out) -> Optional[argparse.Namespace]:
     if args.verb in ("list", "show", "g0") and (
             args.n is not None or args.max_n is not None):
         raise _Usage(f"{args.verb} takes no --n or --max-n")
+    _degrees(args)  # bad degree flags fail before any model is built
     return args
 
 
@@ -692,7 +781,11 @@ def run(argv: Sequence[str], out=None, err=None) -> int:
             return EXIT_OK
         path = args.catalog_dir or os.environ.get("THG_CATALOG_DIR")
         try:
-            models = catalog_from_dir(path) if path else builtin_catalog()
+            # A directory is validated whole; the built-in catalog is built
+            # whole only for a verb that reads every model.
+            catalog = (catalog_from_dir(path) if path else
+                       Catalog.builtin() if args.target else builtin_catalog())
+            target = find_model(args.target, catalog) if args.target else None
         except ModelError as exc:
             if args.verb not in _BATTERY:
                 raise
@@ -703,17 +796,18 @@ def run(argv: Sequence[str], out=None, err=None) -> int:
                        str(exc))
             return _emit_report(report, args, out)
         handler, kind = _HANDLERS[args.verb]
-        target = find_model(args.target, models) if args.target else None
         if kind and target is not None and not isinstance(target, kind):
             raise _Usage(f"{args.target} {_WRONG_KIND[kind]}")
-        # The loader's warnings: the target's, or every space's when the
-        # verb reads the whole catalog (a transformation repeats its space's).
-        shown = [target] if target is not None else [
-            m for m in models if isinstance(m, SpaceModel)]
+        # The loader's warnings, under the name of the space they belong
+        # to: the target's space, or every space when the verb reads the
+        # whole catalog.
+        shown = ([target] if isinstance(target, SpaceModel) else
+                 [target.space] if target is not None else
+                 [m for m in catalog if isinstance(m, SpaceModel)])
         for m in shown:
             for text in m.warnings:
-                err.write(f"thg: warning: {text}\n")
-        return handler(args, target, models, out)
+                err.write(f"thg: warning: {m.name}: {text}\n")
+        return handler(args, target, catalog, out)
     except (_Usage, NotFoundError) as exc:
         err.write(f"thg: {exc}\n")
         return EXIT_USAGE

@@ -19,8 +19,8 @@ import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
-                    Tuple, Union)
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple, Union)
 
 from .abelian import (TRIVIAL, FgAbelian, INFINITY, IntMatrix,
                       subgroup_index, subgroup_structure)
@@ -122,7 +122,6 @@ class TransformationModel:
     g0_explicit: Optional[SubgroupRef]
     sphere_dimension: Optional[int]
     raw: Optional[dict] = None
-    warnings: Tuple[str, ...] = ()
 
     def action_trivial_at(self, degree: int) -> bool:
         self.space.pi_at(degree)  # a degree past the data is an error
@@ -680,7 +679,6 @@ def _transformation_from_doc(doc: dict, name: str,
         _fail("group", "the acting group must be finite (catalog name or table)")
     free = _as_bool(doc["free"], "free")
 
-    warnings: List[str] = list(space.warnings)
     action_by_degree = _parse_action_table(doc["action"], group, space.pi_at,
                                            1, space.truncation, "action",
                                            "acting group")
@@ -723,8 +721,7 @@ def _transformation_from_doc(doc: dict, name: str,
     model = TransformationModel(name=name, space=space, group=group, free=free,
                                 action_by_degree=action_by_degree,
                                 cocycle=cocycle, g0_explicit=g0_explicit,
-                                sphere_dimension=sphere_dimension, raw=doc,
-                                warnings=tuple(warnings))
+                                sphere_dimension=sphere_dimension, raw=doc)
     if cocycle is not None:
         # Building the extension validates normalization, the cocycle
         # condition, and that the degree-1 action is a homomorphism; the
@@ -879,59 +876,102 @@ def sphere_space(n: int) -> SpaceModel:
 _SPHERE_NAME = re.compile(r"S([1-9][0-9]*)\Z")
 
 
-def builtin_catalog() -> List[Model]:
-    """Every shipped model, spaces first, each alphabetical by name."""
-    from importlib import resources
-    root = resources.files("thg").joinpath("catalog")
-    return _catalog((p.name, p.read_bytes()) for p in root.iterdir()
-                    if p.name.endswith(".json"))
+class Catalog:
+    """The models of one catalog, each built when first asked for.
+
+    Construction decodes every file and runs the checks that span files.
+    A document that is not an object, whose kind is neither "space" nor
+    "transformation", or whose model name an earlier file already took,
+    is a ModelError whose path starts with its file name.  A space is
+    named by its "name", a transformation by its file stem.  get()
+    builds (parses and validates) one model, and the space a
+    transformation names, and keeps them; iterating builds them all.
+    """
+
+    def __init__(self, files: Iterable[Tuple[str, bytes]]):
+        docs = [(fname, _parse_document(data, fname))
+                for fname, data in sorted(files)]
+        self._spaces: Dict[str, dict] = {}
+        for fname, doc in docs:
+            if doc["kind"] == "space":
+                name = doc.get("name")
+                if not isinstance(name, str):
+                    _space_from_doc(doc)  # fails at the document's own path
+                if name in self._spaces:
+                    _fail(f"{fname}.name",
+                          f"an earlier file already has a space named {name!r}")
+                self._spaces[name] = doc
+        self._transformations: Dict[str, dict] = {}
+        for fname, doc in docs:
+            if doc["kind"] == "transformation":
+                stem = fname[:-len(".json")]
+                if stem in self._spaces:
+                    _fail(fname, f"a space is already named {stem!r}")
+                self._transformations[stem] = doc
+        self._built: Dict[str, Model] = {}
+
+    @classmethod
+    def builtin(cls) -> "Catalog":
+        """The shipped models, each built on first request."""
+        from importlib import resources
+        root = resources.files("thg").joinpath("catalog")
+        return cls((p.name, p.read_bytes()) for p in root.iterdir()
+                   if p.name.endswith(".json"))
+
+    def get(self, name: str) -> Optional[Model]:
+        """The model named name, or None when the catalog has none."""
+        model = self._built.get(name)
+        if model is None:
+            if name in self._spaces:
+                model = _space_from_doc(self._spaces[name])
+            elif name in self._transformations:
+                model = _transformation_from_doc(self._transformations[name],
+                                                 name, self._space)
+            else:
+                return None
+            self._built[name] = model
+        return model
+
+    def _space(self, name: str) -> SpaceModel:
+        """The resolver of a transformation's space reference."""
+        if name not in self._spaces:
+            raise NotFoundError(f"no space named {name!r}")
+        return self.get(name)
+
+    def __iter__(self) -> Iterator[Model]:
+        """Every model, spaces first, each alphabetical by name; the first
+        iteration builds them all."""
+        return iter([self.get(name)
+                     for names in (self._spaces, self._transformations)
+                     for name in sorted(names)])
 
 
-def catalog_from_dir(path: str) -> List[Model]:
-    """Load every *.json in a directory as one self-contained catalog."""
+def builtin_catalog() -> Catalog:
+    """Every shipped model, built now: the full load."""
+    catalog = Catalog.builtin()
+    list(catalog)  # builds and validates every model
+    return catalog
+
+
+def catalog_from_dir(path: str) -> Catalog:
+    """Every *.json in a directory as one self-contained catalog, every
+    model built now, so that one broken file fails the whole load."""
     import os
 
     def read(fname: str) -> bytes:
         with open(os.path.join(path, fname), "rb") as fh:
             return fh.read()
-    return _catalog((fname, read(fname)) for fname in os.listdir(path)
-                    if fname.endswith(".json"))
+    catalog = Catalog((fname, read(fname)) for fname in os.listdir(path)
+                      if fname.endswith(".json"))
+    list(catalog)  # builds and validates every model
+    return catalog
 
 
-def _catalog(files: Iterable[Tuple[str, bytes]]) -> List[Model]:
-    """Models from (file name, contents) pairs: spaces first, then the
-    transformations, which may name a space; each alphabetical by name.
-    A transformation is named by its file stem.  A document that is not
-    an object, whose kind is neither "space" nor "transformation", or
-    whose model name an earlier file already took, is a ModelError whose
-    path starts with its file name."""
-    docs = [(fname, _parse_document(data, fname))
-            for fname, data in sorted(files)]
-    spaces: Dict[str, SpaceModel] = {}
-    for fname, doc in docs:
-        if doc["kind"] == "space":
-            model = _space_from_doc(doc)
-            if model.name in spaces:
-                _fail(f"{fname}.name",
-                      f"an earlier file already has a space named {model.name!r}")
-            spaces[model.name] = model
-    transformations = []
-    for fname, doc in docs:
-        if doc["kind"] == "transformation":
-            stem = fname[:-len(".json")]
-            if stem in spaces:
-                _fail(fname, f"a space is already named {stem!r}")
-            transformations.append(
-                _transformation_from_doc(doc, stem, spaces.__getitem__))
-    return (sorted(spaces.values(), key=lambda m: m.name)
-            + sorted(transformations, key=lambda m: m.name))
-
-
-def find_model(name: str, models: Sequence[Model]) -> Model:
+def find_model(name: str, catalog: Catalog) -> Model:
     """Model lookup by name, with S<k> falling back to the sphere template."""
-    for m in models:
-        if m.name == name:
-            return m
+    model = catalog.get(name)
+    if model is not None:
+        return model
     m = _SPHERE_NAME.fullmatch(name)
     if m:
         return sphere_space(int(m.group(1)))

@@ -78,6 +78,26 @@ USAGE_TABLE = [
     (("tau", "--n", "2", "S3"), EXIT_OK, ""),
     (("verify", "--max-n", "2", "--all"), EXIT_OK, ""),
     (("--help",), EXIT_OK, ""),
+    # The grammar's edges, recorded against the argparse reader that the
+    # hand-written one replaced.
+    (("frobnicate",), EXIT_USAGE,
+     "thg: argument verb: invalid choice: 'frobnicate' (choose from 'list', "
+     "'show', 'tau', 'sigma', 'gtau', 'gsigma', 'g0', 'classify', 'verify', "
+     "'audit')\n"),
+    (("tau", "S3", "--format", "xml"), EXIT_USAGE,
+     "thg: argument --format: invalid choice: 'xml' (choose from 'text', "
+     "'json')\n"),
+    (("tau", "S3", "--n", "x"), EXIT_USAGE,
+     "thg: argument --n: invalid int value: 'x'\n"),
+    (("tau", "S3", "--n"), EXIT_USAGE,
+     "thg: argument --n: expected one argument\n"),
+    (("tau", "S3", "S5"), EXIT_USAGE, "thg: unrecognized arguments: S5\n"),
+    (("tau", "S3", "--n=2"), EXIT_OK, ""),
+    (("tau", "S3", "--n", "1", "--format=json"), EXIT_OK, ""),
+    (("verify", "S3", "--max", "3"), EXIT_OK, ""),
+    (("tau", "S3", "--n", "-3"), EXIT_USAGE, "thg: --n must be at least 1\n"),
+    (("tau", "S3", "--n", "2", "--n", "3"), EXIT_OK, ""),
+    (("frobnicate", "--help"), EXIT_OK, ""),
 ]
 
 
@@ -86,8 +106,21 @@ def test_usage_goes_through_the_given_streams(argv, code, err, capsys):
     got_code, out, got_err = invoke(*argv)
     assert (got_code, got_err) == (code, err)
     assert capsys.readouterr() == ("", "")
-    if argv == ("--help",):
+    if "--help" in argv:
         assert out.startswith("usage: thg ")
+
+
+@pytest.mark.parametrize("argv, same_as", [
+    (("tau", "S3", "--n=2"), ("tau", "S3", "--n", "2")),
+    (("tau", "--format=json", "S3"), ("tau", "S3", "--format", "json")),
+    (("verify", "S3", "--max", "3"), ("verify", "S3", "--max-n", "3")),
+    (("tau", "S3", "--n", "2", "--n", "3"), ("tau", "S3", "--n", "3")),
+    (("tau", "--", "S3"), ("tau", "S3")),
+])
+def test_option_spellings_read_alike(argv, same_as):
+    # An abbreviation, --opt=value and a repeated option (the last wins)
+    # read as their plain spelling.
+    assert invoke(*argv) == invoke(*same_as)
 
 
 def test_a_zero_degree_bound_is_a_usage_error_on_every_verb():
@@ -346,7 +379,8 @@ def test_catalog_rejects_a_duplicate_model_name(tmp_path, copy_from, copy_to,
 
 
 def test_loader_warnings_go_to_stderr(tmp_path):
-    # Two spaces that load with one warning each, one per warning rule.
+    # Two spaces that load with one warning each, one per warning rule, and
+    # a transformation of the second.
     q8 = {"kind": "space", "name": "Q8W", "truncation": 2,
           "aspherical": False, "pi1": {"catalog": "Q8"},
           "pi": {"2": {"rank": 0, "torsion": []}},
@@ -355,11 +389,13 @@ def test_loader_warnings_go_to_stderr(tmp_path):
           "aspherical": False, "pi1": {"catalog": "Z2"},
           "pi": {"2": {"rank": 1, "torsion": []}},
           "pi1_action": {"t": {"2": [[-1]]}}, "gottlieb": {"1": "full"}}
-    for doc in (q8, z2):
-        (tmp_path / f"{doc['name']}.json").write_text(json.dumps(doc))
-    q8_line = ("thg: warning: gottlieb.1: degree-1 evaluation subgroup "
+    act = {"kind": "transformation", "space": "Z2W",
+           "group": {"catalog": "Z2"}, "free": False, "action": {}}
+    for stem, doc in (("Q8W", q8), ("Z2W", z2), ("z2w-z2", act)):
+        (tmp_path / f"{stem}.json").write_text(json.dumps(doc))
+    q8_line = ("thg: warning: Q8W: gottlieb.1: degree-1 evaluation subgroup "
                "exceeds the center of the fundamental group\n")
-    z2_line = ("thg: warning: gottlieb.1: a full degree-1 evaluation "
+    z2_line = ("thg: warning: Z2W: gottlieb.1: a full degree-1 evaluation "
                "subgroup is inconsistent with a nontrivial fundamental "
                "group action on higher degrees\n")
     catalog = ("--catalog-dir", str(tmp_path))
@@ -368,6 +404,9 @@ def test_loader_warnings_go_to_stderr(tmp_path):
     assert "warning" not in out
     code, _, err = invoke("show", "Z2W", *catalog)
     assert (code, err) == (EXIT_OK, z2_line)
+    # A transformation's warning is its space's, under the space's name.
+    code, _, err = invoke("show", "z2w-z2", *catalog)
+    assert (code, err) == (EXIT_OK, z2_line)
     code, out, err = invoke("list", *catalog)
     assert (code, err) == (EXIT_OK, q8_line + z2_line)
     assert "warning" not in out
@@ -375,6 +414,57 @@ def test_loader_warnings_go_to_stderr(tmp_path):
     assert err == q8_line + z2_line
     # The shipped catalog loads without a warning.
     assert invoke("list")[2] == ""
+
+
+def test_a_single_target_builds_only_what_it_reads(monkeypatch):
+    # The full load is never called, and only the target, the space it
+    # names and the paired orbit model are built.
+    from thg import cli, spacecat
+
+    def full_load():
+        raise AssertionError("the whole catalog was built")
+    monkeypatch.setattr(cli, "builtin_catalog", full_load)
+    monkeypatch.setattr(spacecat, "builtin_catalog", full_load)
+    built = []
+    space, transformation = (spacecat._space_from_doc,
+                             spacecat._transformation_from_doc)
+    monkeypatch.setattr(spacecat, "_space_from_doc", lambda doc, path="": (
+        built.append(doc["name"]) or space(doc, path)))
+    monkeypatch.setattr(spacecat, "_transformation_from_doc",
+                        lambda doc, name, resolver: (
+                            built.append(name)
+                            or transformation(doc, name, resolver)))
+    for argv, names in ((("tau", "S3", "--n", "2"), ["S3"]),
+                        (("show", "s3-z4"), ["s3-z4", "S3"]),
+                        (("audit", "s3-q8", "--max-n", "4"),
+                         ["s3-q8", "S3", "S3modQ8"])):
+        built.clear()
+        code, out, err = invoke(*argv)
+        assert (code, err, built) == (EXIT_OK, "", names)
+    assert "[pass] oprea-center: S3modQ8 n=1" in out
+
+
+def test_a_catalog_dir_is_validated_whole(tmp_path):
+    # verify of one model still fails on a broken file it never reads.
+    mutated = tmp_path / "catalog"
+    shutil.copytree(CATALOG_DIR, mutated)
+    doc = json.loads((mutated / "s5.json").read_text())
+    doc["pi"]["5"]["torsion"] = [-3]
+    (mutated / "s5.json").write_text(json.dumps(doc))
+    code, out, _ = invoke("verify", "S3", "--catalog-dir", str(mutated),
+                          "--format", "json")
+    assert code == EXIT_CHECK_FAILED
+    entries = json.loads(out)["report"]["entries"]
+    assert [(e["check"], e["status"]) for e in entries] == [
+        ("catalog-load", "fail")]
+
+
+def test_degrees_past_the_cap_are_usage_errors():
+    # Refused before any model is built: the target need not exist.
+    assert invoke("tau", "S3", "--n", "10001") == (
+        EXIT_USAGE, "", "thg: --n must be at most 10000\n")
+    assert invoke("verify", "nosuch", "--max-n", "10001") == (
+        EXIT_USAGE, "", "thg: --max-n must be at most 10000\n")
 
 
 def test_requests_past_the_data_exit_1_with_one_sentence():

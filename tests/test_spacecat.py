@@ -9,7 +9,7 @@ from thg.abelian import TRIVIAL, FgAbelian, INFINITY
 from thg.errors import (InsufficientDataError, InvalidInputError, ModelError,
                         NotFoundError, UnsupportedError)
 from thg.fingroup import CayleyGroup, from_catalog, is_isomorphic
-from thg.spacecat import (FULL, CENTER, TRIVIAL_SUBGROUP, SpaceModel,
+from thg.spacecat import (FULL, CENTER, TRIVIAL_SUBGROUP, Catalog, SpaceModel,
                           SubgroupData, TransformationModel, builtin_catalog,
                           catalog_from_dir, find_model, load_model,
                           orbit_space, serialize, sphere_space,
@@ -29,7 +29,7 @@ def test_builtin_catalog_is_complete_and_ordered():
     assert names == spaces + actions  # spaces first
     assert spaces == sorted(spaces)
     assert actions == sorted(actions)
-    assert len(MODELS) == 17
+    assert len(names) == 17
 
 
 def test_serialization_roundtrips_every_catalog_file():
@@ -43,6 +43,30 @@ def test_serialization_roundtrips_every_catalog_file():
 def test_catalog_from_dir_matches_builtin():
     loaded = catalog_from_dir(str(CATALOG_DIR))
     assert [m.name for m in loaded] == [m.name for m in MODELS]
+
+
+def test_models_built_by_need_match_the_full_load():
+    for model in MODELS:
+        alone = Catalog.builtin().get(model.name)
+        assert type(alone) is type(model)
+        assert serialize(alone) == serialize(model)
+        space = getattr(alone, "space", alone)
+        assert space.warnings == getattr(model, "space", model).warnings
+    assert Catalog.builtin().get("S9") is None  # no template by need
+
+
+def test_a_catalog_builds_a_broken_file_only_when_asked():
+    files = [(p.name, p.read_bytes()) for p in CATALOG_DIR.glob("*.json")]
+    doc = json.loads((CATALOG_DIR / "s5.json").read_text())
+    doc["pi"]["5"]["torsion"] = [-3]
+    files = [(name, json.dumps(doc).encode() if name == "s5.json" else data)
+             for name, data in files]
+    catalog = Catalog(files)
+    assert catalog.get("s3-q8").space is catalog.get("S3")
+    with pytest.raises(ModelError, match="^pi.5.torsion: "):
+        catalog.get("s5-z2")
+    with pytest.raises(ModelError, match="^pi.5.torsion: "):
+        list(catalog)
 
 
 def test_find_model_and_sphere_templates():
