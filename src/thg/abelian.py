@@ -49,7 +49,7 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]], cols: int | None = None) -> "IntMatrix":
-        tup = tuple(tuple(int(x) for x in row) for row in rows)
+        tup = tuple(tuple(map(int, row)) for row in rows)
         if cols is None:
             cols = len(tup[0]) if tup else 0
         return cls(len(tup), cols, tup)
@@ -66,27 +66,25 @@ class IntMatrix:
         if self.cols != other.rows:
             raise InvalidInputError("matrix product dimension mismatch")
         out = []
-        for i in range(self.rows):
-            row = self.entries[i]
-            out.append(tuple(
-                sum(row[k] * other.entries[k][j] for k in range(self.cols))
-                for j in range(other.cols)
-            ))
+        for row in self.entries:
+            # row times other, as a sum of other's rows: zero entries cost nothing
+            acc = [0] * other.cols
+            for x, other_row in zip(row, other.entries):
+                if x:
+                    acc = [a + x * b for a, b in zip(acc, other_row)]
+            out.append(tuple(acc))
         return IntMatrix(self.rows, other.cols, tuple(out))
 
     def apply(self, vector: Sequence[int]) -> Tuple[int, ...]:
         """Matrix times column vector."""
         if len(vector) != self.cols:
             raise InvalidInputError("vector length does not match matrix columns")
-        return tuple(sum(row[j] * vector[j] for j in range(self.cols)) for row in self.entries)
+        return tuple(sum(map(operator.mul, row, vector)) for row in self.entries)
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(self.cols, self.rows,
                          tuple(tuple(self.entries[i][j] for i in range(self.rows))
                                for j in range(self.cols)))
-
-    def row(self, i: int) -> Tuple[int, ...]:
-        return self.entries[i]
 
 
 def diagonal_matrix(rows: int, cols: int, diag: Sequence[int]) -> IntMatrix:
@@ -129,106 +127,104 @@ def det(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _snf_inplace(a: List[List[int]], want_transforms: bool):
-    """Reduce a to Smith form; return (diag, left, right) with lists.
+def _gcd_step(x: int, y: int) -> Tuple[int, int, int, int]:
+    """(s, t, w, v) with [[s, t], [-w, v]] unimodular, taking (x, y) to
+    (g, 0) with g = gcd(x, y) > 0, by the extended Euclidean algorithm."""
+    a, b, s, t, s1, t1 = x, y, 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b, s, t, s1, t1 = b, r, s1, t1, s - q * s1, t - q * t1
+    if a < 0:
+        a, s, t = -a, -s, -t
+    return s, t, y // a, x // a
 
-    left and right are accumulated as row-lists; they are None unless
-    transforms were requested.  Standard gcd row/column reduction with the
-    divisibility fix-up so the diagonal forms a divisor chain.
+
+def _echelon(a: List[List[int]], u) -> None:
+    """Hermite row-echelon form of a, in place, by unimodular row operations.
+
+    Column by column, 2x2 extended-gcd combinations clear the entries
+    below the next pivot row (one that the pivot divides is cleared by
+    the pivot row, which stays as it is); the pivot is made positive and
+    every entry above it reduced into [0, pivot) by floor division, which
+    keeps the entries small (Kannan & Bachem, SIAM J. Comput. 1979).
+    Each operation is applied to u as well, unless u is None.
+    """
+    mats = (a,) if u is None else (a, u)
+    rows, r = len(a), 0
+    for c in range(len(a[0])):
+        for i in range(r + 1, rows):
+            x, y = a[r][c], a[i][c]
+            if y:
+                s, t, w, v = (1, 0, y // x, 1) if x and not y % x else _gcd_step(x, y)
+                for m in mats:
+                    mr, mi = m[r], m[i]
+                    if t:
+                        m[r] = [s * e + t * f for e, f in zip(mr, mi)]
+                    m[i] = [v * f - w * e for e, f in zip(mr, mi)]
+        p = a[r][c]
+        if not p:
+            continue
+        if p < 0:
+            p = -p
+            for m in mats:
+                m[r] = [-e for e in m[r]]
+        for i in range(r):
+            q = a[i][c] // p
+            if q:
+                for m in mats:
+                    m[i] = [e - q * f for e, f in zip(m[i], m[r])]
+        r += 1
+        if r == rows:
+            return
+
+
+def _eye(n: int) -> List[List[int]]:
+    return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
+
+
+def _snf(a: List[List[int]], want_transforms: bool):
+    """Smith form of a; return (diag, left, right^T) as row-lists.
+
+    left and right^T are None unless transforms were requested.  Passes
+    alternate until a is diagonal: the Hermite form of a, carrying left,
+    then of its transpose, carrying right^T.  Where d_i does not divide
+    d_{i+1} (0 divides only 0), row i+1 is added into row i of a as it
+    lies and of the transform it carries; the next pass, of the other
+    kind, does not undo that but puts gcd(d_i, d_{i+1}) at (i, i).
+
+    Termination.  Once the rows and columns before k are zero off the
+    diagonal, no operation touches them again.  A row pass leaves at
+    (k, k) the gcd of the rest of column k, a column pass that of row k,
+    so a nonzero pivot only ever falls to one of its divisors.  It stays
+    the same only if it divides its whole line, and then _echelon keeps
+    the pivot's row and clears the line: row and column k are split off.
+    A zero pivot of a nonzero block turns nonzero within two passes.  A
+    mend makes d_i a proper divisor of d_i (or nonzero where it was 0)
+    and keeps the entries before it, so the diagonals reached one after
+    another fall in lexicographic order, with 0 ranked above every
+    positive integer: a well-order.
     """
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    left = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)] if want_transforms else None
-    right = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)] if want_transforms else None
-
-    def row_op(dst, src, q):
-        ad, asrc = a[dst], a[src]
-        for j in range(cols):
-            ad[j] -= q * asrc[j]
-        if left is not None:
-            ld, lsrc = left[dst], left[src]
-            for j in range(rows):
-                ld[j] -= q * lsrc[j]
-
-    def col_op(dst, src, q):
-        for i in range(rows):
-            a[i][dst] -= q * a[i][src]
-        if right is not None:
-            for i in range(cols):
-                right[i][dst] -= q * right[i][src]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        if left is not None:
-            left[i], left[j] = left[j], left[i]
-
-    def swap_cols(i, j):
-        for r in range(rows):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        if right is not None:
-            for r in range(cols):
-                right[r][i], right[r][j] = right[r][j], right[r][i]
-
-    t = 0
-    limit = min(rows, cols)
-    while t < limit:
-        # Pick the nonzero entry of smallest magnitude as pivot.
-        pivot = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                v = a[i][j]
-                if v != 0 and (best is None or abs(v) < best):
-                    best = abs(v)
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        if pivot[0] != t:
-            swap_rows(t, pivot[0])
-        if pivot[1] != t:
-            swap_cols(t, pivot[1])
-
-        while True:
-            dirty = False
-            for i in range(rows):
-                if i != t and a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    row_op(i, t, q)
-                    if a[i][t] != 0:
-                        swap_rows(i, t)
-                    dirty = True
-            for j in range(cols):
-                if j != t and a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    col_op(j, t, q)
-                    if a[t][j] != 0:
-                        swap_cols(j, t)
-                    dirty = True
-            if dirty:
-                continue
-            # Pivot must divide the rest of the submatrix, or the chain breaks.
-            offender = None
-            p = a[t][t]
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if a[i][j] % p != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            row_op(t, offender, -1)  # add offending row onto the pivot row
-        if a[t][t] < 0:
-            for j in range(cols):
-                a[t][j] = -a[t][j]
-            if left is not None:
-                for j in range(rows):
-                    left[t][j] = -left[t][j]
-        t += 1
-
-    diag = [a[k][k] for k in range(limit)]
-    return diag, left, right
+    left = _eye(rows) if want_transforms else None
+    right = _eye(cols) if want_transforms else None
+    if not rows or not cols:
+        return [], left, right
+    n = min(rows, cols)
+    u, v = left, right
+    while True:
+        _echelon(a, u)
+        # a is echelon, so it is diagonal if nothing right of it is nonzero
+        if not any(any(row[i + 1:]) for i, row in enumerate(a)):
+            diag = [a[k][k] for k in range(n)]
+            i = next((i for i in range(n - 1) if (diag[i + 1] % diag[i]
+                                                  if diag[i] else diag[i + 1])), None)
+            if i is None:
+                return diag, left, right
+            for m in (a,) if u is None else (a, u):
+                m[i] = [e + f for e, f in zip(m[i], m[i + 1])]
+        a = [list(col) for col in zip(*a)]
+        u, v = v, u
 
 
 def smith_normal_form(m: IntMatrix):
@@ -245,18 +241,14 @@ def smith_normal_form(m: IntMatrix):
     >>> smith_normal_form(IntMatrix.from_rows([[0]]))[0]
     [0]
     """
-    a = [list(row) for row in m.entries]
-    diag, left, right = _snf_inplace(a, want_transforms=True)
-    return (diag,
-            IntMatrix.from_rows(left, cols=m.rows),
-            IntMatrix.from_rows(right, cols=m.cols))
+    diag, left, right_t = _snf([list(row) for row in m.entries], True)
+    return (diag, IntMatrix(m.rows, m.rows, tuple(map(tuple, left))),
+            IntMatrix(m.cols, m.cols, tuple(zip(*right_t))))
 
 
 def snf_diagonal(m: IntMatrix) -> List[int]:
     """Smith diagonal only, skipping transform bookkeeping."""
-    a = [list(row) for row in m.entries]
-    diag, _, _ = _snf_inplace(a, want_transforms=False)
-    return diag
+    return _snf([list(row) for row in m.entries], False)[0]
 
 
 @dataclass(frozen=True)
@@ -397,7 +389,7 @@ def kernel_lattice(m: IntMatrix) -> List[Tuple[int, ...]]:
     """Basis rows of {x in Z^rows : x * m = 0}."""
     diag, left, _ = smith_normal_form(m)
     nonzero = sum(1 for d in diag if d != 0)
-    return [left.row(i) for i in range(nonzero, m.rows)]
+    return list(left.entries[nonzero:])
 
 
 def subgroup_structure(ambient: FgAbelian, generators: IntMatrix) -> FgAbelian:

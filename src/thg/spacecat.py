@@ -955,14 +955,19 @@ def builtin_catalog() -> Catalog:
 
 def catalog_from_dir(path: str) -> Catalog:
     """Every *.json in a directory as one self-contained catalog, every
-    model built now, so that one broken file fails the whole load."""
+    model built now, so that one broken file fails the whole load.  A
+    directory or file that cannot be read is a ModelError at its path."""
     import os
-
-    def read(fname: str) -> bytes:
-        with open(os.path.join(path, fname), "rb") as fh:
-            return fh.read()
-    catalog = Catalog((fname, read(fname)) for fname in os.listdir(path)
-                      if fname.endswith(".json"))
+    files, where = [], path
+    try:
+        for fname in os.listdir(path):
+            if fname.endswith(".json"):
+                where = fname
+                with open(os.path.join(path, fname), "rb") as fh:
+                    files.append((fname, fh.read()))
+    except OSError as exc:
+        raise ModelError(where, f"cannot read: {exc.strerror}") from None
+    catalog = Catalog(files)
     list(catalog)  # builds and validates every model
     return catalog
 

@@ -5,12 +5,18 @@ computations: determinantal divisors (gcds of k-by-k minors, the
 classical characterization of the invariant factors) and a literal
 coset enumeration of the quotient lattice.  Neither oracle shares code
 with the implementation under test; the enumeration reduces against a
-row-echelon basis built by plain Euclidean row operations.
+row-echelon basis built by plain Euclidean row operations.  Up to 16x16
+the oracles are ones that scale: unimodular transforms (Bareiss det of
++-1) that diagonalize, a divisor chain with its zeros last, and |det| as
+the product of the diagonal; each of those runs under an alarm, so a
+hang fails the test.
 """
 
+import contextlib
 import itertools
 import math
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -30,7 +36,7 @@ from thg.errors import InvalidInputError
 
 
 def _minor_det(rows):
-    """Cofactor-expansion determinant; fine for the 3x3 world."""
+    """Cofactor-expansion determinant; fine up to 5x5."""
     k = len(rows)
     if k == 0:
         return 1
@@ -217,26 +223,56 @@ def sample_matrices():
 SAMPLE = sample_matrices()
 
 
+def seeded_square(n, seed):
+    rng = random.Random(seed)
+    return [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+
+
+# Square matrices with entries in [-9, 9], three seeds per size up to
+# 16x16.  Among them are 7x7 seeds 0 and 1, 8x8 seed 0, 10x10 seed 0 and
+# 16x16 seed 0, on which an elimination that lets its entries grow
+# unchecked does not finish.
+SQUARES = [seeded_square(n, seed) for n in range(4, 17) for seed in range(3)]
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Fail the test, rather than hang it, when the body runs too long."""
+    def expire(signum, frame):
+        raise TimeoutError(f"ran past {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_sample_size():
     assert len(SAMPLE) >= 500
 
 
 def test_snf_matches_determinantal_divisors():
-    for entries in SAMPLE:
+    for entries in SAMPLE + [m for m in SQUARES if len(m) <= 5]:
         m = IntMatrix.from_rows(entries)
         assert snf_diagonal(m) == divisors_by_minors(entries), entries
 
 
 def test_snf_transforms_are_unimodular_and_diagonalize():
-    for entries in SAMPLE:
+    for entries in SAMPLE + SQUARES:
         m = IntMatrix.from_rows(entries)
-        diag, left, right = smith_normal_form(m)
+        with time_limit(3):
+            diag, left, right = smith_normal_form(m)
+            assert snf_diagonal(m) == diag, entries
         assert det(left) in (1, -1) and det(right) in (1, -1), entries
         assert left.mul(m).mul(right) == diagonal_matrix(m.rows, m.cols, diag)
         nonzero = [d for d in diag if d != 0]
         assert all(b % a == 0 for a, b in zip(nonzero, nonzero[1:])), entries
         if 0 in diag:  # zeros close the chain
             assert all(d == 0 for d in diag[diag.index(0):]), entries
+        if m.rows == m.cols:  # 0 on both sides when m is singular
+            assert abs(det(m)) == math.prod(diag), entries
 
 
 def test_cokernel_and_index_match_coset_enumeration():

@@ -239,6 +239,25 @@ def test_catalog_dir_environment_variable(tmp_path, monkeypatch):
     assert code == EXIT_CHECK_FAILED
 
 
+@pytest.mark.parametrize("how", ["option", "environment"])
+def test_an_unreadable_catalog_dir_is_a_model_error(tmp_path, monkeypatch, how):
+    # A missing directory, and a directory where a *.json file should be.
+    (tmp_path / "bad.json").mkdir()
+    for path, where in ((str(tmp_path / "missing"), str(tmp_path / "missing")),
+                        (str(tmp_path), "bad.json")):
+        catalog = ("--catalog-dir", path) if how == "option" else ()
+        if how == "environment":
+            monkeypatch.setenv("THG_CATALOG_DIR", path)
+        code, out, err = invoke("tau", "S3", *catalog)
+        assert (code, out) == (EXIT_COMPUTATION, "")
+        assert err.startswith(f"thg: {where}: cannot read: ") and err.count("\n") == 1
+        code, out, err = invoke("verify", "S3", *catalog, "--format", "json")
+        assert (code, err) == (EXIT_CHECK_FAILED, "")
+        assert [(e["check"], e["target"], e["status"])
+                for e in json.loads(out)["report"]["entries"]] == [
+            ("catalog-load", where, "fail")]
+
+
 def test_verify_single_target():
     code, out, _ = invoke("verify", "rp3-z2z2", "--max-n", "3")
     assert code == EXIT_OK

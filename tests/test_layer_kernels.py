@@ -10,6 +10,7 @@ requires the same answer on seeded inputs.
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -216,6 +217,13 @@ def test_signed_permutations_build_without_det(monkeypatch):
     assert identity_aut(FgAbelian(400)).is_identity()
     flip = LayerAut(FgAbelian(50), _diagonal([-1] * 25 + [1] * 25), ())
     assert not flip.is_identity()
+    # A Z2 sign flip at rank 200: its compositions skip the zero entries.
+    z2, layer = from_catalog("Z2"), FgAbelian(200)
+    flip = LayerAut(layer, _diagonal([-1] * 200), ())
+    start = time.perf_counter()
+    tower.check_action(z2, [identity_aut(layer) if q == z2.identity_index else flip
+                            for q in range(2)])
+    assert time.perf_counter() - start < 0.5
     LayerAut(FgAbelian(3, (2,)), IntMatrix.from_rows([[0, -1, 0], [0, 0, 1], [1, 0, 0]]), (-1,))
 
 
