@@ -241,6 +241,8 @@ def smith_normal_form(m: IntMatrix):
     >>> smith_normal_form(IntMatrix.from_rows([[0]]))[0]
     [0]
     """
+    if not m.rows:  # _snf reads the width off the first row
+        return [], IntMatrix.identity(0), IntMatrix.identity(m.cols)
     diag, left, right_t = _snf([list(row) for row in m.entries], True)
     return (diag, IntMatrix(m.rows, m.rows, tuple(map(tuple, left))),
             IntMatrix(m.cols, m.cols, tuple(zip(*right_t))))
@@ -386,10 +388,18 @@ def subgroup_index(ambient: FgAbelian, generators: IntMatrix) -> int:
 
 
 def kernel_lattice(m: IntMatrix) -> List[Tuple[int, ...]]:
-    """Basis rows of {x in Z^rows : x * m = 0}."""
-    diag, left, _ = smith_normal_form(m)
-    nonzero = sum(1 for d in diag if d != 0)
-    return list(left.entries[nonzero:])
+    """Basis rows of {x in Z^rows : x * m = 0}.
+
+    One Hermite pass: with u m = h in echelon form and u unimodular, x m = 0
+    iff (x u^-1) h = 0, and the nonzero rows of h are independent and come
+    first, so the rows of u against the zero rows of h are a basis.
+    """
+    if not m.rows or not m.cols:  # _echelon reads the width off the first row
+        return list(IntMatrix.identity(m.rows).entries)
+    a, u = [list(row) for row in m.entries], _eye(m.rows)
+    _echelon(a, u)
+    nonzero = sum(1 for row in a if any(row))
+    return [tuple(row) for row in u[nonzero:]]
 
 
 def subgroup_structure(ambient: FgAbelian, generators: IntMatrix) -> FgAbelian:

@@ -95,8 +95,10 @@ class CayleyGroup:
         return self.order == 1
 
     def is_abelian(self) -> bool:
-        return all(self.table[i][j] == self.table[j][i]
-                   for i in range(self.order) for j in range(i + 1, self.order))
+        """Whether the generators commute pairwise.  In a finite group
+        s^-1 is a power of s, so every element is a product of generators."""
+        t, gens = self.table, self.generators
+        return all(t[a][b] == t[b][a] for a in gens for b in gens)
 
     def describe(self) -> str:
         return f"finite group of order {self.order}"
@@ -179,24 +181,28 @@ def full_subgroup(g: CayleyGroup) -> SubgroupRef:
 
 def center(g: CayleyGroup) -> SubgroupRef:
     """Elements commuting with everything; always a normal subgroup.
+    It is enough to commute with the generators: in a finite group s^-1
+    is a power of s, so every element is a product of generators.
 
     >>> center(from_catalog("Q8")).names()
     ('1', '-1')
     >>> center(from_catalog("Z2xZ2")).order
     4
     """
-    members = tuple(sorted(
-        z for z in range(g.order)
-        if all(g.table[z][x] == g.table[x][z] for x in range(g.order))))
-    return SubgroupRef(g, members)
+    t = g.table
+    return SubgroupRef(g, tuple(z for z in range(g.order)
+                                if all(t[z][s] == t[s][z] for s in g.generators)))
 
 
 def is_normal(g: CayleyGroup, n: SubgroupRef) -> bool:
+    """Whether s n s^-1 lies in n for every generator s: conjugations
+    compose, and in a finite group s^-1 is a power of s, so every element
+    is a product of generators."""
     if n.parent is not g and n.parent != g:
         raise InvalidInputError("subgroup belongs to a different group")
     members = set(n.element_indices)
-    return all(g.conjugate(x, h) in members
-               for x in range(g.order) for h in members)
+    return all(g.conjugate(s, h) in members
+               for s in g.generators for h in members)
 
 
 def commutator_subgroup(g: CayleyGroup) -> SubgroupRef:

@@ -271,10 +271,10 @@ def _realize_gsigma1(tg: TransformationModel, g0: G0Result,
         return None
     if cay is None:
         return None
-    # The table's row i is the extension's enumerate_elements()[i].
-    ref = SubgroupRef(cay, tuple(
-        i for i, el in enumerate(tg.sigma1_extension.enumerate_elements())
-        if g0.subgroup.contains(el.base_index)))
+    # Row i of the table lies over the base element i % |G| (to_cayley).
+    n = tg.sigma1_extension.base.order
+    ref = SubgroupRef(cay, tuple(i for i in range(cay.order)
+                                 if g0.subgroup.contains(i % n)))
     realized = subgroup_as_group(cay, ref)
     if realized.order != summary.finite_order:
         raise BookkeepingError(

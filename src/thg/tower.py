@@ -11,10 +11,13 @@ checked on construction, so associativity is a theorem, not a hope.
 
 No element is multiplied one at a time: a finite extension becomes a
 CayleyGroup through to_cayley, which fills the product table from index
-tables over the layer's points, keeping enumerate_elements() as its row
-order.  The center and the abelianization are read off the factor set.
-Groups that only ever appear as counted invariants (layer types with
-multiplicities) travel as TowerSummary.
+tables over the layer's points and states the row order.  The center and
+the abelianization are read off the factor set.  Groups that only ever
+appear as counted invariants (layer types with multiplicities) travel as
+TowerSummary.
+
+Whole-group questions are asked on base.generators; each function says
+why that is enough.
 """
 
 from __future__ import annotations
@@ -39,6 +42,9 @@ class LayerAut:
     torsion coordinate is scaled by +1 or -1.  The two blocks never mix,
     which covers every action arising from the catalog (coordinate flips
     on torus factors, conjugation and antipodal signs on sphere factors).
+
+    On a Z/2 coordinate -1 and +1 are the same map, and the sign is stored
+    as +1, so == is equality as automorphisms.
     """
 
     layer: FgAbelian
@@ -56,6 +62,8 @@ class LayerAut:
             raise InvalidInputError("one sign per torsion coordinate required")
         if any(s not in (1, -1) for s in self.torsion_signs):
             raise InvalidInputError("torsion multipliers must be +1 or -1")
+        object.__setattr__(self, "torsion_signs", tuple(
+            1 if m == 2 else s for s, m in zip(self.torsion_signs, self.layer.torsion)))
 
     def apply(self, coords: Sequence[int]) -> Tuple[int, ...]:
         return self.layer.reduce(self.apply_unreduced(coords))
@@ -72,18 +80,10 @@ class LayerAut:
                         self.free_matrix.mul(other.free_matrix),
                         tuple(s * t for s, t in zip(self.torsion_signs, other.torsion_signs)))
 
-    def same_as(self, other: "LayerAut") -> bool:
-        """Equality as automorphisms: -1 and +1 agree on a Z/2 coordinate."""
-        if self.free_matrix != other.free_matrix:
-            return False
-        return all(s == t or (s - t) % m == 0
-                   for s, t, m in zip(self.torsion_signs, other.torsion_signs,
-                                      self.layer.torsion))
-
     def is_identity(self) -> bool:
-        # same_as(identity_aut(layer)) without that LayerAut's det
-        return (self.free_matrix == IntMatrix.identity(self.layer.rank) and all(
-            (s - 1) % m == 0 for s, m in zip(self.torsion_signs, self.layer.torsion)))
+        # self == identity_aut(layer) without building that LayerAut
+        return (-1 not in self.torsion_signs
+                and self.free_matrix == IntMatrix.identity(self.layer.rank))
 
 
 def _is_signed_permutation(m: IntMatrix) -> bool:
@@ -122,16 +122,8 @@ def check_action(base: CayleyGroup, action: Sequence[LayerAut]) -> None:
         raise InvalidInputError("identity base element must act trivially")
     for s in base.generators:
         for q in range(base.order):
-            if not action[q].compose(action[s]).same_as(action[base.table[q][s]]):
+            if action[q].compose(action[s]) != action[base.table[q][s]]:
                 raise InvalidInputError("action is not a homomorphism")
-
-
-@dataclass(frozen=True)
-class TowerElement:
-    """A pair (layer coordinates, base element index)."""
-
-    layer_coords: Tuple[int, ...]
-    base_index: int
 
 
 @dataclass(frozen=True)
@@ -234,26 +226,14 @@ class VirtAbelian:
                     f"order {self.base.order}")
         return f"finite group of order {o}"
 
-    def enumerate_elements(self) -> List[TowerElement]:
-        if self.layer.order == INFINITY:
-            raise UnsupportedError("cannot enumerate an infinite layer")
-        out = []
-        for coords in itertools.product(*(range(t) for t in self.layer.torsion)):
-            for q in range(self.base.order):
-                out.append(TowerElement(coords, q))
-        return out
-
     def is_abelian(self) -> bool:
-        if not all(aut.is_identity() for aut in self.action):
-            return False
-        n = self.base.order
-        for q in range(n):
-            for r in range(q + 1, n):
-                if self.base.table[q][r] != self.base.table[r][q]:
-                    return False
-                if self.cocycle[q][r] != self.cocycle[r][q]:
-                    return False
-        return True
+        """Whether the generators of E commute pairwise: the layer and the
+        lifts (0, s), s in base.generators.  The layer commutes with (0, s)
+        iff s acts trivially, and (0, r)(0, s) = (c(r, s), rs)."""
+        gens, t, c = self.base.generators, self.base.table, self.cocycle
+        return (all(self.action[s].is_identity() for s in gens)
+                and all(t[r][s] == t[s][r] and c[r][s] == c[s][r]
+                        for r in gens for s in gens))
 
 
 def make_virtabelian(base: CayleyGroup, layer: FgAbelian,
@@ -299,44 +279,35 @@ def direct_sum_group(base: CayleyGroup, layer: FgAbelian) -> VirtAbelian:
 
 
 def _solve_centrality(g: VirtAbelian, q: int) -> Optional[Tuple[int, ...]]:
-    """Layer part a with (a, q) central, if any.
+    """Layer part a with (a, q) central, if any; action(q) must be the
+    identity, so that (a, q) commutes with the layer.
 
-    (a, q) commutes with every (0, r) iff (I - action(r)) a = c(r,q) - c(q,r)
-    for all r; torsion coordinates turn into congruences handled by slack
-    variables.  Returns reduced coordinates or None.
+    E is generated by the layer and the lifts (0, s), s in
+    base.generators, so (a, q) is central iff it commutes with each
+    (0, s): iff (I - action(s)) a = c(s,q) - c(q,s).  Torsion coordinates
+    turn into congruences, one slack variable each.  Returns reduced
+    coordinates or None.
     """
     lay = g.layer
     rank, tors = lay.rank, lay.torsion
     k = len(tors)
+    gens = g.base.generators
+    width = rank + k + k * len(gens)
     rows: List[List[int]] = []
     rhs: List[int] = []
-    n_slack = 0
-    slack_cols: List[Tuple[int, int]] = []  # (row index, modulus)
-    for r in range(g.base.order):
-        target = lay.add(g.cocycle[r][q], lay.neg(g.cocycle[q][r]))
-        aut = g.action[r]
-        for i in range(rank):
-            row = [0] * (rank + k)
-            for j in range(rank):
-                row[j] = (1 if i == j else 0) - aut.free_matrix.entries[i][j]
-            rows.append(row)
-            rhs.append(target[i])
+    for t, s in enumerate(gens):
+        target = lay.add(g.cocycle[s][q], lay.neg(g.cocycle[q][s]))
+        aut = g.action[s]
+        for i, entries in enumerate(aut.free_matrix.entries):
+            rows.append([(1 if i == j else 0) - x for j, x in enumerate(entries)]
+                        + [0] * (width - rank))
         for i in range(k):
-            row = [0] * (rank + k)
+            row = [0] * width
             row[rank + i] = 1 - aut.torsion_signs[i]
+            row[rank + k + t * k + i] = tors[i]
             rows.append(row)
-            rhs.append(target[rank + i])
-            slack_cols.append((len(rows) - 1, tors[i]))
-            n_slack += 1
-    width = rank + k + n_slack
-    full = []
-    for idx, row in enumerate(rows):
-        full.append(row + [0] * n_slack)
-    for t, (row_idx, modulus) in enumerate(slack_cols):
-        full[row_idx][rank + k + t] = modulus
-    if not full:
-        return lay.zero()
-    sol = solve_integer(IntMatrix.from_rows(full, cols=width), rhs)
+        rhs.extend(target)
+    sol = solve_integer(IntMatrix.from_rows(rows, cols=width), rhs)
     if sol is None:
         return None
     return lay.reduce(sol[:rank + k])
@@ -345,27 +316,20 @@ def _solve_centrality(g: VirtAbelian, q: int) -> Optional[Tuple[int, ...]]:
 def _fixed_layer_data(g: VirtAbelian):
     """Fixed subgroup of the layer under the whole action.
 
-    Returns (free basis rows, torsion generators) where each torsion
-    generator is (coordinate, residue generator, order in Z/t).
+    Fix(A) under Q is the intersection of the kernels of A(s) - I over
+    s in base.generators: a point fixed by each A(s) is fixed by their
+    products.  Returns (free basis rows, torsion generators) where each
+    torsion generator is (coordinate, residue generator, order in Z/t).
     """
     lay = g.layer
-    stacked: List[List[int]] = []
-    for aut in g.action:
-        for i in range(lay.rank):
-            stacked.append([aut.free_matrix.entries[i][j] - (1 if i == j else 0)
-                            for j in range(lay.rank)])
-    if lay.rank == 0:
-        free_basis: List[Tuple[int, ...]] = []
-    elif not stacked:
-        free_basis = [tuple(1 if j == i else 0 for j in range(lay.rank))
-                      for i in range(lay.rank)]
-    else:
-        # Right kernel of the stack = left kernel of its transpose.
-        m = IntMatrix.from_rows(stacked, cols=lay.rank).transpose()
-        free_basis = kernel_lattice(m)
+    gen_auts = [g.action[s] for s in g.base.generators]
+    stacked = [[x - (1 if i == j else 0) for j, x in enumerate(entries)]
+               for aut in gen_auts for i, entries in enumerate(aut.free_matrix.entries)]
+    # Right kernel of the stack = left kernel of its transpose.
+    free_basis = kernel_lattice(IntMatrix.from_rows(stacked, cols=lay.rank).transpose())
     torsion_gens: List[Tuple[int, int, int]] = []
     for i, t in enumerate(lay.torsion):
-        if all(aut.torsion_signs[i] == 1 or t == 2 for aut in g.action):
+        if all(aut.torsion_signs[i] == 1 for aut in gen_auts):
             torsion_gens.append((i, 1, t))
         elif t % 2 == 0:
             # 2a = 0 mod t: the fixed residues are {0, t/2}.
@@ -381,16 +345,18 @@ def _center_data(g: VirtAbelian):
     come from _fixed_layer_data and lifts maps each base element q that
     carries central elements to one a_q with (a_q, q) central, a_e = 0.
     The central elements over q are then a_q plus the fixed layer.
+
+    A central (a, q) commutes with the layer, so action(q) is the
+    identity, and maps into the center of the base, so q commutes with
+    the generators of the base, which generate it.
     """
     free_basis, torsion_gens = _fixed_layer_data(g)
     base = g.base
     lifts: Dict[int, Tuple[int, ...]] = {}
     for q in range(base.order):
-        # A central (a, q) commutes with the layer, so action(q) is the
-        # identity, and maps into the center of the base.
         if not g.action[q].is_identity():
             continue
-        if not all(base.table[q][r] == base.table[r][q] for r in range(base.order)):
+        if not all(base.table[q][s] == base.table[s][q] for s in base.generators):
             continue
         a = _solve_centrality(g, q)
         if a is not None:
@@ -479,21 +445,14 @@ def center_index(g: VirtAbelian) -> int:
 # Finite realization and abelianization
 
 
-def _element_name(g: VirtAbelian, x: TowerElement) -> str:
-    base_name = g.base.element_names[x.base_index]
-    if g.layer.is_trivial():
-        return base_name
-    coords = ",".join(str(c) for c in x.layer_coords)
-    return f"({coords};{base_name})"
-
-
 def to_cayley(g: VirtAbelian) -> CayleyGroup:
     """The whole extension as an explicit multiplication table.
 
-    Row i is the element enumerate_elements()[i], the layer point
-    i // |Q| paired with the base element i % |Q|; rhodes reads rows in
-    that order.  Names keep the base names verbatim when the layer is
-    trivial, and otherwise read "(coords;base)".
+    Row i is the layer point points[i // |Q|] paired with the base
+    element i % |Q|, points being the layer's coordinate tuples in
+    lexicographic order; rhodes reads rows in that order.  Names keep the
+    base names verbatim when the layer is trivial, and otherwise read
+    "(coords;base)".
 
     The table is filled from index tables over the finite layer's points:
     add[i][j] for sums, act[q][i] for the action and coc[q][r] for the
@@ -521,7 +480,8 @@ def to_cayley(g: VirtAbelian) -> CayleyGroup:
         tuple(add[add[a][act[q][b]]][coc[q][r]] * nq + base[q][r]
               for b in range(na) for r in range(nq))
         for a in range(na) for q in range(nq))
-    names = tuple(_element_name(g, x) for x in g.enumerate_elements())
+    names = g.base.element_names if lay.is_trivial() else tuple(
+        f"({','.join(map(str, x))};{name})" for x in points for name in g.base.element_names)
     # The zero point is first, so the identity is (0, e) at index e.
     return CayleyGroup(total, names, table, g.base.identity_index)
 
@@ -530,9 +490,12 @@ def abelianization(g: VirtAbelian) -> FgAbelian:
     """Largest abelian quotient of the extension.
 
     Generators: the layer coordinates plus one symbol per base element.
-    Relations: layer torsion, conjugation (a = q.a), x_e = 0, and the
-    products of lifts x_q + x_r = c(q,r) + x_qr for r in base.generators
-    only.  Modulo conjugation the cocycle identity reads
+    Relations: layer torsion, x_e = 0, and for s in base.generators only
+    conjugation (a = s.a) and the products of lifts
+    x_q + x_s = c(q,s) + x_qs.  Conjugation by s is enough because
+    A(qs) - I = A(q)(A(s) - I) + (A(q) - I), so by induction on q every
+    conjugation row lies in the span of the generators' rows.  Modulo
+    conjugation the cocycle identity reads
     c(r,s) + c(q,rs) = c(q,r) + c(qr,s), so for a generator s the rows
     at (r, s) and (qr, s) turn the row at (q, r) into the row at (q, rs).
     By induction on r every product row holds, and the cokernel is the
@@ -549,36 +512,23 @@ def abelianization(g: VirtAbelian) -> FgAbelian:
     nq = g.base.order
     # Coordinates: [layer free | lifts | layer torsion]
     width = rank + nq + k
-
-    def layer_vec(coords: Sequence[int], scale: int = 1) -> List[int]:
-        row = [0] * width
-        for j in range(rank):
-            row[j] = scale * coords[j]
-        for j in range(k):
-            row[rank + nq + j] = scale * coords[rank + j]
-        return row
-
-    rows: List[List[int]] = []
-    e = g.base.identity_index
     row = [0] * width
-    row[rank + e] = 1
-    rows.append(row)
-    for q in range(nq):
-        aut = g.action[q]
+    row[rank + g.base.identity_index] = 1
+    rows = [row]
+    for s in g.base.generators:
+        aut = g.action[s]
         for i in range(rank):
-            row = [0] * width
-            for j in range(rank):
-                row[j] = aut.free_matrix.entries[j][i] - (1 if i == j else 0)
-            rows.append(row)
+            rows.append([e[i] - (1 if i == j else 0)
+                         for j, e in enumerate(aut.free_matrix.entries)] + [0] * (nq + k))
         for i in range(k):
             row = [0] * width
             row[rank + nq + i] = aut.torsion_signs[i] - 1
             rows.append(row)
-    for r in g.base.generators:
         for q in range(nq):
-            row = layer_vec(g.cocycle[q][r], scale=-1)
+            c = g.cocycle[q][s]
+            row = [-x for x in c[:rank]] + [0] * nq + [-x for x in c[rank:]]
             row[rank + q] += 1
-            row[rank + r] += 1
-            row[rank + g.base.table[q][r]] -= 1
+            row[rank + s] += 1
+            row[rank + g.base.table[q][s]] -= 1
             rows.append(row)
     return cokernel(rank + nq, lay.torsion, IntMatrix.from_rows(rows, cols=width))

@@ -323,8 +323,32 @@ def test_solve_integer_against_membership():
     assert solved == 200
 
 
+def fixed_layer_stacks():
+    """The shape tower's fixed-lattice computation asks for: A(s) - I for
+    each generator s, stacked and transposed, so rank rows and
+    rank * |S| columns, A a signed permutation of a rank-1 to rank-3
+    free layer.  Only the first few coordinates move, so that the fixed
+    lattice is often nonzero."""
+    rng = random.Random(4544)
+    out = []
+    for _ in range(50):
+        rank, gens = rng.randint(1, 3), rng.randint(1, 32)
+        moving = rng.randint(0, rank)
+        stack = []
+        for _ in range(gens):
+            perm = rng.sample(range(moving), moving) + list(range(moving, rank))
+            signs = [rng.choice((1, -1)) if i < moving else 1 for i in range(rank)]
+            stack += [[signs[i] * (perm[i] == j) - (i == j) for j in range(rank)]
+                      for i in range(rank)]
+        out.append([list(col) for col in zip(*stack)])
+    return out
+
+
 def test_kernel_lattice_spans_the_kernel():
-    for entries in SAMPLE[:200]:
+    # The basis is a basis of the kernel: it lies in it, has its rank,
+    # and is saturated (its maximal minors are coprime), so nothing of
+    # the kernel lies outside its span.  Then the empty shapes.
+    for entries in SAMPLE[:200] + fixed_layer_stacks():
         m = IntMatrix.from_rows(entries)
         basis = kernel_lattice(m)
         for row in basis:
@@ -332,6 +356,11 @@ def test_kernel_lattice_spans_the_kernel():
                      for j in range(m.cols)]
             assert all(v == 0 for v in image), entries
         assert len(basis) == m.rows - rational_rank(entries), entries
+        assert all(d == 1 for d in divisors_by_minors(basis)), entries
+    assert kernel_lattice(IntMatrix.zeros(0, 0)) == []
+    assert kernel_lattice(IntMatrix.zeros(0, 3)) == []
+    assert kernel_lattice(IntMatrix.zeros(3, 0)) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert solve_integer(IntMatrix.zeros(0, 3), []) == (0, 0, 0)
 
 
 def test_exemplar_values():

@@ -192,6 +192,26 @@ def test_whitehead_conflict_detection():
     assert not tau_invariants(clean, 2).is_direct_product
 
 
+def test_whitehead_conflict_on_the_second_degree_of_a_pairing():
+    # (2,3) pairs pi_2 with pi_3: a degree-3 Gottlieb generator is
+    # checked against the second slot of the table.
+    doc = {
+        "kind": "space", "name": "Y", "aspherical": False, "truncation": 4,
+        "pi1": {"rank": 0, "torsion": []},
+        "pi": {str(k): {"rank": 1, "torsion": []} for k in (2, 3, 4)},
+        "gottlieb": {"3": {"generators": [[1]]}},
+        "whitehead": {"2,3": [[[1]]]},
+        "pi1_action": "trivial",
+    }
+    y = load_model(json.dumps(doc))
+    assert whitehead_gottlieb_conflicts(y) == [
+        "Y: pairing (2,3) is nonzero on a degree-3 Gottlieb generator"]
+    with pytest.raises(InvalidInputError, match="inconsistent model"):
+        tau_invariants(y, 2)
+    doc["whitehead"] = {"2,3": [[[0]]]}
+    assert whitehead_gottlieb_conflicts(load_model(json.dumps(doc))) == []
+
+
 # ---------------------------------------------------------------------------
 # Evaluation subgroups
 

@@ -5,7 +5,9 @@ check each run over a generating set of the base, not over every
 element.  Each test here writes the full sweep out as a brute-force
 oracle and builds seeded random inputs, some valid and some not: the
 constructor must raise InvalidInputError exactly when the oracle finds a
-failure, and with the message of the first check that fails.
+failure, and with the message of the first check that fails.  The
+questions read off the generators (is_abelian, the center, normality)
+are graded against full scans the same way.
 """
 
 import random
@@ -15,7 +17,8 @@ import pytest
 from thg import fingroup, tower
 from thg.abelian import FgAbelian, IntMatrix
 from thg.errors import InvalidInputError
-from thg.fingroup import CayleyGroup, _generating_sequence, from_catalog
+from thg.fingroup import (CayleyGroup, _generating_sequence, center,
+                          from_catalog, is_normal, subgroup_generated)
 from thg.tower import LayerAut, make_virtabelian
 
 NOT_ASSOCIATIVE = "multiplication table is not associative"
@@ -76,7 +79,7 @@ def _action_oracle(base, action):
         return IDENTITY_ACTS
     for q in range(base.order):
         for r in range(base.order):
-            if not action[q].compose(action[r]).same_as(action[base.table[q][r]]):
+            if action[q].compose(action[r]) != action[base.table[q][r]]:
                 return NOT_HOMOMORPHISM
     return None
 
@@ -245,7 +248,7 @@ def test_an_action_composing_with_the_first_generator_only():
     negate = LayerAut(layer, IntMatrix.from_rows([[-1, 0], [0, 1]]), ())
     action = [tower.identity_aut(layer)] * 4
     action[a], action[b], action[ab] = swap, negate, negate.compose(swap)
-    assert all(action[q].compose(action[a]).same_as(action[klein.table[q][a]])
+    assert all(action[q].compose(action[a]) == action[klein.table[q][a]]
                for q in range(4))
     assert _action_oracle(klein, action) == NOT_HOMOMORPHISM
     _expect(lambda: make_virtabelian(klein, layer, dict(enumerate(action))),
@@ -322,3 +325,54 @@ def test_random_sign_actions_are_rejected_as_by_the_full_action_sweep():
         _expect(lambda: make_virtabelian(base, layer, dict(enumerate(action))),
                 message)
     assert min(verdicts.values()) >= 20
+
+
+# The catalog's named groups, cyclic groups, and products of them up to
+# the table cap; the ones of order 8 to 64 are also relabelled.
+CATALOG_NAMES = (("trivial", "Z2", "Z2xZ2", "Q8", "D4")
+                 + tuple(f"Z({k})" for k in range(1, 13))
+                 + ("Z2xZ2xZ2", "Q8xZ2", "D4xZ2", "Z(3)xQ8", "D4xZ(3)", "Q8xZ(4)",
+                    "D4xZ(4)", "Q8xZ2xZ2", "Q8xZ(4)xZ2", "D4xZ(4)xZ2", "Q8xQ8",
+                    "D4xD4", "Q8xD4", "Z(4)xZ(4)xZ(4)"))
+
+
+def _scan_is_abelian(g):
+    t, n = g.table, g.order
+    return all(t[a][b] == t[b][a] for a in range(n) for b in range(n))
+
+
+def _scan_center(g):
+    t, n = g.table, g.order
+    return tuple(z for z in range(n) if all(t[z][x] == t[x][z] for x in range(n)))
+
+
+def _scan_is_normal(g, members):
+    """x h x^-1 in the subgroup for every x in g and h in it."""
+    t, n, e = g.table, g.order, g.identity_index
+    inverse = [row.index(e) for row in t]
+    inside = set(members)
+    return all(t[t[x][h]][inverse[x]] in inside for x in range(n) for h in inside)
+
+
+def test_generator_reads_agree_with_full_scans():
+    rng = random.Random(4575)
+    groups = []
+    for name in CATALOG_NAMES:
+        g = from_catalog(name)
+        groups.append(g)
+        if 8 <= g.order <= 64:
+            groups += [_group(*_relabel(g.table, g.identity_index, rng)) for _ in range(2)]
+    abelian = normal = 0
+    for g in groups:
+        assert g.is_abelian() == _scan_is_abelian(g), g.element_names
+        assert center(g).element_indices == _scan_center(g), g.element_names
+        abelian += g.is_abelian()
+        seeds = [[x] for x in rng.sample(range(g.order), min(g.order, 6))]
+        seeds.append(rng.sample(range(g.order), min(g.order, 2)))
+        for sub in [center(g)] + [subgroup_generated(g, xs) for xs in seeds]:
+            assert is_normal(g, sub) == _scan_is_normal(g, sub.element_indices), \
+                (g.element_names, sub.element_indices)
+            normal += is_normal(g, sub)
+    checked = len(groups) * 8
+    assert 20 <= abelian <= len(groups) - 20 and 50 <= normal <= checked - 50, (
+        abelian, normal, len(groups))

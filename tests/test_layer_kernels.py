@@ -15,7 +15,7 @@ import time
 import pytest
 
 from test_center import sign_characters
-from test_tower import one, product
+from test_tower import elements, one, product
 
 from thg import tower
 from thg.abelian import FgAbelian, IntMatrix
@@ -59,24 +59,30 @@ def twisted_extension(name, torsion, seed):
 
 
 def test_to_cayley_is_the_product_entry_by_entry():
-    checked = twisted = nonzero = 0
+    checked = twisted = nonzero = abelian = 0
     for name, torsion, seed in itertools.product(["Z2", "Z(4)", "Z2xZ2", "Q8", "D4"],
                                                  [(3,), (2, 4), (2, 2, 2)], range(2)):
         case = (name, torsion, seed)
         g = twisted_extension(name, torsion, seed)
-        elements = g.enumerate_elements()
-        at = {x: i for i, x in enumerate(elements)}
+        rows = elements(g)
+        at = {x: i for i, x in enumerate(rows)}
         cay = to_cayley(g)
-        assert cay.order == len(elements), case
+        assert cay.order == len(rows), case
         assert cay.identity_index == at[one(g)], case
-        for i, x in enumerate(elements):
-            assert [at[product(g, x, y)] for y in elements] == list(cay.table[i]), (case, x)
+        for i, x in enumerate(rows):
+            assert [at[product(g, x, y)] for y in rows] == list(cay.table[i]), (case, x)
+        # is_abelian asks the generators only; the table answers for all pairs.
+        commutes = all(cay.table[i][j] == cay.table[j][i]
+                       for i in range(cay.order) for j in range(i))
+        assert g.is_abelian() == commutes, case
+        abelian += commutes
         checked += 1
         twisted += any(not aut.is_identity() for aut in g.action)
         nonzero += any(any(c) for row in g.cocycle for c in row)
     # Z/2 acting on Z/3 by -1 has only the zero normalised cocycle, so a
     # few draws may have no nonzero one to find.
     assert checked == 30 and twisted >= 12 and nonzero >= 26, (twisted, nonzero)
+    assert 5 <= abelian <= 25, abelian
 
 
 # ---------------------------------------------------------------------------

@@ -423,6 +423,36 @@ def test_action_table_failures_name_path_and_message(field, table, path, message
     assert (exc.value.path, exc.value.message) == (path, message)
 
 
+def test_torsion_actions_load_in_normal_form_or_fail_at_their_path():
+    # pi_2 = Z + Z/2 and pi_3 = Z/4 under Z/2: -1 on the Z/2 coordinate is
+    # +1 there and is stored so; on Z/4 it is a map of its own.
+    space = _load(_space_doc(pi={"2": {"rank": 1, "torsion": [2]},
+                                 "3": {"rank": 0, "torsion": [4]}}))
+
+    def load(table):
+        doc = {"kind": "transformation", "space": "X",
+               "group": {"catalog": "Z(2)"}, "free": False, "action": {"t": table}}
+        return load_model(json.dumps(doc), name="x-z2",
+                          resolver={"X": space}.__getitem__)
+
+    tg = load({"2": [[-1, 0], [0, -1]], "3": [[-1]]})
+    t = tg.group.index_of("t")
+    flip, quarter = tg.action_by_degree[2][t], tg.action_by_degree[3][t]
+    assert flip.free_matrix.entries == ((-1,),) and flip.torsion_signs == (1,)
+    assert quarter.torsion_signs == (-1,) and not quarter.is_identity()
+    assert load({"2": [[-1, 0], [0, 1]], "3": [[-1]]}).action_by_degree[2][t] == flip
+    assert load({"2": "identity", "3": [[-1]]}).action_by_degree[2][t].is_identity()
+    for table, path, message in [
+            ({"2": [[-1, 0], [1, -1]]}, "action.t.2",
+             "torsion rows may only touch their own coordinate"),
+            ({"2": [[-1, 1], [0, 1]]}, "action.t.2",
+             "free rows may not touch torsion coordinates"),
+            ({"3": [[3]]}, "action.t.3", "torsion multipliers must be +1 or -1")]:
+        with pytest.raises(ModelError) as exc:
+            load(table)
+        assert (exc.value.path, exc.value.message) == (path, message)
+
+
 def test_oversized_catalog_group_is_a_model_error_at_its_path():
     with pytest.raises(ModelError) as exc:
         _load(_space_doc(pi1={"catalog": "Z(3000)"}))

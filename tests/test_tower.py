@@ -7,12 +7,14 @@ group instead, which pins down that the cocycle, not just the action,
 is what the construction sees.
 """
 
+import itertools
+
 import pytest
 
 from thg.abelian import FgAbelian, INFINITY, IntMatrix
 from thg.errors import InvalidInputError, UnsupportedError
 from thg.fingroup import from_catalog, is_isomorphic
-from thg.tower import (LayerAut, TowerElement, VirtAbelian, abelianization,
+from thg.tower import (LayerAut, VirtAbelian, abelianization,
                        center_structure, direct_sum_group, identity_aut,
                        make_summary, make_virtabelian, to_cayley)
 
@@ -33,15 +35,22 @@ def klein_quaternion():
 
 def product(g, x, y):
     """(a, q) * (b, r) = (a + q.b + c(q, r), qr), written out element by
-    element: the reference that to_cayley's tables are checked against."""
-    lay, q, r = g.layer, x.base_index, y.base_index
-    coords = lay.add(lay.add(x.layer_coords, g.action[q].apply(y.layer_coords)),
-                     g.cocycle[q][r])
-    return TowerElement(coords, g.base.table[q][r])
+    element on pairs (layer coordinates, base index): the reference that
+    to_cayley's tables are checked against."""
+    (a, q), (b, r) = x, y
+    lay = g.layer
+    return lay.add(lay.add(a, g.action[q].apply(b)), g.cocycle[q][r]), g.base.table[q][r]
 
 
 def one(g):
-    return TowerElement(g.layer.zero(), g.base.identity_index)
+    return g.layer.zero(), g.base.identity_index
+
+
+def elements(g):
+    """Every pair (layer point, base index) of a finite extension, in the
+    row order that to_cayley documents."""
+    points = itertools.product(*(range(t) for t in g.layer.torsion))
+    return [(a, q) for a in points for q in range(g.base.order)]
 
 
 def z4_inversion():
@@ -93,24 +102,24 @@ def test_action_must_be_a_homomorphism():
 def test_element_arithmetic_in_the_quaternion_model():
     layer = FgAbelian(0, (4,))
     q8 = make_virtabelian(Z2, layer, {T: z4_inversion()}, {(T, T): (2,)})
-    t = TowerElement((0,), T)
+    t = ((0,), T)
     t2 = product(q8, t, t)
-    assert t2 == TowerElement((2,), 0)
+    assert t2 == ((2,), 0)
     t4 = one(q8)
     for _ in range(4):
         t4 = product(q8, t4, t)
     assert t4 == one(q8)
-    t_inv = TowerElement((2,), T)  # t^3
+    t_inv = ((2,), T)  # t^3
     assert product(q8, t, t_inv) == one(q8)
     assert product(q8, t_inv, t) == one(q8)
-    a = TowerElement((1,), 0)
-    assert product(q8, product(q8, t, a), t_inv) == TowerElement((3,), 0)
+    a = ((1,), 0)
+    assert product(q8, product(q8, t, a), t_inv) == ((3,), 0)
     # The same relations in the table that to_cayley builds.
-    cay, elements = to_cayley(q8), q8.enumerate_elements()
-    at = {x: i for i, x in enumerate(elements)}
+    cay = to_cayley(q8)
+    at = {x: i for i, x in enumerate(elements(q8))}
     assert cay.table[at[t]][at[t]] == at[t2]
     assert cay.table[at[t]][at[t_inv]] == cay.identity_index == at[one(q8)]
-    assert cay.table[cay.table[at[t]][at[a]]][at[t_inv]] == at[TowerElement((3,), 0)]
+    assert cay.table[cay.table[at[t]][at[a]]][at[t_inv]] == at[((3,), 0)]
 
 
 def test_infinite_dihedral_center_is_trivial():
@@ -156,11 +165,11 @@ def test_conjugation_realizes_the_action():
     layer = FgAbelian(1)
     flip = LayerAut(layer, IntMatrix.from_rows([[-1]]), ())
     g = make_virtabelian(Z2, layer, {T: flip}, {})
-    lift = TowerElement((0,), T)
+    lift = ((0,), T)
     # Zero cocycle and T^2 = e: the lift is its own inverse.
     assert product(g, lift, lift) == one(g)
-    x = TowerElement((5,), 0)
-    assert product(g, product(g, lift, x), lift) == TowerElement((-5,), 0)
+    x = ((5,), 0)
+    assert product(g, product(g, lift, x), lift) == ((-5,), 0)
 
 
 def test_quaternion_center_and_tabulated_center_agree():
