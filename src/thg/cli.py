@@ -360,6 +360,8 @@ def build_verify_report(spaces: Sequence[SpaceModel],
     """
     report = CheckReport("verification battery")
 
+    # The third route: math.comb grades fox's multiplicative rows (through
+    # multiplicities) and its additions-only column, neither built from it.
     ok = True
     for n in range(1, 31):
         column = fox.recursive_tau_multiplicities(n)

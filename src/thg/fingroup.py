@@ -22,6 +22,14 @@ from .errors import InvalidInputError, NotFoundError, UnsupportedError
 # catalog, tabulated from an extension, or searched for isomorphisms.
 TABLE_CAP = 64
 
+# The one cap on the coordinates (rank plus torsion length) of an abelian
+# group in a model document.  Actions and extensions build dense square
+# matrices over them, so cost grows at least quadratically: with T3's pi1
+# at rank 256, a full catalog load takes about 0.02 s (0.002 s as shipped)
+# and `verify --all --max-n 4` 0.15 s; at rank 1024 the load alone takes
+# 0.34 s.  Shipped ranks are at most 3.
+COORD_CAP = 256
+
 
 @dataclass(frozen=True)
 class CayleyGroup:

@@ -27,8 +27,8 @@ gottlieb_fox_crosscheck exercises from both sides.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
+from operator import add
 from typing import Dict, List, Optional, Tuple, Union
 
 from .abelian import FgAbelian, order_text
@@ -40,9 +40,22 @@ from .tower import TowerSummary, make_summary
 from .verdict import Indeterminate, Verdict, is_indeterminate, is_true, tri_all
 
 
+@functools.lru_cache(maxsize=4)
+def _binomial_row(a: int) -> Tuple[int, ...]:
+    """C(a, 0), ..., C(a, a), each built once from the last by
+    C(a, k+1) = C(a, k) * (a-k) / (k+1), exact at every step; the second
+    half mirrors the first.  A walk over n asks for rows n-2 and n-1, so
+    a few recent rows are kept; at the degree cap one row is about 12 MB.
+    """
+    half = [1]
+    for k in range(a // 2):
+        half.append(half[k] * (a - k) // (k + 1))
+    return (*half, *reversed(half[:a - a // 2]))
+
+
 def _binom(a: int, b: int) -> int:
     # Pascal's triangle, zero outside the 0 <= b <= a wedge.
-    return math.comb(a, b) if 0 <= b <= a else 0
+    return _binomial_row(a)[b] if 0 <= b <= a else 0
 
 
 @dataclass(frozen=True)
@@ -82,7 +95,13 @@ def multiplicities(n: int, i: int) -> MultiplicityTriple:
                               gamma=_binom(n - 1, i - 1))
 
 
-@functools.lru_cache(maxsize=4)
+# The last level the column reached: (n, kernel counts alpha(n, .), running
+# totals), both indexed by degree from 0.  Replaced whole by one assignment,
+# so it is never seen half-stepped.
+_COLUMN_START = (2, (0, 0, 1), (0, 1, 1))
+_column = _COLUMN_START
+
+
 def recursive_tau_multiplicities(n: int) -> Tuple[int, ...]:
     """Multiplicities of pi_1, ..., pi_n in tau_n computed through the
     splitting recursion, not in closed form; entry i is the count for
@@ -92,24 +111,27 @@ def recursive_tau_multiplicities(n: int) -> Tuple[int, ...]:
     level m come from those of level m-1 by Pascal's rule, and the
     running total sums them over m = 2..n.  Additions only, so the
     column is an independent route to C(n-1, i-1), which it reaches by
-    the hockey-stick identity.  A few recent columns are kept, so the
-    towers of one request share one.
+    the hockey-stick identity.  The walk steps on from the last level it
+    reached and starts again at level 2 only when a smaller n is asked,
+    so asking n = 1..N in turn costs O(N^2) additions in all.
 
     >>> recursive_tau_multiplicities(5)
     (0, 1, 4, 6, 4, 1)
     >>> recursive_tau_multiplicities(1)
     (0, 1)
     """
+    global _column
     if n < 1:
         raise InvalidInputError(f"tower degree must be at least 1, got {n}")
-    # tau_1 = pi_1 and every kernel lives in degree >= 2; the lists below
-    # are indexed from degree 2, starting with level m = 2: alpha = (1,).
-    alpha: List[int] = [1]
-    total: List[int] = [1] if n >= 2 else []
-    for _ in range(3, n + 1):
-        alpha = [a + b for a, b in zip(alpha + [0], [0] + alpha)]
-        total = [t + a for t, a in zip(total + [0], alpha)]
-    return (0, 1, *total)
+    if n == 1:
+        return (0, 1)  # tau_1 = pi_1; every kernel lives in degree >= 2
+    level, alpha, total = _column if _column[0] <= n else _COLUMN_START
+    while level < n:
+        alpha = (*map(add, alpha + (0,), (0,) + alpha),)
+        total = (*map(add, total + (0,), alpha),)
+        level += 1
+    _column = (level, alpha, total)
+    return total
 
 
 def recursive_tau_multiplicity(n: int, i: int) -> int:
@@ -172,6 +194,14 @@ def whitehead_gottlieb_conflicts(x: SpaceModel) -> List[str]:
     return conflicts
 
 
+# tau_invariants of the last few (model, degree) pairs, so that a splitting
+# check's tau_{n-1} is the previous degree's tau_n.  Keyed on the model
+# object, never its name: a --catalog-dir model may share a built-in's
+# name.  Each entry holds its model, so no other object takes its id.
+_TAU_KEEP = 4
+_tau_cache: Dict[Tuple[int, int], Tuple[SpaceModel, TowerSummary]] = {}
+
+
 def tau_invariants(x: SpaceModel, n: int) -> TowerSummary:
     """Invariant-level description of tau_n(X).
 
@@ -180,22 +210,27 @@ def tau_invariants(x: SpaceModel, n: int) -> TowerSummary:
     records whether the iterated extension is untwisted, which holds
     exactly when all Whitehead data vanishes and pi_1 acts trivially.
     """
+    hit = _tau_cache.get((id(x), n))
+    if hit is not None:
+        return hit[1]
     _check_degree(x, n)
     conflicts = whitehead_gottlieb_conflicts(x)
     if conflicts:
         raise InvalidInputError("inconsistent model: " + "; ".join(conflicts))
-    column = recursive_tau_multiplicities(n)
-    layers = []
-    for i in range(2, n + 1):
-        mult = _binom(n - 1, i - 1)
-        if mult != column[i]:
-            raise BookkeepingError("multiplicity recursion out of step")
-        layers.append((f"pi{i}", x.pi_at(i), mult))
+    row = _binomial_row(n - 1)
+    if row[1:] != recursive_tau_multiplicities(n)[2:]:
+        raise BookkeepingError("multiplicity recursion out of step")
+    layers = [(f"pi{i}", x.pi_at(i), mult)
+              for i, mult in zip(range(2, n + 1), row[1:])]
     if all(grp.is_trivial() for _, grp, _ in layers):
         direct = True  # nothing to twist
     else:
         direct = x.whitehead_trivial() and x.pi1_action_trivial
-    return make_summary(x.pi1.describe(), x.pi1.order, layers, direct)
+    summary = make_summary(x.pi1.describe(), x.pi1.order, layers, direct)
+    if len(_tau_cache) >= _TAU_KEEP:
+        del _tau_cache[next(iter(_tau_cache))]
+    _tau_cache[(id(x), n)] = (x, summary)
+    return summary
 
 
 def loop_tau_invariants(x: SpaceModel, n: int) -> TowerSummary:
@@ -206,8 +241,8 @@ def loop_tau_invariants(x: SpaceModel, n: int) -> TowerSummary:
     level: trivial base, layers pi_i(X)^{C(n-2, i-2)} for 2 <= i <= n.
     """
     _check_degree(x, n, lowest=2)
-    layers = [(f"pi{i}", x.pi_at(i), _binom(n - 2, i - 2))
-              for i in range(2, n + 1)]
+    layers = [(f"pi{i}", x.pi_at(i), mult)
+              for i, mult in zip(range(2, n + 1), _binomial_row(n - 2))]
     return make_summary(1, 1, layers, True)
 
 
@@ -220,6 +255,7 @@ def gottlieb_fox_invariants(x: SpaceModel, n: int) -> Union[TowerSummary, Indete
     indeterminate; it never defaults to the trivial subgroup.
     """
     _check_degree(x, n)
+    row = _binomial_row(n - 1)
     layers = []
     for i in range(1, n + 1):
         data = x.gottlieb_at(i)
@@ -231,7 +267,7 @@ def gottlieb_fox_invariants(x: SpaceModel, n: int) -> Union[TowerSummary, Indete
             return Indeterminate(
                 f"degree-{i} evaluation subgroup of {x.name} has no abelian "
                 f"presentation")
-        layers.append((f"G{i}", struct, _binom(n - 1, i - 1)))
+        layers.append((f"G{i}", struct, row[i - 1]))
     return make_summary(1, 1, layers, True)
 
 
@@ -336,13 +372,14 @@ def gottlieb_index_product(x: SpaceModel, n: int) -> Union[int, Indeterminate]:
     evaluation subgroup of tau_n when everything in sight is known.
     """
     _check_degree(x, n)
+    row = _binomial_row(n - 1)
     product = 1
     for i in range(1, n + 1):
         data = x.gottlieb_at(i)
         if data is None:
             return Indeterminate(
                 f"{x.name} has no evaluation-subgroup data at degree {i}")
-        product *= subgroup_index_in(x.pi_at(i), data) ** _binom(n - 1, i - 1)
+        product *= subgroup_index_in(x.pi_at(i), data) ** row[i - 1]
     return product
 
 

@@ -26,8 +26,8 @@ from .abelian import (TRIVIAL, FgAbelian, INFINITY, IntMatrix,
                       subgroup_index, subgroup_structure)
 from .errors import (InsufficientDataError, InvalidInputError, ModelError,
                      NotFoundError, UnsupportedError)
-from .fingroup import (TABLE_CAP, CayleyGroup, SubgroupRef, abelian_structure,
-                       from_catalog, full_subgroup,
+from .fingroup import (COORD_CAP, TABLE_CAP, CayleyGroup, SubgroupRef,
+                       abelian_structure, from_catalog, full_subgroup,
                        center as group_center, subgroup_as_group,
                        subgroup_generated)
 from .tower import (LayerAut, VirtAbelian, abelianization, center_index,
@@ -325,7 +325,13 @@ def parse_abelian_spec(raw, path: str) -> FgAbelian:
     obj = _as_map(raw, path)
     _check_keys(obj, path, required=("rank", "torsion"))
     rank = _as_int(obj["rank"], f"{path}.rank")
+    if rank > COORD_CAP:
+        _fail(f"{path}.rank", f"rank {rank} is past the cap of {COORD_CAP} "
+                              f"coordinates")
     torsion = _as_int_list(obj["torsion"], f"{path}.torsion")
+    if rank + len(torsion) > COORD_CAP:
+        _fail(f"{path}.torsion", f"{rank + len(torsion)} coordinates are past "
+                                 f"the cap of {COORD_CAP}")
     try:
         return FgAbelian(rank, tuple(torsion))
     except InvalidInputError as exc:

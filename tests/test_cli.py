@@ -227,6 +227,41 @@ def test_verify_reports_broken_catalog_as_failure(tmp_path):
     assert code == EXIT_COMPUTATION and err != ""
 
 
+def test_a_rank_past_the_coordinate_cap_fails_the_catalog_load(tmp_path):
+    from thg.fingroup import COORD_CAP
+    mutated = tmp_path / "catalog"
+    shutil.copytree(CATALOG_DIR, mutated)
+    doc = json.loads((mutated / "t3.json").read_text())
+    doc["pi1"]["rank"] = COORD_CAP + 1
+    (mutated / "t3.json").write_text(json.dumps(doc))
+    code, out, err = invoke("list", "--catalog-dir", str(mutated))
+    assert code == EXIT_COMPUTATION and out == ""
+    assert err.startswith("thg: pi1.rank: ") and err.count("\n") == 1
+    code, out, _ = invoke("verify", "--all", "--max-n", "2",
+                          "--catalog-dir", str(mutated), "--format", "json")
+    assert code == EXIT_CHECK_FAILED
+    entries = json.loads(out)["report"]["entries"]
+    assert [(e["check"], e["target"], e["status"]) for e in entries] == [
+        ("catalog-load", "pi1.rank", "fail")]
+
+
+def test_a_catalog_dir_model_never_gets_a_builtin_tau_summary(tmp_path):
+    # Same name, different pi1: each request answers from its own model,
+    # in either order, though summaries outlive a request in process.
+    mutated = tmp_path / "catalog"
+    shutil.copytree(CATALOG_DIR, mutated)
+    doc = json.loads((mutated / "t3.json").read_text())
+    doc["pi1"]["rank"] = 2
+    (mutated / "t3.json").write_text(json.dumps(doc))
+    (mutated / "t3-z2.json").unlink()  # its action is a 3 x 3 matrix
+    for _ in range(2):
+        code, out, _ = invoke("tau", "T3", "--n", "4", "--format", "json")
+        assert code == EXIT_OK and '"Z^3"' in out
+        code, out, _ = invoke("tau", "T3", "--n", "4", "--format", "json",
+                              "--catalog-dir", str(mutated))
+        assert code == EXIT_OK and '"Z^2"' in out and '"Z^3"' not in out
+
+
 def test_catalog_dir_environment_variable(tmp_path, monkeypatch):
     mutated = tmp_path / "catalog"
     shutil.copytree(CATALOG_DIR, mutated)

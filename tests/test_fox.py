@@ -84,6 +84,24 @@ def test_telescoping_identity_by_direct_summation():
             assert column[i] == total, (n, i)
 
 
+def test_the_stepped_column_survives_a_walk_in_any_order(monkeypatch):
+    # Each answer must equal a column walked afresh from level 2 and the
+    # closed form, whichever level the walk stood at before.
+    for n in (30, 7, 31, 1, 2, 45, 44):
+        stepped = recursive_tau_multiplicities(n)
+        with monkeypatch.context() as m:
+            m.setattr(fox, "_column", fox._COLUMN_START)
+            fresh = recursive_tau_multiplicities(n)
+        assert stepped == fresh == (0, *(math.comb(n - 1, i - 1)
+                                         for i in range(1, n + 1))), n
+
+
+def test_multiplicative_rows_match_math_comb():
+    for a in [*range(301), 2000]:
+        assert fox._binomial_row(a) == tuple(
+            math.comb(a, k) for k in range(a + 1)), a
+
+
 def test_recursion_column_rejects_degree_zero():
     with pytest.raises(InvalidInputError):
         recursive_tau_multiplicities(0)
@@ -109,6 +127,19 @@ def test_recursion_check_still_fires(monkeypatch):
         tau_invariants(BY_NAME["T3"], 10)
     with pytest.raises(BookkeepingError, match="recursion"):
         rhodes.sigma_invariants(BY_NAME["t3-z2"], 10)
+
+
+def test_tau_summaries_are_kept_per_model_not_per_name():
+    # A catalog-dir model may carry a built-in's name; it must get its own
+    # tower, and the built-in must keep its own, whatever was asked first.
+    builtin = BY_NAME["T3"]
+    other = load_model(json.dumps(dict(builtin.raw,
+                                       pi1={"rank": 2, "torsion": []})))
+    assert other.name == builtin.name
+    for n in (5, 6, 5):
+        assert tau_invariants(builtin, n).base_name_or_order == "Z^3"
+        assert tau_invariants(other, n).base_name_or_order == "Z^2"
+    assert tau_invariants(builtin, 6) is tau_invariants(builtin, 6)
 
 
 def test_degree_validation():

@@ -8,7 +8,7 @@ import pytest
 from thg.abelian import TRIVIAL, FgAbelian, INFINITY
 from thg.errors import (InsufficientDataError, InvalidInputError, ModelError,
                         NotFoundError, UnsupportedError)
-from thg.fingroup import CayleyGroup, from_catalog, is_isomorphic
+from thg.fingroup import COORD_CAP, CayleyGroup, from_catalog, is_isomorphic
 from thg.spacecat import (FULL, CENTER, TRIVIAL_SUBGROUP, Catalog, SpaceModel,
                           SubgroupData, TransformationModel, builtin_catalog,
                           catalog_from_dir, find_model, load_model,
@@ -464,3 +464,22 @@ def test_oversized_catalog_group_is_a_model_error_at_its_path():
         load_model(json.dumps(doc), name="x-big",
                    resolver={"X": space}.__getitem__)
     assert exc.value.path == "group.catalog"
+
+
+def test_a_rank_past_the_coordinate_cap_is_refused_at_its_path():
+    # Refused before any matrix is built; never build a larger rank.
+    past = {"rank": COORD_CAP + 1, "torsion": []}
+    three = {"rank": 0, "torsion": [2]}
+    for doc, path in [
+            (_space_doc(pi1=past), "pi1.rank"),
+            (_space_doc(pi={"2": past, "3": three}), "pi.2.rank"),
+            (_space_doc(pi1=dict(INLINE_EXTENSION, layer=past)),
+             "pi1.layer.rank"),
+            (_space_doc(pi1={"rank": COORD_CAP, "torsion": [2]}),
+             "pi1.torsion")]:
+        with pytest.raises(ModelError) as exc:
+            _load(doc)
+        assert exc.value.path == path
+    at_cap = _load(_space_doc(pi={"2": {"rank": COORD_CAP, "torsion": []},
+                                  "3": three}))
+    assert at_cap.pi_at(2) == FgAbelian(COORD_CAP)
