@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .abelian import (TRIVIAL, FgAbelian, canonical_form, prime_exponent,
-                      prime_factors)
+from .abelian import (TRIVIAL, FgAbelian, IntMatrix, canonical_form, cokernel,
+                      prime_exponent, prime_factors)
 from .errors import InvalidInputError, NotFoundError, UnsupportedError
 
 # The one cap on Cayley tables: the largest order that is named in the
@@ -86,6 +86,32 @@ class CayleyGroup:
         e s1 s2 ... sk with each si in it, multiplied left to right.
         Never contains the identity; empty for the trivial group."""
         return tuple(_generating_sequence(self))
+
+    @cached_property
+    def signatures(self) -> Tuple[Tuple[int, int, int], ...]:
+        """signatures[i] is (order, centralizer order, number of square
+        roots) of element i, computed once; an isomorphism keeps it.  The
+        centralizer order is |G| over the size of the conjugacy class,
+        which is the orbit under conjugation by the generators: in a
+        finite group s^-1 is a power of s, so every conjugation is a
+        product of theirs."""
+        n, gens = self.order, self.generators
+        class_size = [0] * n
+        for x in range(n):
+            if class_size[x]:
+                continue
+            orbit, seen = [x], {x}
+            for y in orbit:
+                for s in gens:
+                    z = self.conjugate(s, y)
+                    if z not in seen:
+                        seen.add(z)
+                        orbit.append(z)
+            for y in orbit:
+                class_size[y] = len(orbit)
+        squares = [row[y] for y, row in enumerate(self.table)]
+        return tuple((self.element_order(x), n // class_size[x], squares.count(x))
+                     for x in range(n))
 
     @cached_property
     def inverses(self) -> Tuple[int, ...]:
@@ -213,45 +239,6 @@ def is_normal(g: CayleyGroup, n: SubgroupRef) -> bool:
                for s in g.generators for h in members)
 
 
-def commutator_subgroup(g: CayleyGroup) -> SubgroupRef:
-    comms = set()
-    inv = g.inverses
-    for x in range(g.order):
-        for y in range(g.order):
-            # [x, y] = x y x^-1 y^-1
-            comms.add(g.table[g.table[g.table[x][y]][inv[x]]][inv[y]])
-    return subgroup_generated(g, sorted(comms))
-
-
-def quotient(g: CayleyGroup, n: SubgroupRef) -> CayleyGroup:
-    """Coset group g/n; cosets are named "[r]" after their earliest member.
-
-    >>> q8 = from_catalog("Q8")
-    >>> q = quotient(q8, center(q8))
-    >>> q.element_names
-    ('[1]', '[i]', '[j]', '[k]')
-    >>> is_isomorphic(q, from_catalog("Z2xZ2"))
-    True
-    """
-    if not is_normal(g, n):
-        raise InvalidInputError("cannot form quotient by a non-normal subgroup")
-    members = list(n.element_indices)
-    coset_of: Dict[int, int] = {}
-    reps: List[int] = []
-    for x in range(g.order):
-        if x in coset_of:
-            continue
-        rep = len(reps)
-        reps.append(x)
-        for h in members:
-            coset_of[g.table[x][h]] = rep
-    k = len(reps)
-    table = tuple(tuple(coset_of[g.table[reps[a]][reps[b]]] for b in range(k))
-                  for a in range(k))
-    names = tuple(f"[{g.element_names[r]}]" for r in reps)
-    return CayleyGroup(k, names, table, coset_of[g.identity_index])
-
-
 def subgroup_as_group(g: CayleyGroup, ref: SubgroupRef) -> CayleyGroup:
     """The subgroup itself as a standalone group, names kept verbatim."""
     idx = {x: t for t, x in enumerate(ref.element_indices)}
@@ -262,38 +249,77 @@ def subgroup_as_group(g: CayleyGroup, ref: SubgroupRef) -> CayleyGroup:
     return CayleyGroup(k, names, table, idx[g.identity_index])
 
 
-def order_profile(g: CayleyGroup) -> Dict[int, int]:
-    """How many elements of each order; a cheap isomorphism invariant."""
-    prof: Dict[int, int] = {}
-    for i in range(g.order):
-        o = g.element_order(i)
-        prof[o] = prof.get(o, 0) + 1
-    return prof
-
-
 def abelianization(g: CayleyGroup) -> FgAbelian:
-    """g modulo its commutator subgroup, in invariant-factor form.
+    """g modulo its commutator subgroup, in invariant-factor form: the
+    factor-set presentation with a trivial layer, so one symbol per
+    generator (see factor_set_cokernel).
 
     >>> abelianization(from_catalog("Q8"))
     FgAbelian(rank=0, torsion=(2, 2))
     >>> abelianization(from_catalog("Z(6)"))
     FgAbelian(rank=0, torsion=(6,))
     """
-    ab = quotient(g, commutator_subgroup(g))
-    return abelian_structure(ab)
+    return factor_set_cokernel(g, TRIVIAL)
 
 
 def abelian_structure(g: CayleyGroup) -> FgAbelian:
-    """Invariant factors of an abelian Cayley group.
-
-    Repeatedly split off a cyclic factor of maximal order: the counts
-    #{x : x^(p^j) = e} determine the partition of exponents at each prime,
-    and the partitions interleave into the divisor chain.
-    """
+    """Invariant factors of an abelian Cayley group, which is its own
+    abelianization."""
     if not g.is_abelian():
         raise InvalidInputError("abelian_structure needs an abelian group")
-    return abelian_structure_by_counting(
-        list(range(g.order)), lambda x, y: g.table[x][y], g.identity_index)
+    return factor_set_cokernel(g, TRIVIAL)
+
+
+def factor_set_cokernel(base: CayleyGroup, layer: FgAbelian,
+                        cocycle: Optional[Sequence[Sequence[Sequence[int]]]] = None,
+                        action_rows: Iterable[Sequence[int]] = ()) -> FgAbelian:
+    """The abelian group on the layer's coordinates and lifts x_q, one per
+    base element, with relations x_e = 0, x_q + x_s = c(q, s) + x_qs for
+    every q and every s in base.generators, and action_rows (in layer
+    coordinates), presented on |S| lift symbols t_s = x_s, not |Q|.
+    cocycle[q][r] holds c(q, r) as layer coordinates; None is the zero
+    cocycle.
+
+    Tietze argument.  Walk the breadth-first tree of base.generators
+    from e.  Each tree edge y = x s, in discovery order, meets y for the
+    first time, so its relation x_y = x_x + t_s - c(x, s) defines the new
+    symbol x_y by older ones; deleting a symbol together with the
+    relation that defines it leaves the group unchanged.  After x_e = 0
+    every x_q is an integer combination of the t_s and the layer, the
+    tree relations become 0 = 0, and what is left are the non-tree
+    products x_q + t_s - c(q, s) - x_qs and action_rows: |Q| |S| - |Q| + 1
+    rows over rank + |S| + torsion columns in place of about |Q| |S| rows
+    over |Q| more columns.
+
+    With a trivial layer this is the abelianized presentation of base on
+    its generators: the relators (tree path to q) s (tree path to qs)^-1
+    are Schreier's generators of the kernel of the free group on S onto
+    base (Reidemeister-Schreier; Sims, Computation with Finitely
+    Presented Groups), so they present it.
+    """
+    gens, t = base.generators, base.table
+    m = len(gens)
+    width = m + layer.n_coords  # columns: [lifts | layer free | layer torsion]
+
+    def product(x: int, k: int) -> List[int]:
+        # x_x + t_k - c(x, gens[k])
+        row = lift[x][:]
+        row[k] += 1
+        if cocycle is not None:
+            for i, v in enumerate(cocycle[x][gens[k]], m):
+                row[i] -= v
+        return row
+
+    lift = {base.identity_index: [0] * width}
+    for x, k, y in _spanning_tree(base, gens):
+        lift[y] = product(x, k)
+    # Each distinct relation once: on a product base most repeat.
+    rows = dict.fromkeys((0,) * m + tuple(row) for row in action_rows)
+    for q in range(base.order):
+        for k, s in enumerate(gens):
+            rows[tuple(u - v for u, v in zip(product(q, k), lift[t[q][s]]))] = None
+    rows.pop((0,) * width, None)
+    return cokernel(m + layer.rank, layer.torsion, IntMatrix.from_rows(rows, cols=width))
 
 
 def abelian_structure_by_counting(elements, mul, identity) -> FgAbelian:
@@ -302,7 +328,9 @@ def abelian_structure_by_counting(elements, mul, identity) -> FgAbelian:
     For each prime p the counts #{x : x^(p^j) = e} determine the partition
     of p-exponents (the count is p to the sum of min(part, j)); the
     partitions then merge into the divisor chain largest part first.
-    Works on any finite element list, no table required.
+    Works on any finite element list, no table required.  No library
+    code calls it since abelian_structure reads the presentation; it is
+    kept while bench/tracer.py traces its name.
     """
     n = len(elements)
     if n == 1:
@@ -518,17 +546,18 @@ def find_isomorphism(a: CayleyGroup, b: CayleyGroup) -> Optional[Dict[int, int]]
     in H and every k <= t.  That is enough: every y in H is a word
     gens[k1] ... gens[km], so by induction on m,
     phi(x y) = phi(x) images[k1] ... images[km] = phi(x) phi(y).
-    The map returned is phi at the last depth.
+    The map returned is phi at the last depth.  An isomorphism keeps
+    each element's signature, so gens[t] is only sent to elements of its
+    own signature.
     """
     if a.order != b.order:
         return None
     gens = a.generators
     if not gens:  # trivial group
         return {a.identity_index: b.identity_index}
-    gen_orders = [a.element_order(x) for x in gens]
-    by_order: Dict[int, List[int]] = {}
-    for y in range(b.order):
-        by_order.setdefault(b.element_order(y), []).append(y)
+    candidates: Dict[Tuple[int, int, int], List[int]] = {}
+    for y, sig in enumerate(b.signatures):
+        candidates.setdefault(sig, []).append(y)
     trees = [_spanning_tree(a, gens[:t + 1]) for t in range(len(gens))]
     at, bt = a.table, b.table
     images: List[int] = []
@@ -549,7 +578,7 @@ def find_isomorphism(a: CayleyGroup, b: CayleyGroup) -> Optional[Dict[int, int]]
         return phi
 
     def extend(t: int) -> Optional[Dict[int, int]]:
-        for y in by_order.get(gen_orders[t], ()):
+        for y in candidates.get(a.signatures[gens[t]], ()):
             images.append(y)
             phi = partial_map(t)
             if phi is not None:
@@ -567,24 +596,21 @@ def find_isomorphism(a: CayleyGroup, b: CayleyGroup) -> Optional[Dict[int, int]]
 def is_isomorphic(a: CayleyGroup, b: CayleyGroup) -> bool:
     """Isomorphism test for orders up to 64.
 
-    Cheap invariants (order, element-order profile, center size,
+    Cheap invariants (order, the multiset of element signatures,
     abelianization) reject most pairs before any search runs.
 
     >>> is_isomorphic(from_catalog("Q8"), from_catalog("D4"))
     False
     >>> is_isomorphic(from_catalog("Z(4)"), from_catalog("Z2xZ2"))
     False
-    >>> is_isomorphic(quotient(from_catalog("Q8"), center(from_catalog("Q8"))),
-    ...               from_catalog("Z2xZ2"))
+    >>> is_isomorphic(from_catalog("Z(4)xZ2"), from_catalog("Z2xZ(4)"))
     True
     """
     if a.order > TABLE_CAP or b.order > TABLE_CAP:
         raise UnsupportedError(f"isomorphism search is capped at order {TABLE_CAP}")
     if a.order != b.order:
         return False
-    if order_profile(a) != order_profile(b):
-        return False
-    if center(a).order != center(b).order:
+    if sorted(a.signatures) != sorted(b.signatures):
         return False
     if abelianization(a) != abelianization(b):
         return False

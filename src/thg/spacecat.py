@@ -825,8 +825,11 @@ def _build_orbit_space(tg: TransformationModel) -> SpaceModel:
         # the center of its fundamental group (Oprea).
         gottlieb[1] = CENTER
 
+    # A degree with no action entry acts as the identity, so only the
+    # listed degrees are read: the truncation of an aspherical space is
+    # not bounded by the size of its document.
     action_trivial = X.pi1_action_trivial and all(
-        tg.action_trivial_at(i) for i in range(2, X.truncation + 1))
+        tg.action_trivial_at(i) for i in tg.action_by_degree if i >= 2)
     return SpaceModel(
         name=f"{X.name}/{tg.name}",
         truncation=X.truncation,

@@ -31,7 +31,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from .abelian import (FgAbelian, INFINITY, IntMatrix, cokernel, det,
                       kernel_lattice, solve_integer)
 from .errors import InvalidInputError, UnsupportedError
-from .fingroup import TABLE_CAP, CayleyGroup
+from .fingroup import TABLE_CAP, CayleyGroup, factor_set_cokernel
 
 
 @dataclass(frozen=True)
@@ -175,34 +175,42 @@ class VirtAbelian:
         e = self.base.identity_index
         if len(self.cocycle) != q_count or any(len(row) != q_count for row in self.cocycle):
             raise InvalidInputError("cocycle table must be base order squared")
-        for q in range(q_count):
-            for r in range(q_count):
-                c = self.cocycle[q][r]
+        # Each distinct value is checked once, in the order of the table.
+        seen = set()
+        for q, row in enumerate(self.cocycle):
+            for c in row:
+                if c in seen:
+                    continue
                 if len(c) != self.layer.n_coords:
                     raise InvalidInputError("cocycle value has wrong coordinate count")
                 if self.layer.reduce(c) != tuple(c):
                     raise InvalidInputError("cocycle values must be reduced coordinates")
-            if any(v != 0 for v in self.cocycle[e][q]) or any(v != 0 for v in self.cocycle[q][e]):
+                seen.add(c)
+            if any(self.cocycle[e][q]) or any(row[e]):
                 raise InvalidInputError("cocycle must vanish against the identity")
         # The cocycle condition at (q, r, s) is associativity of the
         # extension with middle factor (0, r).  Layer elements (a, e)
         # pass it, c being normalised and the action linear, so Light's
-        # test needs r only in the base's generating set.  Each triple
-        # forms c(r,s)^q + c(q,rs) - c(q,r) - c(qr,s) unreduced, skips an
-        # identity action, and tests the free part for zero and each
-        # torsion entry modulo its factor.
+        # test needs r only in the base's generating set.  For each
+        # (r, q) and each coordinate j, the column over s of
+        # c(r,s)^q + c(q,rs) - c(qr,s), unreduced, must equal c(q,r)[j]:
+        # exactly on a free coordinate, modulo its factor on a torsion one.
         rank, torsion = self.layer.rank, self.layer.torsion
         t, c = self.base.table, self.cocycle
+        columns = [tuple(zip(*row)) for row in c]  # columns[q][j][s] = c(q,s)[j]
         moved = [None if aut.is_identity() else aut for aut in self.action]
         for r in self.base.generators:
-            c_r, t_r = c[r], t[r]
+            t_r = t[r]
             for q in range(q_count):
-                c_q, aut = c[q], moved[q]
-                c_q_r, c_qr = c_q[r], c[t[q][r]]
-                for s in range(q_count):
-                    x = c_r[s] if aut is None else aut.apply_unreduced(c_r[s])
-                    d = [u + v - w - z for u, v, w, z in zip(x, c_q[t_r[s]], c_q_r, c_qr[s])]
-                    if any(d[:rank]) or any(map(operator.mod, d[rank:], torsion)):
+                aut = moved[q]
+                acted = columns[r] if aut is None else tuple(zip(*map(aut.apply_unreduced, c[r])))
+                c_q, c_qr, c_q_r = columns[q], columns[t[q][r]], c[q][r]
+                for j, w in enumerate(c_q_r):
+                    d = map(operator.sub, map(operator.add, acted[j], map(c_q[j].__getitem__, t_r)),
+                            c_qr[j])
+                    if j >= rank:
+                        d = map(operator.mod, d, itertools.repeat(torsion[j - rank]))
+                    if any(map(w.__ne__, d)):
                         raise InvalidInputError("cocycle condition fails; product not associative")
 
     @property
@@ -499,7 +507,9 @@ def abelianization(g: VirtAbelian) -> FgAbelian:
     c(r,s) + c(q,rs) = c(q,r) + c(qr,s), so for a generator s the rows
     at (r, s) and (qr, s) turn the row at (q, r) into the row at (q, rs).
     By induction on r every product row holds, and the cokernel is the
-    same group.
+    same group.  fingroup.factor_set_cokernel reads that presentation on
+    the spanning tree of base.generators, with one lift symbol per
+    generator.
 
     >>> from .fingroup import from_catalog
     >>> abelianization(direct_sum_group(from_catalog("Q8"), FgAbelian(1)))
@@ -507,28 +517,14 @@ def abelianization(g: VirtAbelian) -> FgAbelian:
     """
     if g.base.order > TABLE_CAP:
         raise UnsupportedError(f"abelianization is capped at base order {TABLE_CAP}")
-    lay = g.layer
-    rank, k = lay.rank, len(lay.torsion)
-    nq = g.base.order
-    # Coordinates: [layer free | lifts | layer torsion]
-    width = rank + nq + k
-    row = [0] * width
-    row[rank + g.base.identity_index] = 1
-    rows = [row]
+    rank = g.layer.rank
+    rows = []
     for s in g.base.generators:
         aut = g.action[s]
-        for i in range(rank):
-            rows.append([e[i] - (1 if i == j else 0)
-                         for j, e in enumerate(aut.free_matrix.entries)] + [0] * (nq + k))
-        for i in range(k):
-            row = [0] * width
-            row[rank + nq + i] = aut.torsion_signs[i] - 1
+        rows.extend([e[i] - (1 if i == j else 0) for j, e in enumerate(aut.free_matrix.entries)]
+                    + [0] * len(aut.torsion_signs) for i in range(rank))
+        for i, sign in enumerate(aut.torsion_signs):
+            row = [0] * g.layer.n_coords
+            row[rank + i] = sign - 1
             rows.append(row)
-        for q in range(nq):
-            c = g.cocycle[q][s]
-            row = [-x for x in c[:rank]] + [0] * nq + [-x for x in c[rank:]]
-            row[rank + q] += 1
-            row[rank + s] += 1
-            row[rank + g.base.table[q][s]] -= 1
-            rows.append(row)
-    return cokernel(rank + nq, lay.torsion, IntMatrix.from_rows(rows, cols=width))
+    return factor_set_cokernel(g.base, g.layer, g.cocycle, rows)

@@ -7,6 +7,8 @@ import shutil
 
 import pytest
 
+from test_abelian import time_limit
+
 from thg.cli import (EXIT_CHECK_FAILED, EXIT_COMPUTATION, EXIT_OK, EXIT_USAGE,
                      run)
 
@@ -260,6 +262,23 @@ def test_a_catalog_dir_model_never_gets_a_builtin_tau_summary(tmp_path):
         code, out, _ = invoke("tau", "T3", "--n", "4", "--format", "json",
                               "--catalog-dir", str(mutated))
         assert code == EXIT_OK and '"Z^2"' in out and '"Z^3"' not in out
+
+
+def test_an_aspherical_truncation_far_past_the_data_costs_nothing(tmp_path):
+    # An aspherical space lists no pi entries, so its truncation is not
+    # bounded by its document; the orbit space reads only the degrees its
+    # action lists.
+    mutated = tmp_path / "catalog"
+    shutil.copytree(CATALOG_DIR, mutated)
+    doc = json.loads((mutated / "t3.json").read_text())
+    doc["truncation"] = 10 ** 9
+    (mutated / "t3.json").write_text(json.dumps(doc))
+    code, shipped, _ = invoke("sigma", "t3-trivial", "--n", "2")
+    assert code == EXIT_OK
+    with time_limit(2.0):
+        code, out, _ = invoke("sigma", "t3-trivial", "--n", "2",
+                              "--catalog-dir", str(mutated))
+    assert (code, out) == (EXIT_OK, shipped)
 
 
 def test_catalog_dir_environment_variable(tmp_path, monkeypatch):
