@@ -28,7 +28,7 @@ from .errors import BookkeepingError, ModelError, NotFoundError, ThgError
 from .fingroup import (CayleyGroup, abelian_structure, from_catalog,
                        is_isomorphic)
 from .report import CheckReport, FAIL, PASS
-from .spacecat import (Catalog, SpaceModel, TransformationModel,
+from .spacecat import (DEGREE_CAP, Catalog, SpaceModel, TransformationModel,
                        builtin_catalog, catalog_from_dir, find_model,
                        orbit_space, serialize, subgroup_index_in)
 from .tower import TowerSummary, VirtAbelian, abelianization, center_structure
@@ -107,13 +107,6 @@ class _Usage(Exception):
 # The verbs that grade a catalog: they take --all, and a catalog that fails
 # to load is their failed check.
 _BATTERY = ("verify", "audit")
-
-
-# The largest degree a verb takes.  The largest integer printed at degree
-# N has about 0.3 N digits, and CPython refuses to render an int of more
-# than 4,300 digits (sys.get_int_max_str_digits()); at this cap it has
-# about 3,000.
-DEGREE_CAP = 10_000
 
 
 def _degrees(args, default: int = 1) -> List[int]:

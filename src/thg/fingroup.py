@@ -228,17 +228,6 @@ def center(g: CayleyGroup) -> SubgroupRef:
                                 if all(t[z][s] == t[s][z] for s in g.generators)))
 
 
-def is_normal(g: CayleyGroup, n: SubgroupRef) -> bool:
-    """Whether s n s^-1 lies in n for every generator s: conjugations
-    compose, and in a finite group s^-1 is a power of s, so every element
-    is a product of generators."""
-    if n.parent is not g and n.parent != g:
-        raise InvalidInputError("subgroup belongs to a different group")
-    members = set(n.element_indices)
-    return all(g.conjugate(s, h) in members
-               for s in g.generators for h in members)
-
-
 def subgroup_as_group(g: CayleyGroup, ref: SubgroupRef) -> CayleyGroup:
     """The subgroup itself as a standalone group, names kept verbatim."""
     idx = {x: t for t, x in enumerate(ref.element_indices)}

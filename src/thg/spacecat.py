@@ -16,7 +16,7 @@ the truncation is an error, never a silent zero.
 from __future__ import annotations
 
 import json
-import re
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
@@ -312,8 +312,16 @@ def _as_matrix(raw, path: str) -> List[List[int]]:
     return [_as_int_list(row, f"{path}[{i}]") for i, row in enumerate(raw)]
 
 
+def _is_positive_decimal(text: str) -> bool:
+    """Whether text is a positive integer in ASCII decimal without a
+    leading zero, sign, blank or separator: exactly what [1-9][0-9]*
+    matches.  isascii() excludes digits such as "²", which isdigit()
+    accepts and int() refuses."""
+    return text.isdigit() and text.isascii() and text[0] != "0"
+
+
 def _degree_key(key: str, path: str, low: int, high: int) -> int:
-    if not re.fullmatch(r"[1-9][0-9]*", key):
+    if not _is_positive_decimal(key):
         _fail(f"{path}.{key}", "degree keys must be positive integers")
     i = int(key)
     if not low <= i <= high:
@@ -525,10 +533,11 @@ def _parse_whitehead(raw, pi_of, truncation: int, path: str):
     obj = _as_map(raw, path)
     out: Dict[Tuple[int, int], tuple] = {}
     for key, tables in obj.items():
-        m = re.fullmatch(r"([1-9][0-9]*),([1-9][0-9]*)", key)
-        if not m:
+        left, comma, right = key.partition(",")
+        if not (comma and _is_positive_decimal(left)
+                and _is_positive_decimal(right)):
             _fail(f"{path}.{key}", 'pairing keys look like "2,3"')
-        i, j = int(m.group(1)), int(m.group(2))
+        i, j = int(left), int(right)
         if i < 2 or j < 2:
             _fail(f"{path}.{key}", "pairings below degree 2 are not supported")
         if i + j - 1 > truncation:
@@ -882,74 +891,128 @@ def sphere_space(n: int) -> SpaceModel:
     return _space_from_doc(doc)
 
 
-_SPHERE_NAME = re.compile(r"S([1-9][0-9]*)\Z")
+# The largest degree a request takes, and so the largest sphere template:
+# a template's truncation is its dimension.  The largest integer printed
+# at degree N has about 0.3 N digits, and CPython refuses to render an int
+# of more than 4,300 digits (sys.get_int_max_str_digits()); at this cap it
+# has about 3,000.
+DEGREE_CAP = 10_000
 
 
 class Catalog:
-    """The models of one catalog, each built when first asked for.
+    """The models of one catalog, each decoded and built when first asked
+    for.
 
-    Construction decodes every file and runs the checks that span files.
-    A document that is not an object, whose kind is neither "space" nor
-    "transformation", or whose model name an earlier file already took,
-    is a ModelError whose path starts with its file name.  A space is
-    named by its "name", a transformation by its file stem.  get()
-    builds (parses and validates) one model, and the space a
-    transformation names, and keeps them; iterating builds them all.
+    A space is named by its "name", a transformation by its file stem.
+    get() reads only the files that can hold the name asked for: the
+    transformation <name>.json, or a space in <name>.json or in
+    <name lowercased>.json, the shipped layout.  When neither holds it,
+    get() falls back to the full index, which decodes every file and runs
+    the checks that span files: a document that is not an object, whose
+    kind is neither "space" nor "transformation", or whose model name an
+    earlier file already took, is a ModelError whose path starts with its
+    file name.  get() builds (parses and validates) one model, and the
+    space a transformation names, and keeps them; iterating builds the
+    full index and then every model.
     """
 
-    def __init__(self, files: Iterable[Tuple[str, bytes]]):
-        docs = [(fname, _parse_document(data, fname))
-                for fname, data in sorted(files)]
-        self._spaces: Dict[str, dict] = {}
+    def __init__(self, files: Iterable[Tuple[str, Optional[bytes]]],
+                 root: str = ""):
+        """files: (file name, contents) pairs; contents None is read from
+        root/<file name> when first needed."""
+        self._files: Dict[str, Optional[bytes]] = dict(files)
+        self._root = root
+        self._docs: Dict[str, dict] = {}
+        # The full index, by model name; None until it is built.
+        self._spaces: Optional[Dict[str, dict]] = None
+        self._transformations: Dict[str, dict] = {}
+        self._built: Dict[str, Model] = {}
+
+    @classmethod
+    def builtin(cls) -> "Catalog":
+        """The shipped models, each read and built on first request."""
+        root = os.path.join(os.path.dirname(__file__), "catalog")
+        return cls(((fname, None) for fname in os.listdir(root)
+                    if fname.endswith(".json")), root)
+
+    def _decode(self, fname: str) -> dict:
+        doc = self._docs.get(fname)
+        if doc is None:
+            data = self._files[fname]
+            if data is None:
+                with open(os.path.join(self._root, fname), "rb") as fh:
+                    data = fh.read()
+            doc = self._docs[fname] = _parse_document(data, fname)
+        return doc
+
+    def _index(self) -> None:
+        """Decode every file and run the checks that span files, once."""
+        if self._spaces is not None:
+            return
+        docs = [(fname, self._decode(fname)) for fname in sorted(self._files)]
+        spaces: Dict[str, dict] = {}
         for fname, doc in docs:
             if doc["kind"] == "space":
                 name = doc.get("name")
                 if not isinstance(name, str):
                     _space_from_doc(doc)  # fails at the document's own path
-                if name in self._spaces:
+                if name in spaces:
                     _fail(f"{fname}.name",
                           f"an earlier file already has a space named {name!r}")
-                self._spaces[name] = doc
-        self._transformations: Dict[str, dict] = {}
+                spaces[name] = doc
+        transformations: Dict[str, dict] = {}
         for fname, doc in docs:
             if doc["kind"] == "transformation":
                 stem = fname[:-len(".json")]
-                if stem in self._spaces:
+                if stem in spaces:
                     _fail(fname, f"a space is already named {stem!r}")
-                self._transformations[stem] = doc
-        self._built: Dict[str, Model] = {}
+                transformations[stem] = doc
+        self._spaces, self._transformations = spaces, transformations
 
-    @classmethod
-    def builtin(cls) -> "Catalog":
-        """The shipped models, each built on first request."""
-        from importlib import resources
-        root = resources.files("thg").joinpath("catalog")
-        return cls((p.name, p.read_bytes()) for p in root.iterdir()
-                   if p.name.endswith(".json"))
+    def _document(self, name: str) -> Optional[dict]:
+        """The document of the model named name, or None.  Before the full
+        index, the files that can hold name are probed first; a file
+        that does not decode is left for the index to report in order."""
+        if self._spaces is None:
+            for fname in (f"{name}.json", f"{name.lower()}.json"):
+                if fname not in self._files:
+                    continue
+                try:
+                    doc = self._decode(fname)
+                except ModelError:
+                    break
+                if doc["kind"] == "space" and doc.get("name") == name:
+                    return doc
+                if doc["kind"] == "transformation" and fname == f"{name}.json":
+                    return doc
+            self._index()
+        return self._spaces.get(name) or self._transformations.get(name)
 
     def get(self, name: str) -> Optional[Model]:
         """The model named name, or None when the catalog has none."""
         model = self._built.get(name)
         if model is None:
-            if name in self._spaces:
-                model = _space_from_doc(self._spaces[name])
-            elif name in self._transformations:
-                model = _transformation_from_doc(self._transformations[name],
-                                                 name, self._space)
-            else:
+            doc = self._document(name)
+            if doc is None:
                 return None
+            if doc["kind"] == "space":
+                model = _space_from_doc(doc)
+            else:
+                model = _transformation_from_doc(doc, name, self._space)
             self._built[name] = model
         return model
 
     def _space(self, name: str) -> SpaceModel:
         """The resolver of a transformation's space reference."""
-        if name not in self._spaces:
+        doc = self._document(name)
+        if doc is None or doc["kind"] != "space":
             raise NotFoundError(f"no space named {name!r}")
         return self.get(name)
 
     def __iter__(self) -> Iterator[Model]:
         """Every model, spaces first, each alphabetical by name; the first
-        iteration builds them all."""
+        iteration decodes every file and builds every model."""
+        self._index()
         return iter([self.get(name)
                      for names in (self._spaces, self._transformations)
                      for name in sorted(names)])
@@ -966,7 +1029,6 @@ def catalog_from_dir(path: str) -> Catalog:
     """Every *.json in a directory as one self-contained catalog, every
     model built now, so that one broken file fails the whole load.  A
     directory or file that cannot be read is a ModelError at its path."""
-    import os
     files, where = [], path
     try:
         for fname in os.listdir(path):
@@ -982,11 +1044,15 @@ def catalog_from_dir(path: str) -> Catalog:
 
 
 def find_model(name: str, catalog: Catalog) -> Model:
-    """Model lookup by name, with S<k> falling back to the sphere template."""
+    """Model lookup by name, with S<k> falling back to the sphere template
+    up to S<DEGREE_CAP>; a larger k is refused before anything is built."""
     model = catalog.get(name)
     if model is not None:
         return model
-    m = _SPHERE_NAME.fullmatch(name)
-    if m:
-        return sphere_space(int(m.group(1)))
+    digits = name[1:]
+    if name[:1] == "S" and _is_positive_decimal(digits):
+        if len(digits) > len(str(DEGREE_CAP)) or int(digits) > DEGREE_CAP:
+            raise NotFoundError(f"no model named {name!r}: sphere templates "
+                                f"stop at S{DEGREE_CAP}")
+        return sphere_space(int(digits))
     raise NotFoundError(f"no model named {name!r}")

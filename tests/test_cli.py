@@ -491,13 +491,16 @@ def test_loader_warnings_go_to_stderr(tmp_path):
 
 def test_a_single_target_builds_only_what_it_reads(monkeypatch):
     # The full load is never called, and only the target, the space it
-    # names and the paired orbit model are built.
+    # names and the paired orbit model are decoded and built.
     from thg import cli, spacecat
 
     def full_load():
         raise AssertionError("the whole catalog was built")
     monkeypatch.setattr(cli, "builtin_catalog", full_load)
     monkeypatch.setattr(spacecat, "builtin_catalog", full_load)
+    decoded, decode = [], spacecat._parse_document
+    monkeypatch.setattr(spacecat, "_parse_document", lambda data, path: (
+        decoded.append(path) or decode(data, path)))
     built = []
     space, transformation = (spacecat._space_from_doc,
                              spacecat._transformation_from_doc)
@@ -512,9 +515,41 @@ def test_a_single_target_builds_only_what_it_reads(monkeypatch):
                         (("audit", "s3-q8", "--max-n", "4"),
                          ["s3-q8", "S3", "S3modQ8"])):
         built.clear()
+        decoded.clear()
         code, out, err = invoke(*argv)
         assert (code, err, built) == (EXIT_OK, "", names)
+        files = {"S3": "s3", "S3modQ8": "s3modq8"}
+        assert decoded == [f"{files.get(n, n)}.json" for n in names]
     assert "[pass] oprea-center: S3modQ8 n=1" in out
+
+
+@pytest.mark.parametrize("name", ["../s1", "catalog/s1", "s1.json",
+                                  "/etc/hostname"])
+def test_a_target_shaped_like_a_path_opens_only_catalog_files(monkeypatch,
+                                                              name):
+    # Only listed catalog files are probed, so a miss reads the catalog
+    # directory and nothing else.
+    from thg import spacecat
+    opened = []
+    monkeypatch.setattr(spacecat, "open", lambda path, mode: (
+        opened.append(path) or open(path, mode)), raising=False)
+    assert invoke("tau", name, "--n", "1") == (
+        EXIT_USAGE, "", f"thg: no model named {name!r}\n")
+    assert len(opened) == len(list(CATALOG_DIR.glob("*.json")))
+    assert {pathlib.Path(p).resolve().parent for p in opened} == {CATALOG_DIR}
+
+
+def test_sphere_templates_stop_at_the_degree_cap():
+    # A template's truncation is its dimension; S<k> past the cap is
+    # refused before its homotopy data is built.
+    with time_limit(5):
+        code, out, err = invoke("tau", "S10000", "--n", "1")
+    assert (code, out, err) == (EXIT_OK, "tau_1(S10000): order 1, direct "
+                                         "product\n  base: 1\n", "")
+    for k in ("10001", "9" * 5000):
+        assert invoke("tau", f"S{k}", "--n", "1") == (
+            EXIT_USAGE, "", f"thg: no model named 'S{k}': sphere templates "
+                            "stop at S10000\n")
 
 
 def test_a_catalog_dir_is_validated_whole(tmp_path):

@@ -55,6 +55,15 @@ def test_models_built_by_need_match_the_full_load():
     assert Catalog.builtin().get("S9") is None  # no template by need
 
 
+def test_the_shipped_layout_is_the_one_get_probes():
+    # Catalog.get reads a space from <name lowercased>.json and a
+    # transformation from <name>.json before it decodes anything else.
+    for model in MODELS:
+        stem = model.name.lower() if isinstance(model, SpaceModel) else model.name
+        assert (CATALOG_DIR / f"{stem}.json").read_text() == serialize(model)
+    assert len(list(CATALOG_DIR.glob("*.json"))) == len(BY_NAME)
+
+
 def test_a_catalog_builds_a_broken_file_only_when_asked():
     files = [(p.name, p.read_bytes()) for p in CATALOG_DIR.glob("*.json")]
     doc = json.loads((CATALOG_DIR / "s5.json").read_text())
@@ -483,3 +492,31 @@ def test_a_rank_past_the_coordinate_cap_is_refused_at_its_path():
     at_cap = _load(_space_doc(pi={"2": {"rank": COORD_CAP, "torsion": []},
                                   "3": three}))
     assert at_cap.pi_at(2) == FgAbelian(COORD_CAP)
+
+
+# Degree keys are what [1-9][0-9]* matches, and pairing keys two of them
+# around one comma.  "²".isdigit() is true, but int("²") raises.
+_TRIVIAL_GROUP = {"rank": 0, "torsion": []}
+_DEGREE_KEY = "degree keys must be positive integers"
+_PAIRING_KEY = 'pairing keys look like "2,3"'
+
+
+@pytest.mark.parametrize("field, key, error", [
+    ("gottlieb", "1", None), ("gottlieb", "12", None),
+    *(("gottlieb", key, _DEGREE_KEY) for key in
+      ("0", "01", "+1", " 1", "1 ", "", "1_0", "\u0661", "\u00b2")),
+    ("whitehead", "2,3", None),
+    *(("whitehead", key, _PAIRING_KEY) for key in
+      ("2,03", "2, 3", "2,3,4", "\u0662,3")),
+])
+def test_degree_and_pairing_key_syntax(field, key, error):
+    doc = {"kind": "space", "name": "X", "truncation": 12,
+           "aspherical": False, "pi1": _TRIVIAL_GROUP,
+           "pi": {str(i): _TRIVIAL_GROUP for i in range(2, 13)},
+           field: {key: "full" if field == "gottlieb" else []}}
+    if error is None:
+        assert load_model(json.dumps(doc)).name == "X"
+        return
+    with pytest.raises(ModelError) as caught:
+        load_model(json.dumps(doc))
+    assert (caught.value.path, caught.value.message) == (f"{field}.{key}", error)
