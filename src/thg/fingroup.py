@@ -5,11 +5,13 @@ covers the catalog.  Construction checks that the table is a Latin
 square with a two-sided identity and inverses, and that it is
 associative.  Associativity is checked by Light's test on a generating
 set, which proves it for every triple, so a CayleyGroup in hand is known
-to be a group, not just an array.
+to be a group, not just an array.  Every check compares whole rows and
+columns (sets, tuples, itemgetter reads), never one entry at a time.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -49,36 +51,39 @@ class CayleyGroup:
             raise InvalidInputError("group order must be positive")
         if len(self.element_names) != n or len(set(self.element_names)) != n:
             raise InvalidInputError("element names must be distinct and match order")
-        if len(self.table) != n or any(len(row) != n for row in self.table):
+        t = self.table
+        if len(t) != n or any(len(row) != n for row in t):
             raise InvalidInputError("table must be order x order")
-        for row in self.table:
-            for v in row:
-                if not 0 <= v < n:
-                    raise InvalidInputError("table entry out of range")
-        for i in range(n):
-            if sorted(self.table[i]) != list(range(n)):
+        if min(map(min, t)) < 0 or max(map(max, t)) >= n:
+            raise InvalidInputError("table entry out of range")
+        everyone = set(range(n))
+        columns = list(zip(*t))
+        for row, column in zip(t, columns):
+            if set(row) != everyone:
                 raise InvalidInputError("table row is not a permutation")
-            if sorted(self.table[j][i] for j in range(n)) != list(range(n)):
+            if set(column) != everyone:
                 raise InvalidInputError("table column is not a permutation")
         e = self.identity_index
         if not 0 <= e < n:
             raise InvalidInputError("identity index out of range")
-        for i in range(n):
-            if self.table[e][i] != i or self.table[i][e] != i:
-                raise InvalidInputError("identity index is not a two-sided identity")
-        t = self.table
-        for i, j in enumerate(self.inverses):
-            if t[j][i] != e:
-                raise InvalidInputError("element lacks a two-sided inverse")
+        in_order = tuple(range(n))
+        if tuple(t[e]) != in_order or columns[e] != in_order:
+            raise InvalidInputError("identity index is not a two-sided identity")
+        # inverses[i] is where e sits in row i; e must sit at (inverses[i], i) too.
+        if any(map(e.__ne__, map(operator.getitem, map(t.__getitem__, self.inverses),
+                                  range(n)))):
+            raise InvalidInputError("element lacks a two-sided inverse")
         # Light's test: (ab)c = a(bc) for every b in the generating set.
         # The middle factors b for which it holds contain e and are closed
-        # under products, so it then holds for every b.
+        # under products, so it then holds for every b.  Row a of each side
+        # is one tuple: the row of ab, and row a read at the entries of
+        # row b.  (itemgetter of one index returns a scalar, but only the
+        # trivial group has one-entry rows, and it has no generators.)
+        rows = list(map(tuple, t))
         for b in self.generators:
-            for a in range(n):
-                ab = t[a][b]
-                for c in range(n):
-                    if t[ab][c] != t[a][t[b][c]]:
-                        raise InvalidInputError("multiplication table is not associative")
+            if (list(map(rows.__getitem__, map(operator.itemgetter(b), t)))
+                    != list(map(operator.itemgetter(*t[b]), t))):
+                raise InvalidInputError("multiplication table is not associative")
 
     @cached_property
     def generators(self) -> Tuple[int, ...]:
@@ -490,16 +495,20 @@ def _check_order(name: str, order: int) -> None:
 # Isomorphism testing
 
 
-def _generating_sequence(g: CayleyGroup) -> List[int]:
+def _generating_sequence(g: CayleyGroup,
+                         subgroup: Optional[Sequence[int]] = None) -> List[int]:
+    """Generators of subgroup, a list of the elements of a subgroup of g
+    (all of g by default)."""
     # Greedy, high element orders first, to keep the sequence short.
-    by_order = sorted(range(g.order), key=lambda i: (-g.element_order(i), i))
+    members = range(g.order) if subgroup is None else subgroup
+    by_order = sorted(members, key=lambda i: (-g.element_order(i), i))
     gens: List[int] = []
     closed = {g.identity_index}
     for x in by_order:
         if x not in closed:
             gens.append(x)
             closed = set(_closure(g, gens))
-            if len(closed) == g.order:
+            if len(closed) == len(members):
                 break
     return gens
 

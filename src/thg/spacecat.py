@@ -323,10 +323,11 @@ def _is_positive_decimal(text: str) -> bool:
 def _degree_key(key: str, path: str, low: int, high: int) -> int:
     if not _is_positive_decimal(key):
         _fail(f"{path}.{key}", "degree keys must be positive integers")
-    i = int(key)
-    if not low <= i <= high:
+    # A key with more digits than high is past it; int() refuses one of
+    # over 4,300 digits.
+    if len(key) > len(str(high)) or not low <= int(key) <= high:
         _fail(f"{path}.{key}", f"degree must lie between {low} and {high}")
-    return i
+    return int(key)
 
 
 def parse_abelian_spec(raw, path: str) -> FgAbelian:
@@ -537,11 +538,14 @@ def _parse_whitehead(raw, pi_of, truncation: int, path: str):
         if not (comma and _is_positive_decimal(left)
                 and _is_positive_decimal(right)):
             _fail(f"{path}.{key}", 'pairing keys look like "2,3"')
-        i, j = int(left), int(right)
-        if i < 2 or j < 2:
+        if left == "1" or right == "1":
             _fail(f"{path}.{key}", "pairings below degree 2 are not supported")
-        if i + j - 1 > truncation:
+        # A degree with more digits than the truncation lands past it;
+        # int() refuses one of over 4,300 digits.
+        if (max(len(left), len(right)) > len(str(truncation))
+                or int(left) + int(right) - 1 > truncation):
             _fail(f"{path}.{key}", "pairing lands past the truncation degree")
+        i, j = int(left), int(right)
         gi, gj, target = pi_of(i), pi_of(j), pi_of(i + j - 1)
         if not isinstance(tables, list) or len(tables) != gi.n_coords:
             _fail(f"{path}.{key}", f"expected {gi.n_coords} rows")
@@ -652,7 +656,8 @@ def _space_from_doc(doc: dict, path: str = "") -> SpaceModel:
     for key, spec in got_raw.items():
         i = _degree_key(key, _join(path, "gottlieb"), 1, truncation)
         data = parse_subgroup_spec(spec, _join(path, f"gottlieb.{key}"))
-        ambient = pi1 if i == 1 else pi[i]
+        # As pi_at reads it: an aspherical space lists no higher degrees.
+        ambient = pi1 if i == 1 else TRIVIAL if aspherical else pi[i]
         _validate_subgroup_against(data, ambient, _join(path, f"gottlieb.{key}"),
                                    warnings, pi1_action_trivial, i)
         gottlieb[i] = data
@@ -777,6 +782,8 @@ def _parse_document(document: Union[bytes, str], path: str) -> dict:
         raise ModelError(path, f"not valid UTF-8: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ModelError(path, f"not valid JSON: {exc}") from None
+    except ValueError as exc:  # an integer past Python's digit limit
+        raise ModelError(path, f"unreadable number: {exc}") from None
     obj = _as_map(doc, path)
     if obj.get("kind") not in ("space", "transformation"):
         _fail(_join(path, "kind"), 'expected "space" or "transformation"')

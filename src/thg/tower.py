@@ -31,7 +31,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from .abelian import (FgAbelian, INFINITY, IntMatrix, cokernel, det,
                       kernel_lattice, solve_integer)
 from .errors import InvalidInputError, UnsupportedError
-from .fingroup import TABLE_CAP, CayleyGroup, factor_set_cokernel
+from .fingroup import (TABLE_CAP, CayleyGroup, _generating_sequence,
+                       factor_set_cokernel)
 
 
 @dataclass(frozen=True)
@@ -74,12 +75,6 @@ class LayerAut:
         return (self.free_matrix.apply(coords[:rank])
                 + tuple(map(operator.mul, self.torsion_signs, coords[rank:])))
 
-    def compose(self, other: "LayerAut") -> "LayerAut":
-        """self after other."""
-        return LayerAut(self.layer,
-                        self.free_matrix.mul(other.free_matrix),
-                        tuple(s * t for s, t in zip(self.torsion_signs, other.torsion_signs)))
-
     def is_identity(self) -> bool:
         # self == identity_aut(layer) without building that LayerAut
         return (-1 not in self.torsion_signs
@@ -105,9 +100,9 @@ def identity_aut(layer: FgAbelian) -> LayerAut:
 
 
 def check_action(base: CayleyGroup, action: Sequence[LayerAut]) -> None:
-    """Raise InvalidInputError unless action, one automorphism per element
-    of base, is a homomorphism: the identity acts trivially and the
-    product qr acts as q after r.
+    """Raise InvalidInputError unless action, one automorphism of a common
+    layer per element of base, is a homomorphism: the identity acts
+    trivially and the product qr acts as q after r.
 
     Only pairs (q, s) with s in base.generators are checked, |Q| |S|
     compositions.  That is enough: every r is e s1 ... sk with each si
@@ -116,13 +111,20 @@ def check_action(base: CayleyGroup, action: Sequence[LayerAut]) -> None:
     action(q) action(r si).
 
     This is the one check of that fact; extensions and both model
-    loaders call it.
+    loaders call it.  Each composition is compared block by block, with
+    no LayerAut built for it: a product of unimodular blocks is
+    unimodular, and a Z/2 sign, stored as +1 on every automorphism, stays
+    +1 in a product of signs.
     """
     if not action[base.identity_index].is_identity():
         raise InvalidInputError("identity base element must act trivially")
     for s in base.generators:
-        for q in range(base.order):
-            if action[q].compose(action[s]) != action[base.table[q][s]]:
+        matrix_s, signs_s = action[s].free_matrix, action[s].torsion_signs
+        for aut_q, qs in zip(action, map(operator.itemgetter(s), base.table)):
+            aut_qs = action[qs]
+            if (aut_q.free_matrix.mul(matrix_s) != aut_qs.free_matrix
+                    or tuple(map(operator.mul, aut_q.torsion_signs, signs_s))
+                    != aut_qs.torsion_signs):
                 raise InvalidInputError("action is not a homomorphism")
 
 
@@ -384,25 +386,34 @@ def center_structure(g: VirtAbelian) -> FgAbelian:
     the factor-set presentation of an extension of C by the fixed layer
     (K. S. Brown, Cohomology of Groups, IV.3).
 
+    Only the rows with r in a generating set S_C of C are written, |C| |S_C|
+    of them, not |C|^2.  That is enough, as in abelianization: C acts
+    trivially on the fixed layer, so delta, a cocycle cohomologous to c on
+    C, satisfies delta(q,r) + delta(qr,s) - delta(r,s) = delta(q,rs), and
+    the rows at (q, r), (qr, s) and (r, s) give the row at (q, rs).  Every
+    r in C is e s1 ... sk with each si in S_C, so by induction on k every
+    row holds.
+
     >>> from .fingroup import from_catalog
     >>> center_structure(direct_sum_group(from_catalog("Q8"), FgAbelian(0, (3,))))
     FgAbelian(rank=0, torsion=(6,))
     """
     free_basis, torsion_gens, lifts = _center_data(g)
-    lay = g.layer
+    lay, base = g.layer, g.base
+    generators = _generating_sequence(base, list(lifts))
     f, m = len(free_basis), len(lifts)
     # Coordinates: [fixed free basis | lifts | fixed torsion generators]
     pos = {q: f + t for t, q in enumerate(lifts)}
     tors_col = {i: (f + m + t, u) for t, (i, u, _) in enumerate(torsion_gens)}
     width = f + m + len(torsion_gens)
     row = [0] * width
-    row[pos[g.base.identity_index]] = 1
+    row[pos[base.identity_index]] = 1
     rows = [row]
     basis_matrix = IntMatrix.from_rows([list(b) for b in free_basis],
                                        cols=lay.rank).transpose()
     for q, a_q in lifts.items():
-        for r, a_r in lifts.items():
-            qr = g.base.table[q][r]
+        for r in generators:
+            a_r, qr = lifts[r], base.table[q][r]
             # (a_q, q)(a_r, r) = (delta, e)(a_qr, qr) with delta in the
             # fixed layer; action(q) is the identity on the layer here.
             delta = lay.add(lay.add(a_q, a_r),
@@ -464,8 +475,11 @@ def to_cayley(g: VirtAbelian) -> CayleyGroup:
 
     The table is filled from index tables over the finite layer's points:
     add[i][j] for sums, act[q][i] for the action and coc[q][r] for the
-    cocycle, so the product (a + q.b + c(q,r), qr) is four lookups.  The
-    result is still validated as a group by CayleyGroup.
+    cocycle.  The product (a + q.b + c(q,r), qr) depends on a and b only
+    through the point u = a + q.b, so for each q the segment of u over
+    r = 0..|Q|-1 is built once, and row (a, q) is the segments at
+    u = add[a][act[q][b]] over b, concatenated.  The result is still
+    validated as a group by CayleyGroup.
 
     >>> from .fingroup import from_catalog, is_isomorphic
     >>> is_isomorphic(to_cayley(direct_sum_group(from_catalog("Q8"), FgAbelian(0, ()))),
@@ -483,11 +497,15 @@ def to_cayley(g: VirtAbelian) -> CayleyGroup:
     add = [[point[lay.add(x, y)] for y in points] for x in points]
     act = [[point[aut.apply(x)] for x in points] for aut in g.action]
     coc = [[point[x] for x in row] for row in g.cocycle]
-    na = len(points)
+    # segments[q][u][r] = (u + c(q,r), qr) as a row index
+    segments = [[tuple(map(operator.add, map(nq.__rmul__, map(add_u.__getitem__, coc_q)),
+                           base_q))
+                 for add_u in add]
+                for coc_q, base_q in zip(coc, base)]
     table = tuple(
-        tuple(add[add[a][act[q][b]]][coc[q][r]] * nq + base[q][r]
-              for b in range(na) for r in range(nq))
-        for a in range(na) for q in range(nq))
+        tuple(itertools.chain.from_iterable(
+            map(segments_q.__getitem__, map(add_a.__getitem__, act_q))))
+        for add_a in add for act_q, segments_q in zip(act, segments))
     names = g.base.element_names if lay.is_trivial() else tuple(
         f"({','.join(map(str, x))};{name})" for x in points for name in g.base.element_names)
     # The zero point is first, so the identity is (0, e) at index e.

@@ -1,0 +1,297 @@
+"""Row-at-a-time kernels against the element-at-a-time code they replace.
+
+CayleyGroup validates its table by whole rows and columns, to_cayley
+fills rows from segments, check_action compares each composition block
+by block, and center_structure writes its relations only for a
+generating set of C.  Each test keeps the element-by-element version as
+a test-local oracle and grades the library against it on seeded inputs:
+mutated catalog tables up to order 64 (and one of order 66) for the
+validator, and free and mixed layers twisted by sign characters for the
+center.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from test_generators import _relabel, _unchecked
+
+from thg.abelian import FgAbelian, IntMatrix, cokernel, solve_integer
+from thg.errors import InvalidInputError
+from thg.fingroup import (CayleyGroup, _generating_sequence, _spanning_tree,
+                          from_catalog)
+from thg.tower import (LayerAut, _center_data, center_structure,
+                       check_action, make_virtabelian)
+
+NO_INVERSE = "element lacks a two-sided inverse"
+NOT_ASSOCIATIVE = "multiplication table is not associative"
+
+
+# ---------------------------------------------------------------------------
+# The table validator
+
+
+def _entrywise_fault(n, names, table, e):
+    """The first message of the element-by-element validator, or None."""
+    if n < 1:
+        return "group order must be positive"
+    if len(names) != n or len(set(names)) != n:
+        return "element names must be distinct and match order"
+    if len(table) != n or any(len(row) != n for row in table):
+        return "table must be order x order"
+    for row in table:
+        for v in row:
+            if not 0 <= v < n:
+                return "table entry out of range"
+    for i in range(n):
+        if sorted(table[i]) != list(range(n)):
+            return "table row is not a permutation"
+        if sorted(table[j][i] for j in range(n)) != list(range(n)):
+            return "table column is not a permutation"
+    if not 0 <= e < n:
+        return "identity index out of range"
+    for i in range(n):
+        if table[e][i] != i or table[i][e] != i:
+            return "identity index is not a two-sided identity"
+    t = table
+    for i, j in enumerate(row.index(e) for row in t):
+        if t[j][i] != e:
+            return NO_INVERSE
+    for b in _generating_sequence(_unchecked(t, e)):
+        for a in range(n):
+            ab = t[a][b]
+            for c in range(n):
+                if t[ab][c] != t[a][t[b][c]]:
+                    return NOT_ASSOCIATIVE
+    return None
+
+
+def _intercalate(rows, e, rng, through_identity):
+    """Swap x and y in a 2x2 Latin subsquare (rows a, b; columns c, d)
+    that avoids row e and column e, so rows and columns stay
+    permutations and e stays a two-sided identity.  Through e (x = e) it
+    breaks the inverse of a; otherwise the square is usually no longer
+    associative.
+    Returns False when 400 draws find no such subsquare."""
+    n = len(rows)
+    others = [x for x in range(n) if x != e]
+    for _ in range(400 if n > 2 else 0):
+        a, b = rng.sample(others, 2)
+        c = rows[a].index(e) if through_identity else rng.choice(others)
+        x = rows[a][c]
+        d = rows[b].index(x)
+        y = rows[a][d]
+        # Through e, d = b^-1 outside rows a and b keeps d a != e.
+        if (d != e and c != e and rows[b][c] == y and y != e
+                and (x == e and d not in (a, b) if through_identity else x != e)):
+            rows[a][c], rows[a][d] = y, x
+            rows[b][c], rows[b][d] = x, y
+            return True
+    return False
+
+
+def _mutations(table, e, rng):
+    """(kind, table, identity) triples: the table as it is, and each
+    seeded mutation that applies to it."""
+    n = len(table)
+    yield "none", table, e
+    rows = [list(r) for r in table]
+    (r1, c1), (r2, c2) = (divmod(k, n) for k in rng.sample(range(n * n), 2))
+    rows[r1][c1], rows[r2][c2] = rows[r2][c2], rows[r1][c1]
+    yield "swap", rows, e
+    rows = [list(r) for r in table]
+    rows[rng.randrange(n)][rng.randrange(n)] = rng.choice((-1, n, n + 7))
+    yield "out of range", rows, e
+    yield "moved identity", table, rng.choice([x for x in range(n) if x != e])
+    for kind, through_identity in (("broken inverse", True), ("intercalate", False)):
+        rows = [list(r) for r in table]
+        if _intercalate(rows, e, rng, through_identity):
+            yield kind, rows, e
+
+
+GROUPS = ["Z2", "Z(3)", "Z2xZ2", "Z(5)", "Z(6)", "Q8", "D4", "Z(4)xZ2",
+          "Z(9)", "Q8xZ2", "D4xZ(3)", "Z(32)", "Q8xZ(4)", "D4xZ2xZ2",
+          "Q8xZ(4)xZ2", "D4xZ(8)", "Z(64)"]
+
+
+def _base_tables():
+    for name in GROUPS:
+        g = from_catalog(name)
+        yield name, g.table, g.identity_index
+    # Past TABLE_CAP: an intercalate of Z/66 is the non-associative Latin
+    # square that once loaded as a group.
+    yield "Z/66", tuple(tuple((a + b) % 66 for b in range(66)) for a in range(66)), 0
+
+
+def test_table_validation_matches_the_entrywise_validator():
+    seen = set()
+    for (name, base_table, base_e), seed in itertools.product(_base_tables(), range(3)):
+        rng = random.Random(f"{name}/{seed}")
+        table, e = _relabel(base_table, base_e, rng)
+        for kind, rows, ident in _mutations(table, e, rng):
+            n = len(rows)
+            names = tuple(f"g{i}" for i in range(n))
+            rows = tuple(map(tuple, rows))
+            expected = _entrywise_fault(n, names, rows, ident)
+            try:
+                CayleyGroup(n, names, rows, ident)
+                got = None
+            except InvalidInputError as exc:
+                got = str(exc)
+            assert got == expected, (name, seed, kind)
+            seen.add((name, kind, got))
+
+    def messages(kind):
+        return {got for _, k, got in seen if k == kind}
+    assert messages("none") == {None}
+    assert messages("out of range") == {"table entry out of range"}
+    assert messages("moved identity") == {"identity index is not a two-sided identity"}
+    assert messages("broken inverse") == {NO_INVERSE}
+    assert {"table row is not a permutation",
+            "table column is not a permutation"} <= messages("swap")
+    assert ("Z/66", "intercalate", NOT_ASSOCIATIVE) in seen
+    assert len({name for name, k, got in seen
+                if k == "intercalate" and got == NOT_ASSOCIATIVE}) >= 10
+
+
+# ---------------------------------------------------------------------------
+# The center on free and mixed layers
+
+
+def _all_pairs_center(g):
+    """The center's presentation with a relation for every pair (q, r) of
+    C, |C|^2 rows and one integer solve each."""
+    free_basis, torsion_gens, lifts = _center_data(g)
+    lay = g.layer
+    f, m = len(free_basis), len(lifts)
+    pos = {q: f + t for t, q in enumerate(lifts)}
+    tors_col = {i: (f + m + t, u) for t, (i, u, _) in enumerate(torsion_gens)}
+    width = f + m + len(torsion_gens)
+    row = [0] * width
+    row[pos[g.base.identity_index]] = 1
+    rows = [row]
+    basis_matrix = IntMatrix.from_rows([list(b) for b in free_basis],
+                                       cols=lay.rank).transpose()
+    for (q, a_q), (r, a_r) in itertools.product(lifts.items(), repeat=2):
+        qr = g.base.table[q][r]
+        delta = lay.add(lay.add(a_q, a_r), lay.add(g.cocycle[q][r], lay.neg(lifts[qr])))
+        row = [0] * width
+        if f:
+            row[:f] = solve_integer(basis_matrix, delta[:lay.rank])
+        assert not any(delta[:lay.rank]) or f
+        for i, d in enumerate(delta[lay.rank:]):
+            if i in tors_col:
+                col, u = tors_col[i]
+                row[col], d = divmod(d, u)
+            assert d == 0
+        row[pos[q]] += 1
+        row[pos[r]] += 1
+        row[pos[qr]] -= 1
+        rows.append(row)
+    return cokernel(f + m, [o for _, _, o in torsion_gens],
+                    IntMatrix.from_rows(rows, cols=width))
+
+
+def _sign_characters(base):
+    """Every homomorphism from base to {+1, -1}, one sign per element:
+    each choice on the generators, spread along the spanning tree, kept
+    when it respects every product."""
+    out = []
+    n, t = base.order, base.table
+    for on_gens in itertools.product((1, -1), repeat=len(base.generators)):
+        signs = [0] * n
+        signs[base.identity_index] = 1
+        for x, k, y in _spanning_tree(base, base.generators):
+            signs[y] = signs[x] * on_gens[k]
+        if all(signs[t[q][r]] == signs[q] * signs[r] for q in range(n) for r in range(n)):
+            out.append(tuple(signs))
+    return out
+
+
+def _twisted_extension(name, rank, torsion, seed):
+    """A layer Z^rank + torsion with an independent sign character per
+    coordinate, a random coboundary, and on cyclic bases a carry cocycle
+    on the coordinates the generator fixes."""
+    rng = random.Random(f"{name}/{rank}/{torsion}/{seed}")
+    base = from_catalog(name)
+    layer = FgAbelian(rank, torsion)
+    characters = _sign_characters(base)
+    chars = [rng.choice(characters) for _ in range(layer.n_coords)]
+    action = [LayerAut(layer,
+                       IntMatrix.from_rows([[ch[q] if i == j else 0 for j in range(rank)]
+                                            for i, ch in enumerate(chars[:rank])], cols=rank),
+                       tuple(ch[q] for ch in chars[rank:]))
+              for q in range(base.order)]
+
+    def draw():
+        return layer.reduce([rng.randint(-3, 3) for _ in range(rank)]
+                            + [rng.randrange(m) for m in torsion])
+
+    n, t = base.order, base.table
+    cocycle = {}
+    gen = next((x for x in range(n) if base.element_order(x) == n), None)
+    if gen is not None and n > 1:
+        power = [base.identity_index]
+        for _ in range(n - 1):
+            power.append(t[power[-1]][gen])
+        exponent = {q: k for k, q in enumerate(power)}
+        v = layer.reduce([x if ch[gen] == 1 else 0 for x, ch in zip(draw(), chars)])
+        cocycle = {(q, r): v for q in range(n) for r in range(n)
+                   if exponent[q] + exponent[r] >= n}
+    f = [layer.zero() if q == base.identity_index else draw() for q in range(n)]
+    for q in range(n):
+        for r in range(n):
+            c = layer.add(layer.add(cocycle.get((q, r), layer.zero()), f[q]),
+                          action[q].apply(f[r]))
+            cocycle[(q, r)] = layer.add(c, layer.neg(f[t[q][r]]))
+    return make_virtabelian(base, layer, dict(enumerate(action)), cocycle)
+
+
+CENTER_BASES = ["Z2", "Z(3)", "Z(4)", "Z(6)", "Z2xZ2", "Q8", "D4", "Z(4)xZ2", "Q8xZ2"]
+CENTER_LAYERS = [(1, ()), (2, ()), (1, (2,)), (1, (4,)), (2, (3,)), (1, (2, 4))]
+
+
+def test_center_on_free_and_mixed_layers_matches_all_pairs():
+    checked = twisted = 0
+    for name, (rank, torsion), seed in itertools.product(CENTER_BASES, CENTER_LAYERS,
+                                                         range(3)):
+        g = _twisted_extension(name, rank, torsion, seed)
+        assert center_structure(g) == _all_pairs_center(g), (name, rank, torsion, seed)
+        checked += 1
+        twisted += any(not aut.is_identity() for aut in g.action)
+    assert checked == 162 and twisted >= 100, (checked, twisted)
+
+
+# ---------------------------------------------------------------------------
+# check_action with torsion signs
+
+
+def _sign_action(base, layer, chars):
+    return [LayerAut(layer, IntMatrix.identity(layer.rank), tuple(ch[q] for ch in chars))
+            for q in range(base.order)]
+
+
+def test_z2_and_z4_sign_characters_are_actions():
+    layer = FgAbelian(0, (2, 4))
+    for name in ("Z(4)", "Z2xZ2", "Q8", "D4", "Q8xZ(4)"):
+        base = from_catalog(name)
+        characters = _sign_characters(base)
+        assert len(characters) >= 2
+        for first, second in itertools.product(characters, repeat=2):
+            check_action(base, _sign_action(base, layer, [first, second]))
+
+
+def test_a_sign_pattern_that_is_no_character_is_refused_on_z4_only():
+    base = from_catalog("Z(4)")
+    t = base.index_of("t")
+    # t and t^2 both negate: t t = t^2 would have to act as +1.
+    pattern = tuple(-1 if q in (t, base.table[t][t]) else 1 for q in range(4))
+    trivial = (1,) * 4
+    # On Z/2 a sign is the identity, so any pattern is an action there.
+    check_action(base, _sign_action(base, FgAbelian(0, (2,)), [pattern]))
+    for layer, chars in ((FgAbelian(0, (4,)), [pattern]),
+                         (FgAbelian(0, (2, 4)), [trivial, pattern]),
+                         (FgAbelian(0, (2, 4)), [pattern, pattern])):
+        with pytest.raises(InvalidInputError, match="^action is not a homomorphism$"):
+            check_action(base, _sign_action(base, layer, chars))

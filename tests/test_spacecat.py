@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import sys
 
 import pytest
 
@@ -520,3 +521,45 @@ def test_degree_and_pairing_key_syntax(field, key, error):
     with pytest.raises(ModelError) as caught:
         load_model(json.dumps(doc))
     assert (caught.value.path, caught.value.message) == (f"{field}.{key}", error)
+
+
+_HUGE = "1" + "0" * 4999  # past the 4,300 digits that int() reads from text
+
+
+def test_integers_past_the_digit_limit_are_model_errors():
+    # A degree key with more digits than the truncation is refused by its
+    # length, before int() could refuse it.
+    for field, key, value, message in [
+            ("gottlieb", _HUGE, "full", "degree must lie between 1 and 3"),
+            ("pi", _HUGE, _TRIVIAL_GROUP, "degree must lie between 2 and 3"),
+            ("whitehead", f"{_HUGE},2", [], "pairing lands past the truncation degree"),
+            ("whitehead", f"2,{_HUGE}", [], "pairing lands past the truncation degree"),
+            ("whitehead", f"1,{_HUGE}", [], "pairings below degree 2 are not supported")]:
+        doc = _space_doc(pi={"2": _TRIVIAL_GROUP, "3": _TRIVIAL_GROUP})
+        doc[field] = dict(doc[field], **{key: value}) if field == "pi" else {key: value}
+        with pytest.raises(ModelError) as caught:
+            _load(doc)
+        assert (caught.value.path, caught.value.message) == (f"{field}.{key}", message)
+    # A document integer of that length is refused by the JSON reader,
+    # where the interpreter caps integer conversion (3.10.7 and later).
+    if not hasattr(sys, "get_int_max_str_digits"):
+        return
+    text = json.dumps(_space_doc(truncation=3)).replace('"truncation": 3',
+                                                        f'"truncation": {_HUGE}')
+    with pytest.raises(ModelError) as caught:
+        load_model(text)
+    assert caught.value.path == ""
+    assert caught.value.message.startswith("unreadable number: ")
+    with pytest.raises(ModelError) as caught:
+        list(Catalog([("x.json", text.encode())]))
+    assert caught.value.path == "x.json"
+
+
+def test_gottlieb_degrees_of_an_aspherical_space_read_the_trivial_group():
+    doc = {"kind": "space", "name": "X", "truncation": 3, "aspherical": True,
+           "pi1": {"rank": 1, "torsion": []}, "pi": {}}
+    x = _load(dict(doc, gottlieb={"3": "full", "2": "trivial"}))
+    assert x.gottlieb_at(2) == x.gottlieb_at(3) == FULL
+    with pytest.raises(ModelError) as caught:
+        _load(dict(doc, gottlieb={"2": {"generators": [[1]]}}))
+    assert caught.value.path.startswith("gottlieb.2.")
