@@ -405,23 +405,34 @@ def kernel_lattice(m: IntMatrix) -> List[Tuple[int, ...]]:
 def subgroup_structure(ambient: FgAbelian, generators: IntMatrix) -> FgAbelian:
     """Abstract isomorphism type of the subgroup spanned by generator rows.
 
-    The subgroup is the image of Z^m -> ambient; its type is Z^m modulo the
-    kernel of that map, and the kernel drops out of an SNF left transform.
-
     >>> subgroup_structure(FgAbelian(1), IntMatrix.from_rows([[2]]))
     FgAbelian(rank=1, torsion=())
     >>> subgroup_structure(FgAbelian(0, (2,)), IntMatrix.from_rows([[1]]))
     FgAbelian(rank=0, torsion=(2,))
     """
-    m = generators.rows
+    # The generators stacked over the torsion relations.
+    return span_structure(generators.rows,
+                          _presentation_rows(ambient.rank, ambient.torsion, generators))
+
+
+def span_structure(m: int, rows: Sequence[Sequence[int]]) -> FgAbelian:
+    """Isomorphism type of the subgroup spanned by the first m rows in Z^n
+    modulo the span of the rest, n the common width.
+
+    The subgroup is the image of Z^m -> Z^n / (the rest); its type is Z^m
+    modulo the kernel of that map, the x with x G in the span of the rest,
+    G the first m rows.  That kernel is the left kernel of all the rows,
+    cut to its first m coordinates.
+
+    >>> span_structure(1, [[1, 0], [0, 2]])
+    FgAbelian(rank=1, torsion=())
+    >>> span_structure(1, [[1, 1], [2, 0], [0, 2]])
+    FgAbelian(rank=0, torsion=(2,))
+    """
     if m == 0:
         return TRIVIAL
-    # Stack the generators over the torsion relations so that x*M = 0
-    # captures the relations among the generators in the ambient.
-    rows = _presentation_rows(ambient.rank, ambient.torsion, generators)
-    basis = kernel_lattice(IntMatrix.from_rows(rows, cols=ambient.n_coords))
-    projected = [row[:m] for row in basis]
-    return cokernel(m, [], IntMatrix.from_rows(projected, cols=m))
+    basis = kernel_lattice(IntMatrix.from_rows(rows))
+    return cokernel(m, [], IntMatrix.from_rows([row[:m] for row in basis], cols=m))
 
 
 def solve_integer(m: IntMatrix, target: Sequence[int]):
@@ -431,19 +442,25 @@ def solve_integer(m: IntMatrix, target: Sequence[int]):
     """
     if len(target) != m.rows:
         raise InvalidInputError("target length does not match matrix rows")
-    diag, left, right = smith_normal_form(m)
+    return solve_factored(smith_normal_form(m), target)
+
+
+def solve_factored(snf, target: Sequence[int]):
+    """solve_integer against (diag, left, right) = smith_normal_form(m):
+    one back-substitution, so that one factorization serves every target.
+
+    With left m right = D, m x = target iff D y = left target for
+    y = right^-1 x.
+    """
+    diag, left, right = snf
     c = left.apply(tuple(target))
-    y = [0] * m.cols
-    for i in range(m.rows):
+    y = [0] * right.rows
+    for i, ci in enumerate(c):
         d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % d != 0:
-                return None
-            if i < m.cols:
-                y[i] = c[i] // d
+        if ci % d if d else ci:
+            return None
+        if d:
+            y[i] = ci // d
     return right.apply(tuple(y))
 
 

@@ -283,7 +283,7 @@ def factor_set_cokernel(base: CayleyGroup, layer: FgAbelian,
     tree relations become 0 = 0, and what is left are the non-tree
     products x_q + t_s - c(q, s) - x_qs and action_rows: |Q| |S| - |Q| + 1
     rows over rank + |S| + torsion columns in place of about |Q| |S| rows
-    over |Q| more columns.
+    over |Q| more columns.  factor_set_relations writes them.
 
     With a trivial layer this is the abelianized presentation of base on
     its generators: the relators (tree path to q) s (tree path to qs)^-1
@@ -291,9 +291,25 @@ def factor_set_cokernel(base: CayleyGroup, layer: FgAbelian,
     base (Reidemeister-Schreier; Sims, Computation with Finitely
     Presented Groups), so they present it.
     """
-    gens, t = base.generators, base.table
-    m = len(gens)
-    width = m + layer.n_coords  # columns: [lifts | layer free | layer torsion]
+    gens = base.generators
+    _, rows = factor_set_relations(base, layer, cocycle, gens, action_rows)
+    return cokernel(len(gens) + layer.rank, layer.torsion,
+                    IntMatrix.from_rows(rows, cols=len(gens) + layer.n_coords))
+
+
+def factor_set_relations(base: CayleyGroup, layer: FgAbelian,
+                         cocycle: Optional[Sequence[Sequence[Sequence[int]]]],
+                         gens: Sequence[int], action_rows: Iterable[Sequence[int]]
+                         ) -> Tuple[Dict[int, List[int]], List[Tuple[int, ...]]]:
+    """factor_set_cokernel's presentation, for the subgroup H = <gens> of
+    base: (lift, rows) in the columns [t_s, s in gens | layer free |
+    layer torsion].  lift[q], for each q in H, is x_q written by the tree;
+    rows are action_rows and the non-tree products
+    x_q + t_s - c(q, s) - x_qs over q in H, each distinct nonzero
+    relation once (on a product base most repeat).
+    """
+    t, m = base.table, len(gens)
+    width = m + layer.n_coords
 
     def product(x: int, k: int) -> List[int]:
         # x_x + t_k - c(x, gens[k])
@@ -307,13 +323,12 @@ def factor_set_cokernel(base: CayleyGroup, layer: FgAbelian,
     lift = {base.identity_index: [0] * width}
     for x, k, y in _spanning_tree(base, gens):
         lift[y] = product(x, k)
-    # Each distinct relation once: on a product base most repeat.
     rows = dict.fromkeys((0,) * m + tuple(row) for row in action_rows)
-    for q in range(base.order):
+    for q in lift:
         for k, s in enumerate(gens):
-            rows[tuple(u - v for u, v in zip(product(q, k), lift[t[q][s]]))] = None
+            rows[tuple(map(operator.sub, product(q, k), lift[t[q][s]]))] = None
     rows.pop((0,) * width, None)
-    return cokernel(m + layer.rank, layer.torsion, IntMatrix.from_rows(rows, cols=width))
+    return lift, list(rows)
 
 
 def abelian_structure_by_counting(elements, mul, identity) -> FgAbelian:

@@ -511,6 +511,10 @@ def _validate_subgroup_against(data: SubgroupData, ambient: GroupLike,
             indices = tuple(sorted(ambient.index_of(n) for n in data.elements))
         except NotFoundError as exc:
             _fail(path, str(exc))
+        if len(set(indices)) < len(indices):
+            # Every name is an element, so one repeats within |G| + 1 names.
+            twice = next(n for i, n in enumerate(data.elements) if n in data.elements[:i])
+            _fail(path, f"element {twice!r} is listed twice")
         closed = subgroup_generated(ambient, indices)
         if closed.element_indices != indices:
             _fail(path, "element list is not closed under multiplication")

@@ -11,10 +11,11 @@ checked on construction, so associativity is a theorem, not a hope.
 
 No element is multiplied one at a time: a finite extension becomes a
 CayleyGroup through to_cayley, which fills the product table from index
-tables over the layer's points and states the row order.  The center and
-the abelianization are read off the factor set.  Groups that only ever
-appear as counted invariants (layer types with multiplicities) travel as
-TowerSummary.
+tables over the layer's points and states the row order.  The
+abelianization and the center are read off the factor-set presentation
+of fingroup.factor_set_relations, the center after one factorization of
+its centrality system.  Groups that only ever appear as counted
+invariants (layer types with multiplicities) travel as TowerSummary.
 
 Whole-group questions are asked on base.generators; each function says
 why that is enough.
@@ -23,16 +24,15 @@ why that is enough.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .abelian import (FgAbelian, INFINITY, IntMatrix, cokernel, det,
-                      kernel_lattice, solve_integer)
+from .abelian import (FgAbelian, INFINITY, IntMatrix, det, smith_normal_form,
+                      solve_factored, span_structure, subgroup_index)
 from .errors import InvalidInputError, UnsupportedError
 from .fingroup import (TABLE_CAP, CayleyGroup, _generating_sequence,
-                       factor_set_cokernel)
+                       factor_set_cokernel, factor_set_relations)
 
 
 @dataclass(frozen=True)
@@ -288,176 +288,99 @@ def direct_sum_group(base: CayleyGroup, layer: FgAbelian) -> VirtAbelian:
 # Center
 
 
-def _solve_centrality(g: VirtAbelian, q: int) -> Optional[Tuple[int, ...]]:
-    """Layer part a with (a, q) central, if any; action(q) must be the
-    identity, so that (a, q) commutes with the layer.
+def _center_data(g: VirtAbelian):
+    """What the center's structure and its index are both read from:
+    (fixed, lifts), where fixed generates Fix(A), the layer points fixed
+    by the whole action, and lifts maps each base element q that carries
+    central elements to one a_q with (a_q, q) central, a_e = 0.  The
+    central elements over q are then a_q plus Fix(A).
 
     E is generated by the layer and the lifts (0, s), s in
-    base.generators, so (a, q) is central iff it commutes with each
-    (0, s): iff (I - action(s)) a = c(s,q) - c(q,s).  Torsion coordinates
-    turn into congruences, one slack variable each.  Returns reduced
-    coordinates or None.
+    base.generators, so (a, q) is central iff it commutes with each of
+    them: iff action(q) is the identity and (I - action(s)) a =
+    c(s, q) - c(q, s) for each s.  Fix(A) is the solution set of the same
+    system with right-hand side 0.  It is one integer matrix N for every
+    q, each torsion coordinate's congruence written with one slack column
+    per generator, so N is factored once and each q costs one
+    back-substitution.  Fix(A) is spanned by the kernel columns of the
+    right transform, cut to the layer's coordinates.  A central (a, q)
+    maps into the center of the base, so q commutes with the generators
+    of the base, which generate it; only those q are solved for.
     """
-    lay = g.layer
-    rank, tors = lay.rank, lay.torsion
-    k = len(tors)
-    gens = g.base.generators
-    width = rank + k + k * len(gens)
+    lay, base, gens = g.layer, g.base, g.base.generators
+    rank, n, k = lay.rank, lay.n_coords, len(lay.torsion)
+    width = n + k * len(gens)  # columns: [layer | slack per (generator, torsion)]
     rows: List[List[int]] = []
-    rhs: List[int] = []
     for t, s in enumerate(gens):
-        target = lay.add(g.cocycle[s][q], lay.neg(g.cocycle[q][s]))
         aut = g.action[s]
         for i, entries in enumerate(aut.free_matrix.entries):
             rows.append([(1 if i == j else 0) - x for j, x in enumerate(entries)]
                         + [0] * (width - rank))
-        for i in range(k):
+        for i, (order, sign) in enumerate(zip(lay.torsion, aut.torsion_signs)):
             row = [0] * width
-            row[rank + i] = 1 - aut.torsion_signs[i]
-            row[rank + k + t * k + i] = tors[i]
+            row[rank + i] = 1 - sign
+            row[n + t * k + i] = order
             rows.append(row)
-        rhs.extend(target)
-    sol = solve_integer(IntMatrix.from_rows(rows, cols=width), rhs)
-    if sol is None:
-        return None
-    return lay.reduce(sol[:rank + k])
-
-
-def _fixed_layer_data(g: VirtAbelian):
-    """Fixed subgroup of the layer under the whole action.
-
-    Fix(A) under Q is the intersection of the kernels of A(s) - I over
-    s in base.generators: a point fixed by each A(s) is fixed by their
-    products.  Returns (free basis rows, torsion generators) where each
-    torsion generator is (coordinate, residue generator, order in Z/t).
-    """
-    lay = g.layer
-    gen_auts = [g.action[s] for s in g.base.generators]
-    stacked = [[x - (1 if i == j else 0) for j, x in enumerate(entries)]
-               for aut in gen_auts for i, entries in enumerate(aut.free_matrix.entries)]
-    # Right kernel of the stack = left kernel of its transpose.
-    free_basis = kernel_lattice(IntMatrix.from_rows(stacked, cols=lay.rank).transpose())
-    torsion_gens: List[Tuple[int, int, int]] = []
-    for i, t in enumerate(lay.torsion):
-        if all(aut.torsion_signs[i] == 1 for aut in gen_auts):
-            torsion_gens.append((i, 1, t))
-        elif t % 2 == 0:
-            # 2a = 0 mod t: the fixed residues are {0, t/2}.
-            torsion_gens.append((i, t // 2, 2))
-        # odd t with a sign flip fixes only 0: no generator
-    return free_basis, torsion_gens
-
-
-def _center_data(g: VirtAbelian):
-    """What the center's structure and its index are both read from.
-
-    Returns (free basis, torsion generators, lifts) where the first two
-    come from _fixed_layer_data and lifts maps each base element q that
-    carries central elements to one a_q with (a_q, q) central, a_e = 0.
-    The central elements over q are then a_q plus the fixed layer.
-
-    A central (a, q) commutes with the layer, so action(q) is the
-    identity, and maps into the center of the base, so q commutes with
-    the generators of the base, which generate it.
-    """
-    free_basis, torsion_gens = _fixed_layer_data(g)
-    base = g.base
+    snf = smith_normal_form(IntMatrix.from_rows(rows, cols=width))
+    diag, _, right = snf
+    nonzero = len(diag) - diag.count(0)
+    fixed = [lay.reduce(col[:n]) for col in list(zip(*right.entries))[nonzero:]]
     lifts: Dict[int, Tuple[int, ...]] = {}
     for q in range(base.order):
-        if not g.action[q].is_identity():
+        if not (all(base.table[q][s] == base.table[s][q] for s in gens)
+                and g.action[q].is_identity()):
             continue
-        if not all(base.table[q][s] == base.table[s][q] for s in base.generators):
-            continue
-        a = _solve_centrality(g, q)
+        # Unreduced: the slack columns absorb multiples of a torsion order.
+        a = solve_factored(snf, [x for s in gens
+                                 for x in map(operator.sub, g.cocycle[s][q], g.cocycle[q][s])])
         if a is not None:
-            lifts[q] = a
-    lifts[base.identity_index] = g.layer.zero()
-    return free_basis, torsion_gens, lifts
+            lifts[q] = lay.reduce(a[:n])
+    return fixed, lifts
 
 
 def center_structure(g: VirtAbelian) -> FgAbelian:
     """Isomorphism type of the center, in invariant-factor form.
 
     One algorithm for any layer, finite, free or mixed.  Z(E) meets the
-    layer in its fixed subgroup and maps onto the base elements C that
-    carry central elements, so it is the abelian group on the fixed free
-    basis, the fixed torsion generators (each of its order o) and one
-    lift l_q per q in C, with l_e = 0 and l_q + l_r - l_qr = delta(q, r),
-    the factor-set presentation of an extension of C by the fixed layer
-    (K. S. Brown, Cohomology of Groups, IV.3).
-
-    Only the rows with r in a generating set S_C of C are written, |C| |S_C|
-    of them, not |C|^2.  That is enough, as in abelianization: C acts
-    trivially on the fixed layer, so delta, a cocycle cohomologous to c on
-    C, satisfies delta(q,r) + delta(qr,s) - delta(r,s) = delta(q,rs), and
-    the rows at (q, r), (qr, s) and (r, s) give the row at (q, rs).  Every
-    r in C is e s1 ... sk with each si in S_C, so by induction on k every
-    row holds.
+    layer in Fix(A) and maps onto the base elements C that carry central
+    elements, so it is generated by Fix(A) and the central lifts
+    (a_s, s), s in a generating set S_C of C.  Over C the action is the
+    identity and the central lifts commute, so the preimage E_C of C is
+    abelian: it is its own abelianization, which the factor-set relations
+    of C present on the spanning tree of S_C with no action rows
+    (fingroup.factor_set_cokernel gives the Tietze argument;
+    tower.abelianization why the rows for s in S_C are enough).  The
+    center is the subgroup of E_C that its generators span.
 
     >>> from .fingroup import from_catalog
     >>> center_structure(direct_sum_group(from_catalog("Q8"), FgAbelian(0, (3,))))
     FgAbelian(rank=0, torsion=(6,))
     """
-    free_basis, torsion_gens, lifts = _center_data(g)
-    lay, base = g.layer, g.base
-    generators = _generating_sequence(base, list(lifts))
-    f, m = len(free_basis), len(lifts)
-    # Coordinates: [fixed free basis | lifts | fixed torsion generators]
-    pos = {q: f + t for t, q in enumerate(lifts)}
-    tors_col = {i: (f + m + t, u) for t, (i, u, _) in enumerate(torsion_gens)}
-    width = f + m + len(torsion_gens)
-    row = [0] * width
-    row[pos[base.identity_index]] = 1
-    rows = [row]
-    basis_matrix = IntMatrix.from_rows([list(b) for b in free_basis],
-                                       cols=lay.rank).transpose()
-    for q, a_q in lifts.items():
-        for r in generators:
-            a_r, qr = lifts[r], base.table[q][r]
-            # (a_q, q)(a_r, r) = (delta, e)(a_qr, qr) with delta in the
-            # fixed layer; action(q) is the identity on the layer here.
-            delta = lay.add(lay.add(a_q, a_r),
-                            lay.add(g.cocycle[q][r], lay.neg(lifts[qr])))
-            row = [0] * width
-            if f:
-                coeffs = solve_integer(basis_matrix, delta[:lay.rank])
-                if coeffs is None:
-                    raise InvalidInputError("central defect left the fixed lattice")
-                row[:f] = coeffs
-            elif any(delta[:lay.rank]):
-                raise InvalidInputError("central defect left the fixed lattice")
-            # Coordinate i's fixed residues are the multiples of its u.
-            for i, d in enumerate(delta[lay.rank:]):
-                if i in tors_col:
-                    col, u = tors_col[i]
-                    row[col], d = divmod(d, u)
-                if d:
-                    raise InvalidInputError("central defect left the fixed lattice")
-            row[pos[q]] += 1
-            row[pos[r]] += 1
-            row[pos[qr]] -= 1
-            rows.append(row)
-    return cokernel(f + m, [o for _, _, o in torsion_gens],
-                    IntMatrix.from_rows(rows, cols=width))
+    fixed, lifts = _center_data(g)
+    lay = g.layer
+    gens = _generating_sequence(g.base, list(lifts))
+    lift, relations = factor_set_relations(g.base, lay, g.cocycle, gens, ())
+    m = len(gens)
+    # In the columns [t_s | layer], (a, q) = (a, e)(0, q) is a + x_q.
+    generators = [(0,) * m + a for a in fixed]
+    generators += [tuple(map(operator.add, lift[s], (0,) * m + lifts[s])) for s in gens]
+    torsion_rows = [[0] * (m + lay.rank + i) + [t] + [0] * (len(lay.torsion) - i - 1)
+                    for i, t in enumerate(lay.torsion)]
+    return span_structure(len(generators), generators + relations + torsion_rows)
 
 
 def center_index(g: VirtAbelian) -> int:
-    """[E : Z(E)] = [Q : C] [A : Fix(A)], INFINITY (0) when the fixed layer
-    has lower rank than the layer.  Z(E) maps onto C with kernel Fix(A),
+    """[E : Z(E)] = [Q : C] [A : Fix(A)], INFINITY (0) when Fix(A) has
+    lower rank than the layer.  Z(E) maps onto C with kernel Fix(A),
     and E maps onto Q with kernel A.
 
     >>> from .fingroup import from_catalog
     >>> center_index(direct_sum_group(from_catalog("Q8"), FgAbelian(1)))
     4
     """
-    free_basis, torsion_gens, lifts = _center_data(g)
-    if len(free_basis) < g.layer.rank:
-        return INFINITY
-    # The fixed lattice is a kernel, hence a direct summand: at full rank
-    # it is all of the free part.  The torsion part has one Z/o per
-    # torsion generator.
-    fixed_torsion = math.prod(o for _, _, o in torsion_gens)
-    return g.base.order // len(lifts) * (math.prod(g.layer.torsion) // fixed_torsion)
+    fixed, lifts = _center_data(g)
+    return (g.base.order // len(lifts)
+            * subgroup_index(g.layer, IntMatrix.from_rows(fixed, cols=g.layer.n_coords)))
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,12 @@
 
 CayleyGroup validates its table by whole rows and columns, to_cayley
 fills rows from segments, check_action compares each composition block
-by block, and center_structure writes its relations only for a
-generating set of C.  Each test keeps the element-by-element version as
-a test-local oracle and grades the library against it on seeded inputs:
-mutated catalog tables up to order 64 (and one of order 66) for the
-validator, and free and mixed layers twisted by sign characters for the
-center.
+by block, and center_structure and center_index read the center from
+one factorization and the factor-set presentation of C.  Each test keeps
+the element-by-element version as a test-local oracle and grades the
+library against it on seeded inputs: mutated catalog tables up to order
+64 (and one of order 66) for the validator, and free and mixed layers
+twisted by sign characters for the center and its index.
 """
 
 import itertools
@@ -17,12 +17,13 @@ import pytest
 
 from test_generators import _relabel, _unchecked
 
-from thg.abelian import FgAbelian, IntMatrix, cokernel, solve_integer
+from thg.abelian import (INFINITY, FgAbelian, IntMatrix, cokernel, kernel_lattice,
+                         solve_integer)
 from thg.errors import InvalidInputError
 from thg.fingroup import (CayleyGroup, _generating_sequence, _spanning_tree,
                           from_catalog)
-from thg.tower import (LayerAut, _center_data, center_structure,
-                       check_action, make_virtabelian)
+from thg.tower import (LayerAut, center_index, center_structure, check_action,
+                       make_virtabelian)
 
 NO_INVERSE = "element lacks a two-sided inverse"
 NOT_ASSOCIATIVE = "multiplication table is not associative"
@@ -157,6 +158,100 @@ def test_table_validation_matches_the_entrywise_validator():
 
 # ---------------------------------------------------------------------------
 # The center on free and mixed layers
+#
+# The reference is the center code as it stood before the library read
+# it from one factorization: Fix(A) from a kernel of the free blocks and
+# a case split on each torsion sign, one integer solve per central lift,
+# and a relation for every pair of C.  It shares no center code with
+# thg.tower, so a fault in the library's lifts or fixed lattice cannot
+# hide in the reference too.
+
+
+def _solve_centrality(g, q):
+    """Layer part a with (a, q) central, if any; action(q) must be the
+    identity, so that (a, q) commutes with the layer.
+
+    E is generated by the layer and the lifts (0, s), s in
+    base.generators, so (a, q) is central iff it commutes with each
+    (0, s): iff (I - action(s)) a = c(s,q) - c(q,s).  Torsion coordinates
+    turn into congruences, one slack variable each.  Returns reduced
+    coordinates or None.
+    """
+    lay = g.layer
+    rank, tors = lay.rank, lay.torsion
+    k = len(tors)
+    gens = g.base.generators
+    width = rank + k + k * len(gens)
+    rows = []
+    rhs = []
+    for t, s in enumerate(gens):
+        target = lay.add(g.cocycle[s][q], lay.neg(g.cocycle[q][s]))
+        aut = g.action[s]
+        for i, entries in enumerate(aut.free_matrix.entries):
+            rows.append([(1 if i == j else 0) - x for j, x in enumerate(entries)]
+                        + [0] * (width - rank))
+        for i in range(k):
+            row = [0] * width
+            row[rank + i] = 1 - aut.torsion_signs[i]
+            row[rank + k + t * k + i] = tors[i]
+            rows.append(row)
+        rhs.extend(target)
+    sol = solve_integer(IntMatrix.from_rows(rows, cols=width), rhs)
+    if sol is None:
+        return None
+    return lay.reduce(sol[:rank + k])
+
+
+def _fixed_layer_data(g):
+    """Fixed subgroup of the layer under the whole action.
+
+    Fix(A) under Q is the intersection of the kernels of A(s) - I over
+    s in base.generators: a point fixed by each A(s) is fixed by their
+    products.  Returns (free basis rows, torsion generators) where each
+    torsion generator is (coordinate, residue generator, order in Z/t).
+    """
+    lay = g.layer
+    gen_auts = [g.action[s] for s in g.base.generators]
+    stacked = [[x - (1 if i == j else 0) for j, x in enumerate(entries)]
+               for aut in gen_auts for i, entries in enumerate(aut.free_matrix.entries)]
+    # Right kernel of the stack = left kernel of its transpose.
+    free_basis = kernel_lattice(IntMatrix.from_rows(stacked, cols=lay.rank).transpose())
+    torsion_gens = []
+    for i, t in enumerate(lay.torsion):
+        if all(aut.torsion_signs[i] == 1 for aut in gen_auts):
+            torsion_gens.append((i, 1, t))
+        elif t % 2 == 0:
+            # 2a = 0 mod t: the fixed residues are {0, t/2}.
+            torsion_gens.append((i, t // 2, 2))
+        # odd t with a sign flip fixes only 0: no generator
+    return free_basis, torsion_gens
+
+
+def _center_data(g):
+    """What the center's structure and its index are both read from.
+
+    Returns (free basis, torsion generators, lifts) where the first two
+    come from _fixed_layer_data and lifts maps each base element q that
+    carries central elements to one a_q with (a_q, q) central, a_e = 0.
+    The central elements over q are then a_q plus the fixed layer.
+
+    A central (a, q) commutes with the layer, so action(q) is the
+    identity, and maps into the center of the base, so q commutes with
+    the generators of the base, which generate it.
+    """
+    free_basis, torsion_gens = _fixed_layer_data(g)
+    base = g.base
+    lifts = {}
+    for q in range(base.order):
+        if not g.action[q].is_identity():
+            continue
+        if not all(base.table[q][s] == base.table[s][q] for s in base.generators):
+            continue
+        a = _solve_centrality(g, q)
+        if a is not None:
+            lifts[q] = a
+    lifts[base.identity_index] = g.layer.zero()
+    return free_basis, torsion_gens, lifts
 
 
 def _all_pairs_center(g):
@@ -252,15 +347,46 @@ CENTER_BASES = ["Z2", "Z(3)", "Z(4)", "Z(6)", "Z2xZ2", "Q8", "D4", "Z(4)xZ2", "Q
 CENTER_LAYERS = [(1, ()), (2, ()), (1, (2,)), (1, (4,)), (2, (3,)), (1, (2, 4))]
 
 
-def test_center_on_free_and_mixed_layers_matches_all_pairs():
-    checked = twisted = 0
+def _twisted_extensions():
     for name, (rank, torsion), seed in itertools.product(CENTER_BASES, CENTER_LAYERS,
                                                          range(3)):
-        g = _twisted_extension(name, rank, torsion, seed)
-        assert center_structure(g) == _all_pairs_center(g), (name, rank, torsion, seed)
+        yield (name, rank, torsion, seed), _twisted_extension(name, rank, torsion, seed)
+
+
+def test_center_on_free_and_mixed_layers_matches_all_pairs():
+    checked = twisted = 0
+    for case, g in _twisted_extensions():
+        assert center_structure(g) == _all_pairs_center(g), case
         checked += 1
         twisted += any(not aut.is_identity() for aut in g.action)
     assert checked == 162 and twisted >= 100, (checked, twisted)
+
+
+def _reference_index(g):
+    """[Q : C] [A : Fix(A)] from the reference: the fixed lattice is a
+    kernel, hence a direct summand, so at full rank it is the whole free
+    part, and the fixed torsion has one Z/o per torsion generator."""
+    free_basis, torsion_gens, lifts = _center_data(g)
+    if len(free_basis) < g.layer.rank:
+        return INFINITY
+    fixed_torsion = 1
+    for _, _, o in torsion_gens:
+        fixed_torsion *= o
+    torsion = 1
+    for t in g.layer.torsion:
+        torsion *= t
+    return g.base.order // len(lifts) * (torsion // fixed_torsion)
+
+
+def test_center_index_on_free_and_mixed_layers_matches_the_reference():
+    indices = []
+    for case, g in _twisted_extensions():
+        expected = _reference_index(g)
+        assert center_index(g) == expected, case
+        indices.append(expected)
+    assert len(indices) == 162
+    # Both a lost rank and finite indices above 1 occur.
+    assert indices.count(INFINITY) >= 50 and len(set(indices) - {INFINITY}) >= 4, indices
 
 
 # ---------------------------------------------------------------------------

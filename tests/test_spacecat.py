@@ -246,6 +246,20 @@ def test_space_document_loads():
     assert x.pi_at(2) == FgAbelian(1)
 
 
+def test_a_repeated_element_name_is_refused_by_name():
+    doc = json.loads((CATALOG_DIR / "s3modq8.json").read_text())
+    doc["gottlieb"]["1"] = {"elements": ["1", "-1", "-1"]}
+    with pytest.raises(ModelError, match="^gottlieb.1: element '-1' is listed twice$"):
+        _load(doc)
+    # The list without the repeat is the center, and loads.
+    doc["gottlieb"]["1"] = {"elements": ["-1", "1"]}
+    assert _load(doc).name == "S3modQ8"
+    doc["gottlieb"]["1"] = {"elements": ["1", "i"]}
+    with pytest.raises(ModelError, match="^gottlieb.1: element list is not closed under "
+                                         "multiplication$"):
+        _load(doc)
+
+
 def test_malformed_documents_are_rejected_with_paths():
     with pytest.raises(ModelError):
         load_model("not json at all")
