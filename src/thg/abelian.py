@@ -298,9 +298,6 @@ class FgAbelian:
     def add(self, a: Sequence[int], b: Sequence[int]) -> Tuple[int, ...]:
         return self.reduce(tuple(x + y for x, y in zip(a, b, strict=True)))
 
-    def neg(self, a: Sequence[int]) -> Tuple[int, ...]:
-        return self.reduce(tuple(-x for x in a))
-
     def describe(self) -> str:
         """ASCII name, e.g. "Z^2 x Z/2 x Z/4"; the trivial group is "1"."""
         parts = []

@@ -1,12 +1,16 @@
 """Finite groups as Cayley tables.
 
 Small groups only: the isomorphism search is capped at order 64, which
-covers the catalog.  Construction checks that the table is a Latin
-square with a two-sided identity and inverses, and that it is
-associative.  Associativity is checked by Light's test on a generating
-set, which proves it for every triple, so a CayleyGroup in hand is known
-to be a group, not just an array.  Every check compares whole rows and
-columns (sets, tuples, itemgetter reads), never one entry at a time.
+covers the catalog.  A CayleyGroup in hand is known to be a group, not
+just an array, because its table was either checked or built and
+proved.  Caller data (documents, relabelled tables) is checked by the
+constructor: a Latin square with a two-sided identity and inverses, and
+associative by Light's test on a generating set, which proves it for
+every triple.  Every check compares whole rows and columns (sets,
+tuples, itemgetter reads), never one entry at a time.  The library's own
+constructions (the catalog builders, direct products, subgroups,
+tower.to_cayley) come through CayleyGroup._proven, each call site saying
+why its table is a group.
 """
 
 from __future__ import annotations
@@ -37,7 +41,9 @@ COORD_CAP = 256
 class CayleyGroup:
     """A finite group presented by its full multiplication table.
 
-    table[i][j] is the index of (element i) * (element j).
+    table[i][j] is the index of (element i) * (element j).  The
+    constructor checks every table it is given; _proven takes a table
+    that the library built and proved to be a group.
     """
 
     order: int
@@ -84,6 +90,16 @@ class CayleyGroup:
             if (list(map(rows.__getitem__, map(operator.itemgetter(b), t)))
                     != list(map(operator.itemgetter(*t[b]), t))):
                 raise InvalidInputError("multiplication table is not associative")
+
+    @classmethod
+    def _proven(cls, order: int, element_names: Tuple[str, ...],
+                table: Tuple[Tuple[int, ...], ...], identity_index: int) -> CayleyGroup:
+        """A table the library built and proved to be a group, taken
+        without the checks of __post_init__; each caller says why."""
+        g = object.__new__(cls)
+        g.__dict__.update(order=order, element_names=element_names, table=table,
+                          identity_index=identity_index)
+        return g
 
     @cached_property
     def generators(self) -> Tuple[int, ...]:
@@ -240,7 +256,8 @@ def subgroup_as_group(g: CayleyGroup, ref: SubgroupRef) -> CayleyGroup:
     table = tuple(tuple(idx[g.table[a][b]] for b in ref.element_indices)
                   for a in ref.element_indices)
     names = tuple(g.element_names[x] for x in ref.element_indices)
-    return CayleyGroup(k, names, table, idx[g.identity_index])
+    # A SubgroupRef is checked closed under products and inverses in a group.
+    return CayleyGroup._proven(k, names, table, idx[g.identity_index])
 
 
 def abelianization(g: CayleyGroup) -> FgAbelian:
@@ -393,19 +410,20 @@ def abelian_structure_by_counting(elements, mul, identity) -> FgAbelian:
 def _cyclic(k: int) -> CayleyGroup:
     names = tuple("e" if j == 0 else "t" if j == 1 else f"t{j}" for j in range(k))
     table = tuple(tuple((a + b) % k for b in range(k)) for a in range(k))
-    return CayleyGroup(k, names, table, 0)
+    # Addition modulo k.
+    return CayleyGroup._proven(k, names, table, 0)
 
 
 def _klein_four() -> CayleyGroup:
     names = ("e", "a", "b", "ab")
-    # Multiplication is symmetric difference on {a, b}.
     table = (
         (0, 1, 2, 3),
         (1, 0, 3, 2),
         (2, 3, 0, 1),
         (3, 2, 1, 0),
     )
-    return CayleyGroup(4, names, table, 0)
+    # Symmetric difference on the subsets of {a, b}: the group (Z/2)^2.
+    return CayleyGroup._proven(4, names, table, 0)
 
 
 def _quaternion() -> CayleyGroup:
@@ -424,7 +442,8 @@ def _quaternion() -> CayleyGroup:
         return 2 * axis + (sa ^ sb ^ sign)
 
     table = tuple(tuple(mul(a, b) for b in range(8)) for a in range(8))
-    return CayleyGroup(8, names, table, 0)
+    # Hamilton's products of the units +-1, +-i, +-j, +-k.
+    return CayleyGroup._proven(8, names, table, 0)
 
 
 def _dihedral4() -> CayleyGroup:
@@ -438,7 +457,8 @@ def _dihedral4() -> CayleyGroup:
         return rexp + 4 * ((af + bf) % 2)
 
     table = tuple(tuple(mul(a, b) for b in range(8)) for a in range(8))
-    return CayleyGroup(8, names, table, 0)
+    # Composition of the symmetries r^k s^f of a square, Z/4 x| Z/2.
+    return CayleyGroup._proven(8, names, table, 0)
 
 
 def _product(a: CayleyGroup, b: CayleyGroup) -> CayleyGroup:
@@ -448,8 +468,9 @@ def _product(a: CayleyGroup, b: CayleyGroup) -> CayleyGroup:
         tuple(a.table[x1][x2] * b.order + b.table[y1][y2]
               for x2 in range(a.order) for y2 in range(b.order))
         for x1 in range(a.order) for y1 in range(b.order))
-    return CayleyGroup(n, names, table,
-                       a.identity_index * b.order + b.identity_index)
+    # Componentwise products of two groups.
+    return CayleyGroup._proven(n, names, table,
+                               a.identity_index * b.order + b.identity_index)
 
 
 def from_catalog(name: str) -> CayleyGroup:

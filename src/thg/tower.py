@@ -8,6 +8,9 @@ factor-set data: elements are pairs (a, q), multiplied by
 
 where q.b is the action and c the cocycle.  The cocycle condition is
 checked on construction, so associativity is a theorem, not a hope.
+When every element acts as the identity and every cocycle value is
+zero, the condition reads 0 = 0 at every triple; the shape, reduction
+and action checks still run, and the columnar sweep does not.
 
 No element is multiplied one at a time: a finite extension becomes a
 CayleyGroup through to_cayley, which fills the product table from index
@@ -76,9 +79,11 @@ class LayerAut:
                 + tuple(map(operator.mul, self.torsion_signs, coords[rank:])))
 
     def is_identity(self) -> bool:
-        # self == identity_aut(layer) without building that LayerAut
+        # self == identity_aut(layer), read off the diagonal of the free block
+        off = self.layer.rank - 1
         return (-1 not in self.torsion_signs
-                and self.free_matrix == IntMatrix.identity(self.layer.rank))
+                and all(row[i] == 1 and row.count(0) == off
+                        for i, row in enumerate(self.free_matrix.entries)))
 
 
 def _is_signed_permutation(m: IntMatrix) -> bool:
@@ -114,13 +119,19 @@ def check_action(base: CayleyGroup, action: Sequence[LayerAut]) -> None:
     loaders call it.  Each composition is compared block by block, with
     no LayerAut built for it: a product of unimodular blocks is
     unimodular, and a Z/2 sign, stored as +1 on every automorphism, stays
-    +1 in a product of signs.
+    +1 in a product of signs.  A generator s that acts as the identity
+    needs no product: action(q) action(s) is action(q) itself.
     """
     if not action[base.identity_index].is_identity():
         raise InvalidInputError("identity base element must act trivially")
     for s in base.generators:
+        qs_column = map(operator.itemgetter(s), base.table)
+        if action[s].is_identity():
+            if any(map(operator.ne, action, map(action.__getitem__, qs_column))):
+                raise InvalidInputError("action is not a homomorphism")
+            continue
         matrix_s, signs_s = action[s].free_matrix, action[s].torsion_signs
-        for aut_q, qs in zip(action, map(operator.itemgetter(s), base.table)):
+        for aut_q, qs in zip(action, qs_column):
             aut_qs = action[qs]
             if (aut_q.free_matrix.mul(matrix_s) != aut_qs.free_matrix
                     or tuple(map(operator.mul, aut_q.torsion_signs, signs_s))
@@ -190,6 +201,9 @@ class VirtAbelian:
                 seen.add(c)
             if any(self.cocycle[e][q]) or any(row[e]):
                 raise InvalidInputError("cocycle must vanish against the identity")
+        moved = [None if aut.is_identity() else aut for aut in self.action]
+        if not any(map(any, seen)) and not any(moved):
+            return  # zero cocycle, trivial action: every condition reads 0 = 0
         # The cocycle condition at (q, r, s) is associativity of the
         # extension with middle factor (0, r).  Layer elements (a, e)
         # pass it, c being normalised and the action linear, so Light's
@@ -200,7 +214,6 @@ class VirtAbelian:
         rank, torsion = self.layer.rank, self.layer.torsion
         t, c = self.base.table, self.cocycle
         columns = [tuple(zip(*row)) for row in c]  # columns[q][j][s] = c(q,s)[j]
-        moved = [None if aut.is_identity() else aut for aut in self.action]
         for r in self.base.generators:
             t_r = t[r]
             for q in range(q_count):
@@ -401,8 +414,10 @@ def to_cayley(g: VirtAbelian) -> CayleyGroup:
     cocycle.  The product (a + q.b + c(q,r), qr) depends on a and b only
     through the point u = a + q.b, so for each q the segment of u over
     r = 0..|Q|-1 is built once, and row (a, q) is the segments at
-    u = add[a][act[q][b]] over b, concatenated.  The result is still
-    validated as a group by CayleyGroup.
+    u = add[a][act[q][b]] over b, concatenated.  The extension's cocycle
+    condition was proved when it was built (by the columnar sweep, or as
+    0 = 0 for a zero cocycle under trivial action), so the table is a
+    group and is not validated again by CayleyGroup.
 
     >>> from .fingroup import from_catalog, is_isomorphic
     >>> is_isomorphic(to_cayley(direct_sum_group(from_catalog("Q8"), FgAbelian(0, ()))),
@@ -431,8 +446,9 @@ def to_cayley(g: VirtAbelian) -> CayleyGroup:
         for add_a in add for act_q, segments_q in zip(act, segments))
     names = g.base.element_names if lay.is_trivial() else tuple(
         f"({','.join(map(str, x))};{name})" for x in points for name in g.base.element_names)
-    # The zero point is first, so the identity is (0, e) at index e.
-    return CayleyGroup(total, names, table, g.base.identity_index)
+    # The zero point is first, so the identity is (0, e) at index e.  The
+    # product of a VirtAbelian, whose cocycle condition is checked, is a group.
+    return CayleyGroup._proven(total, names, table, g.base.identity_index)
 
 
 def abelianization(g: VirtAbelian) -> FgAbelian:

@@ -96,7 +96,7 @@ def seeded_extension(name, torsion, seed):
         for r in range(base.order):
             c = cocycle.get((q, r), layer.zero())
             c = layer.add(layer.add(c, f[q]), action[q].apply(f[r]))
-            cocycle[(q, r)] = layer.add(c, layer.neg(f[base.table[q][r]]))
+            cocycle[(q, r)] = layer.reduce([a - b for a, b in zip(c, f[base.table[q][r]])])
     return make_virtabelian(base, layer, dict(enumerate(action)), cocycle), nonsplit
 
 

@@ -65,7 +65,7 @@ def twisted_extension(name, torsion, seed):
     for q, r in itertools.product(range(n), repeat=2):
         c = v if chi[q] == chi[r] == -1 else layer.zero()
         c = layer.add(layer.add(c, f[q]), action[q].apply(f[r]))
-        cocycle[(q, r)] = layer.add(c, layer.neg(f[base.table[q][r]]))
+        cocycle[(q, r)] = layer.reduce([a - b for a, b in zip(c, f[base.table[q][r]])])
     return make_virtabelian(base, layer, dict(enumerate(action)), cocycle)
 
 
@@ -140,8 +140,8 @@ def _coboundary_cocycle(base, layer, action, rng):
     """c(q, r) = f(q) + q.f(r) - f(qr) for a random normalised f."""
     f = [layer.zero() if q == base.identity_index else _random_point(layer, rng)
          for q in range(base.order)]
-    return [[layer.add(layer.add(f[q], action[q].apply(f[r])),
-                       layer.neg(f[base.table[q][r]]))
+    return [[layer.reduce([a + b - d for a, b, d in zip(f[q], action[q].apply(f[r]),
+                                                        f[base.table[q][r]])])
              for r in range(base.order)] for q in range(base.order)]
 
 

@@ -185,7 +185,7 @@ def _solve_centrality(g, q):
     rows = []
     rhs = []
     for t, s in enumerate(gens):
-        target = lay.add(g.cocycle[s][q], lay.neg(g.cocycle[q][s]))
+        target = lay.reduce([a - b for a, b in zip(g.cocycle[s][q], g.cocycle[q][s])])
         aut = g.action[s]
         for i, entries in enumerate(aut.free_matrix.entries):
             rows.append([(1 if i == j else 0) - x for j, x in enumerate(entries)]
@@ -270,7 +270,8 @@ def _all_pairs_center(g):
                                        cols=lay.rank).transpose()
     for (q, a_q), (r, a_r) in itertools.product(lifts.items(), repeat=2):
         qr = g.base.table[q][r]
-        delta = lay.add(lay.add(a_q, a_r), lay.add(g.cocycle[q][r], lay.neg(lifts[qr])))
+        delta = lay.reduce([a + b + c - d for a, b, c, d
+                            in zip(a_q, a_r, g.cocycle[q][r], lifts[qr])])
         row = [0] * width
         if f:
             row[:f] = solve_integer(basis_matrix, delta[:lay.rank])
@@ -339,7 +340,7 @@ def _twisted_extension(name, rank, torsion, seed):
         for r in range(n):
             c = layer.add(layer.add(cocycle.get((q, r), layer.zero()), f[q]),
                           action[q].apply(f[r]))
-            cocycle[(q, r)] = layer.add(c, layer.neg(f[t[q][r]]))
+            cocycle[(q, r)] = layer.reduce([a - b for a, b in zip(c, f[t[q][r]])])
     return make_virtabelian(base, layer, dict(enumerate(action)), cocycle)
 
 
