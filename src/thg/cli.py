@@ -30,7 +30,7 @@ from .fingroup import (CayleyGroup, abelian_structure, from_catalog,
 from .report import CheckReport, FAIL, PASS
 from .spacecat import (DEGREE_CAP, Catalog, SpaceModel, TransformationModel,
                        builtin_catalog, catalog_from_dir, find_model,
-                       orbit_space, serialize, subgroup_index_in)
+                       orbit_space, serialize)
 from .tower import TowerSummary, VirtAbelian, abelianization, center_structure
 from .verdict import Indeterminate
 
@@ -460,10 +460,9 @@ def _gottlieb_index(i: int, want: int):
     """The probe that the recorded degree-i evaluation subgroup has index
     want in pi_i."""
     def probe(x: SpaceModel):
-        data = x.gottlieb_at(i)
-        if data is None:
+        got, _ = x.gottlieb_entry(i)
+        if got is None:
             return False, "data missing"
-        got = subgroup_index_in(x.pi_at(i), data)
         return got == want, (f"index {_order_doc(got)}, "
                              f"expected {_order_doc(want)}")
     return probe

@@ -27,6 +27,7 @@ gottlieb_fox_crosscheck exercises from both sides.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from operator import add
 from typing import Dict, List, Optional, Tuple, Union
@@ -34,8 +35,7 @@ from typing import Dict, List, Optional, Tuple, Union
 from .abelian import FgAbelian, order_text
 from .errors import BookkeepingError, InvalidInputError
 from .report import FAIL, INDETERMINATE, PASS, CheckReport
-from .spacecat import (SpaceModel, subgroup_index_in, subgroup_rows,
-                       subgroup_structure_in)
+from .spacecat import SpaceModel, subgroup_rows
 from .tower import TowerSummary, make_summary
 from .verdict import Indeterminate, Verdict, is_indeterminate, is_true, tri_all
 
@@ -194,14 +194,6 @@ def whitehead_gottlieb_conflicts(x: SpaceModel) -> List[str]:
     return conflicts
 
 
-# tau_invariants of the last few (model, degree) pairs, so that a splitting
-# check's tau_{n-1} is the previous degree's tau_n.  Keyed on the model
-# object, never its name: a --catalog-dir model may share a built-in's
-# name.  Each entry holds its model, so no other object takes its id.
-_TAU_KEEP = 4
-_tau_cache: Dict[Tuple[int, int], Tuple[SpaceModel, TowerSummary]] = {}
-
-
 def tau_invariants(x: SpaceModel, n: int) -> TowerSummary:
     """Invariant-level description of tau_n(X).
 
@@ -210,9 +202,6 @@ def tau_invariants(x: SpaceModel, n: int) -> TowerSummary:
     records whether the iterated extension is untwisted, which holds
     exactly when all Whitehead data vanishes and pi_1 acts trivially.
     """
-    hit = _tau_cache.get((id(x), n))
-    if hit is not None:
-        return hit[1]
     _check_degree(x, n)
     conflicts = whitehead_gottlieb_conflicts(x)
     if conflicts:
@@ -226,11 +215,7 @@ def tau_invariants(x: SpaceModel, n: int) -> TowerSummary:
         direct = True  # nothing to twist
     else:
         direct = x.whitehead_trivial() and x.pi1_action_trivial
-    summary = make_summary(x.pi1.describe(), x.pi1.order, layers, direct)
-    if len(_tau_cache) >= _TAU_KEEP:
-        del _tau_cache[next(iter(_tau_cache))]
-    _tau_cache[(id(x), n)] = (x, summary)
-    return summary
+    return make_summary(x.pi1.describe(), x.pi1.order, layers, direct)
 
 
 def loop_tau_invariants(x: SpaceModel, n: int) -> TowerSummary:
@@ -246,6 +231,10 @@ def loop_tau_invariants(x: SpaceModel, n: int) -> TowerSummary:
     return make_summary(1, 1, layers, True)
 
 
+def _no_data(x: SpaceModel, i: int) -> Indeterminate:
+    return Indeterminate(f"{x.name} has no evaluation-subgroup data at degree {i}")
+
+
 def gottlieb_fox_invariants(x: SpaceModel, n: int) -> Union[TowerSummary, Indeterminate]:
     """The evaluation subgroup of tau_n: G_i(X)^{C(n-1, i-1)}, i = 1..n.
 
@@ -255,19 +244,16 @@ def gottlieb_fox_invariants(x: SpaceModel, n: int) -> Union[TowerSummary, Indete
     indeterminate; it never defaults to the trivial subgroup.
     """
     _check_degree(x, n)
-    row = _binomial_row(n - 1)
     layers = []
-    for i in range(1, n + 1):
-        data = x.gottlieb_at(i)
-        if data is None:
-            return Indeterminate(
-                f"{x.name} has no evaluation-subgroup data at degree {i}")
-        struct = subgroup_structure_in(x.pi_at(i), data)
+    for i, mult in zip(range(1, n + 1), _binomial_row(n - 1)):
+        index, struct = x.gottlieb_entry(i)
+        if index is None:
+            return _no_data(x, i)
         if struct is None:
             return Indeterminate(
                 f"degree-{i} evaluation subgroup of {x.name} has no abelian "
                 f"presentation")
-        layers.append((f"G{i}", struct, row[i - 1]))
+        layers.append((f"G{i}", struct, mult))
     return make_summary(1, 1, layers, True)
 
 
@@ -298,8 +284,10 @@ def fox_sequence_check(x: SpaceModel, n: int, target: Optional[str] = None,
     -order.  Failures are entries, not errors.
     """
     target = target or x.name
-    whole = tau_invariants(x, n)
+    # tau_{n-1} before tau_n: over a walk n = 2, 3, ... the multiplicity
+    # column is asked for degrees that never fall, so it only steps on.
     quot = tau_invariants(x, n - 1)
+    whole = tau_invariants(x, n)
     ker = loop_tau_invariants(x, n)
     report = CheckReport(f"splitting of {target} at n={n}")
     wl, ql, kl = _layer_map(whole), _layer_map(quot), _layer_map(ker)
@@ -354,32 +342,27 @@ def is_n_gottlieb(x: SpaceModel, n: int) -> Verdict:
     trivially on every homotopy group (the Jiang subgroup property), so
     a nontrivial pi_1-action also rules it out.
     """
-    grp = x.pi_at(n)
-    data = x.gottlieb_at(n)
-    if data is not None:
-        return subgroup_index_in(grp, data) == 1
-    if n == 1:
-        if not grp.is_abelian():
-            return False
-        if not x.pi1_action_trivial:
-            return False
-    return Indeterminate(
-        f"{x.name} has no evaluation-subgroup data at degree {n}")
+    index, _ = x.gottlieb_entry(n)
+    if index is not None:
+        return index == 1
+    if n == 1 and not (x.pi1.is_abelian() and x.pi1_action_trivial):
+        return False
+    return _no_data(x, n)
 
 
 def gottlieb_index_product(x: SpaceModel, n: int) -> Union[int, Indeterminate]:
     """prod_{i=1..n} [pi_i : G_i]^{C(n-1, i-1)}, the index of the
-    evaluation subgroup of tau_n when everything in sight is known.
+    evaluation subgroup of tau_n when everything in sight is known; a
+    trivial pi_i adds nothing, so only gottlieb_table's degrees are read.
     """
     _check_degree(x, n)
-    row = _binomial_row(n - 1)
     product = 1
-    for i in range(1, n + 1):
-        data = x.gottlieb_at(i)
-        if data is None:
-            return Indeterminate(
-                f"{x.name} has no evaluation-subgroup data at degree {i}")
-        product *= subgroup_index_in(x.pi_at(i), data) ** row[i - 1]
+    for i, (index, _) in x.gottlieb_table.items():
+        if i > n:
+            break
+        if index is None:
+            return _no_data(x, i)
+        product *= index ** math.comb(n - 1, i - 1)
     return product
 
 

@@ -5,9 +5,9 @@ strict: unknown keys, malformed groups, or inconsistent homotopy data are
 rejected with the offending field path.  Each loaded model keeps its raw
 document, so the canonical serialization round-trips bit for bit.
 
-Models are immutable, so what is derived from one (the sigma_1
-extension and its multiplication table, the orbit space, G0) is built on
-first use and kept on the model for every later caller.
+Models are immutable, so what is derived from one (a space's Gottlieb
+table; the sigma_1 extension and its table, the orbit space and G0 of a
+transformation) is built on first use and kept on the model.
 
 Homotopy data is always explicitly truncated.  Asking for a degree past
 the truncation is an error, never a silent zero.
@@ -102,6 +102,25 @@ class SpaceModel:
         if self.pi_at(i).is_trivial():
             return FULL
         return self.gottlieb.get(i)
+
+    @cached_property
+    def gottlieb_table(self) -> Dict[int, Tuple[Optional[int], Optional[FgAbelian]]]:
+        """degree i -> ([pi_i : G_i], G_i as an FgAbelian), in increasing
+        degree, for each degree whose pi_i is nontrivial; None marks G_i
+        unknown, or (structure only) not abelian.  At every other degree
+        G_i = pi_i is trivial: index 1, structure TRIVIAL (gottlieb_entry)."""
+        table = {}
+        for i in range(1, (1 if self.aspherical else self.truncation) + 1):
+            grp, data = self.pi_at(i), self.gottlieb.get(i)
+            if not grp.is_trivial():
+                table[i] = (None, None) if data is None else (
+                    subgroup_index_in(grp, data), subgroup_structure_in(grp, data))
+        return table
+
+    def gottlieb_entry(self, i: int) -> Tuple[Optional[int], Optional[FgAbelian]]:
+        """gottlieb_table's entry at degree i; past the data, an error."""
+        self.pi_at(i)
+        return self.gottlieb_table.get(i, (1, TRIVIAL))
 
     def whitehead_trivial(self) -> bool:
         if self.whitehead_pairs is None:
@@ -490,12 +509,10 @@ def parse_subgroup_spec(raw, path: str) -> SubgroupData:
 def _validate_subgroup_against(data: SubgroupData, ambient: GroupLike,
                                path: str, warnings: List[str],
                                pi1_action_trivial: bool, degree: int):
-    if data.kind in ("full", "trivial"):
-        if data.kind == "full" and degree == 1 and not pi1_action_trivial:
-            warnings.append(
-                f"{path}: a full degree-1 evaluation subgroup is inconsistent "
-                "with a nontrivial fundamental group action on higher degrees")
-        return
+    if data.kind == "full" and degree == 1 and not pi1_action_trivial:
+        warnings.append(
+            f"{path}: a full degree-1 evaluation subgroup is inconsistent "
+            "with a nontrivial fundamental group action on higher degrees")
     if data.kind == "generators":
         if not isinstance(ambient, FgAbelian):
             _fail(path, "generator matrices need an abelian ambient group")
@@ -518,14 +535,13 @@ def _validate_subgroup_against(data: SubgroupData, ambient: GroupLike,
         closed = subgroup_generated(ambient, indices)
         if closed.element_indices != indices:
             _fail(path, "element list is not closed under multiplication")
-        if degree == 1 and not ambient.is_abelian():
-            zc = set(group_center(ambient).element_indices)
-            if not set(indices) <= zc:
-                # Gottlieb: G_1 always lands in the center.
-                warnings.append(
-                    f"{path}: degree-1 evaluation subgroup exceeds the center "
-                    "of the fundamental group")
-        return
+    # Gottlieb: G_1 always lands in the center, which a non-abelian group
+    # is not all of.
+    if degree == 1 and data.kind != "trivial" and not ambient.is_abelian() and (
+            data.kind == "full"
+            or not set(indices) <= set(group_center(ambient).element_indices)):
+        warnings.append(f"{path}: degree-1 evaluation subgroup exceeds the "
+                        "center of the fundamental group")
 
 
 # ---------------------------------------------------------------------------

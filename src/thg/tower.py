@@ -158,8 +158,8 @@ def make_summary(base_name_or_order: Union[str, int], base_order: int,
                  is_direct_product: bool) -> TowerSummary:
     total = base_order
     for _, grp, mult in layers:
-        # Once infinite, stay so without raising 1 to huge multiplicities.
-        if total != INFINITY and mult:
+        # Once infinite, stay so; a layer of order 1 changes nothing.
+        if total != INFINITY and mult and grp.order != 1:
             total *= grp.order ** mult
     return TowerSummary(base_name_or_order, tuple(layers), is_direct_product, total)
 

@@ -6,11 +6,14 @@ literally summing the column, so no binomial implementation is trusted
 twice.
 """
 
+import io
+import json
 import math
+import tempfile
 
 import pytest
 
-from thg import fox, rhodes
+from thg import cli, fox, rhodes, spacecat
 from thg.abelian import FgAbelian, INFINITY
 from thg.errors import (BookkeepingError, InsufficientDataError,
                         InvalidInputError)
@@ -24,8 +27,6 @@ from thg.report import (CONFIRMED, EXPECTED_EXCEPTION, FAIL, INDETERMINATE,
                         PASS, VIOLATION)
 from thg.spacecat import builtin_catalog, load_model
 from thg.verdict import is_false, is_indeterminate, is_true
-
-import json
 
 MODELS = builtin_catalog()
 BY_NAME = {m.name: m for m in MODELS}
@@ -139,7 +140,11 @@ def test_tau_summaries_are_kept_per_model_not_per_name():
     for n in (5, 6, 5):
         assert tau_invariants(builtin, n).base_name_or_order == "Z^3"
         assert tau_invariants(other, n).base_name_or_order == "Z^2"
-    assert tau_invariants(builtin, 6) is tau_invariants(builtin, 6)
+    # Each model gets its own Gottlieb degree table, built once.
+    assert builtin.gottlieb_table == {1: (1, FgAbelian(3))}
+    assert other.gottlieb_table == {1: (1, FgAbelian(2))}
+    assert builtin.gottlieb_table is builtin.gottlieb_table
+    assert other.gottlieb_table is other.gottlieb_table
 
 
 def test_degree_validation():
@@ -288,6 +293,104 @@ def test_gottlieb_index_product():
     assert gottlieb_index_product(BY_NAME["S3modZ4"], 3) == 1
     assert gottlieb_index_product(BY_NAME["S5"], 5) == 2
     assert gottlieb_index_product(BY_NAME["S2"], 2) == INFINITY
+
+
+# A loaded model whose G_2 and G_4 are missing, and a degree-1 subgroup
+# written "full" on a non-abelian fundamental group.
+GAPPED = {
+    "kind": "space", "name": "Gapped", "aspherical": False, "truncation": 5,
+    "pi1": {"rank": 0, "torsion": []},
+    "pi": {str(k): {"rank": 1, "torsion": []} for k in range(2, 6)},
+    "gottlieb": {"3": "full", "5": {"generators": [[3]]}},
+    "whitehead": "trivial", "pi1_action": "trivial",
+}
+FULL_Q8 = {
+    "kind": "space", "name": "FullQ8", "aspherical": False, "truncation": 2,
+    "pi1": {"catalog": "Q8"}, "pi": {"2": {"rank": 0, "torsion": []}},
+    "gottlieb": {"1": "full"}, "whitehead": "trivial", "pi1_action": "trivial",
+}
+
+
+def test_indeterminate_reasons_name_the_first_faulty_degree():
+    x = load_model(json.dumps(GAPPED))
+    missing = "Gapped has no evaluation-subgroup data at degree {}"
+    assert is_true(is_n_gottlieb(x, 3))
+    assert is_false(is_n_gottlieb(x, 5))
+    for n in (2, 3, 4, 5):
+        assert gottlieb_index_product(x, n).reason == missing.format(2)
+        assert gottlieb_fox_invariants(x, n).reason == missing.format(2)
+    for n in (2, 4):
+        assert is_n_gottlieb(x, n).reason == missing.format(n)
+    assert gottlieb_index_product(x, 1) == 1
+    code, out = _cli("gtau", "Gapped", "--n", "4", doc=GAPPED)
+    assert code == 0 and json.loads(out)["results"] == [
+        {"n": 4, "indeterminate": missing.format(2)}]
+
+    q8 = load_model(json.dumps(FULL_Q8))
+    no_abelian = ("degree-1 evaluation subgroup of FullQ8 has no abelian "
+                  "presentation")
+    assert is_true(is_n_gottlieb(q8, 1))
+    assert gottlieb_index_product(q8, 2) == 1
+    for n in (1, 2):
+        assert gottlieb_fox_invariants(q8, n).reason == no_abelian
+    code, out = _cli("gtau", "FullQ8", "--max-n", "2", doc=FULL_Q8)
+    assert code == 0 and json.loads(out)["results"] == [
+        {"n": 1, "indeterminate": no_abelian},
+        {"n": 2, "indeterminate": no_abelian}]
+
+
+def _cli(*argv, doc):
+    """Exit code and JSON stdout of thg over a catalog of doc alone."""
+    with tempfile.TemporaryDirectory() as root:
+        with open(f"{root}/{doc['name'].lower()}.json", "w") as fh:
+            json.dump(doc, fh)
+        out = io.StringIO()
+        code = cli.run([*argv, "--catalog-dir", root, "--format", "json"],
+                       out=out, err=io.StringIO())
+    return code, out.getvalue()
+
+
+def test_each_nontrivial_degree_is_resolved_once_per_model(monkeypatch):
+    counts = {"subgroup_index_in": 0, "subgroup_structure_in": 0}
+    for name in counts:
+        honest = getattr(spacecat, name)
+
+        def counted(*args, _name=name, _honest=honest):
+            counts[_name] += 1
+            return _honest(*args)
+        # Every module that binds the name, so that a reader going round
+        # the table is counted too.
+        for module in (spacecat, fox, rhodes, cli):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    fresh = {m.name: m for m in builtin_catalog()}
+    t3, s3, tg = fresh["T3"], fresh["S3"], fresh["t3-z2"]
+    assert tg.space is t3
+    orbit = spacecat.orbit_space(tg)
+    assert gottlieb_fox_crosscheck(t3, 200).passed
+    rhodes.classify(tg, 60)
+    assert gottlieb_fox_invariants(s3, 6).finite_order == INFINITY
+    # T3 and its orbit space carry data in degree 1 only; S3 in its
+    # nontrivial degrees.
+    nontrivial = sum(not m.pi_at(i).is_trivial()
+                     for m in (t3, orbit, s3)
+                     for i in range(1, (1 if m.aspherical else m.truncation) + 1))
+    assert 0 < counts["subgroup_index_in"] <= nontrivial, counts
+    assert 0 < counts["subgroup_structure_in"] <= nontrivial, counts
+
+
+def test_a_walk_of_splitting_checks_never_steps_the_column_back(monkeypatch):
+    asked = []
+    honest = recursive_tau_multiplicities
+
+    def recorded(n):
+        asked.append(n)
+        return honest(n)
+    monkeypatch.setattr(fox, "recursive_tau_multiplicities", recorded)
+    x = load_model(json.dumps(BY_NAME["T3"].raw))
+    for n in range(2, 61):
+        assert fox_sequence_check(x, n).passed
+    assert asked and asked == sorted(asked), asked
 
 
 def test_crosscheck_two_sided_agreement():

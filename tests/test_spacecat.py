@@ -246,6 +246,19 @@ def test_space_document_loads():
     assert x.pi_at(2) == FgAbelian(1)
 
 
+def test_a_degree_one_subgroup_past_the_center_warns_in_either_spelling():
+    # Gottlieb: G_1 lies in the center, and Q8 is not its own center.
+    past = ("gottlieb.1: degree-1 evaluation subgroup exceeds the center of "
+            "the fundamental group",)
+    doc = _space_doc(pi1={"catalog": "Q8"})
+    q8_elements = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
+    for spelling in ("full", {"elements": q8_elements}):
+        assert _load(dict(doc, gottlieb={"1": spelling})).warnings == past
+    assert _load(dict(doc, gottlieb={"1": {"elements": ["1", "-1"]}})).warnings == ()
+    # On an abelian fundamental group "full" is the center.
+    assert _load(_space_doc()).warnings == ()
+
+
 def test_a_repeated_element_name_is_refused_by_name():
     doc = json.loads((CATALOG_DIR / "s3modq8.json").read_text())
     doc["gottlieb"]["1"] = {"elements": ["1", "-1", "-1"]}
