@@ -580,20 +580,36 @@ def find_isomorphism(a: CayleyGroup, b: CayleyGroup) -> Optional[Dict[int, int]]
     in H and every k <= t.  That is enough: every y in H is a word
     gens[k1] ... gens[km], so by induction on m,
     phi(x y) = phi(x) images[k1] ... images[km] = phi(x) phi(y).
-    The map returned is phi at the last depth.  An isomorphism keeps
-    each element's signature, so gens[t] is only sent to elements of its
-    own signature.
+    The map returned is phi at the last depth.
+
+    Before that check, an image y of g = gens[t] is skipped when it
+    breaks a relation that every isomorphism extending the map phi' on
+    H' = <gens[:t]> keeps: y has g's signature; y images[k] y^-1 =
+    phi'(c) for each k < t whose conjugate c = g gens[k] g^-1 lies in
+    H'; y^m = phi'(g^m) for the least m with g^m in H'; and each element
+    of H has its image's signature.  A skipped subtree holds no
+    isomorphism, and the order of the search is unchanged, so the first
+    map found is the same as without the skips.
     """
     if a.order != b.order:
         return None
     gens = a.generators
     if not gens:  # trivial group
         return {a.identity_index: b.identity_index}
+    at, bt, asig, bsig = a.table, b.table, a.signatures, b.signatures
     candidates: Dict[Tuple[int, int, int], List[int]] = {}
-    for y, sig in enumerate(b.signatures):
+    for y, sig in enumerate(bsig):
         candidates.setdefault(sig, []).append(y)
     trees = [_spanning_tree(a, gens[:t + 1]) for t in range(len(gens))]
-    at, bt = a.table, b.table
+    # relations[t]: the (k, c) with c in H' (the set inside), m and g^m.
+    relations, inside = [], {a.identity_index}
+    for t, g in enumerate(gens):
+        conjugates = [(k, a.conjugate(g, gens[k])) for k in range(t)]
+        power, m = g, 1
+        while power not in inside:
+            power, m = at[power][g], m + 1
+        relations.append(([(k, c) for k, c in conjugates if c in inside], m, power))
+        inside = {a.identity_index}.union(y for _, _, y in trees[t])
     images: List[int] = []
 
     def partial_map(t: int) -> Optional[Dict[int, int]]:
@@ -601,7 +617,7 @@ def find_isomorphism(a: CayleyGroup, b: CayleyGroup) -> Optional[Dict[int, int]]
         hit = {b.identity_index}
         for x, k, y in trees[t]:
             fy = bt[phi[x]][images[k]]
-            if fy in hit:  # not injective
+            if fy in hit or bsig[fy] != asig[y]:  # not injective, or not kept
                 return None
             hit.add(fy)
             phi[y] = fy
@@ -611,20 +627,29 @@ def find_isomorphism(a: CayleyGroup, b: CayleyGroup) -> Optional[Dict[int, int]]
                     return None
         return phi
 
-    def extend(t: int) -> Optional[Dict[int, int]]:
-        for y in candidates.get(a.signatures[gens[t]], ()):
+    def extend(t: int, prev: Dict[int, int]) -> Optional[Dict[int, int]]:
+        conjugates, m, power = relations[t]
+        for y in candidates.get(asig[gens[t]], ()):
+            y_inv = b.inverses[y]
+            if any(bt[bt[y][images[k]]][y_inv] != prev[c] for k, c in conjugates):
+                continue
+            z = y
+            for _ in range(m - 1):
+                z = bt[z][y]
+            if z != prev[power]:
+                continue
             images.append(y)
             phi = partial_map(t)
             if phi is not None:
                 if t + 1 == len(gens):
                     return phi
-                phi = extend(t + 1)
+                phi = extend(t + 1, phi)
                 if phi is not None:
                     return phi
             images.pop()
         return None
 
-    return extend(0)
+    return extend(0, {a.identity_index: b.identity_index})
 
 
 def is_isomorphic(a: CayleyGroup, b: CayleyGroup) -> bool:

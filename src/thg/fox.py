@@ -211,8 +211,8 @@ def tau_invariants(x: SpaceModel, n: int) -> TowerSummary:
         raise BookkeepingError("multiplicity recursion out of step")
     layers = [(f"pi{i}", x.pi_at(i), mult)
               for i, mult in zip(range(2, n + 1), row[1:])]
-    if all(grp.is_trivial() for _, grp, _ in layers):
-        direct = True  # nothing to twist
+    if x.aspherical or all(grp.is_trivial() for _, grp, _ in layers):
+        direct = True  # nothing to twist: every layer is trivial
     else:
         direct = x.whitehead_trivial() and x.pi1_action_trivial
     return make_summary(x.pi1.describe(), x.pi1.order, layers, direct)

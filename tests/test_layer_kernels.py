@@ -4,10 +4,11 @@ to_cayley fills its product table from index tables over the layer's
 points; the cocycle condition is checked column by column; the
 abelianization is read on a spanning tree of the base with one lift
 symbol per generator; find_isomorphism builds each depth's spanning tree
-once and draws images from signature classes; and a signed-permutation
-free block is accepted as unimodular without a determinant.  Each test
-writes the slow, obvious computation out and requires the same answer on
-seeded inputs.
+once, draws images from signature classes, skips images that break a
+relation and returns the map of the search without skips; and a
+signed-permutation free block is accepted as unimodular without a
+determinant.  Each test writes the slow, obvious computation out and
+requires the same answer on seeded inputs.
 """
 
 import collections
@@ -352,14 +353,19 @@ def _table_invariants(g):
     return orders, sum(t[x][y] == t[y][x] for x in range(n) for y in range(n))
 
 
+def _twisted_groups():
+    """The tabulated twisted extensions of order 16 and 32."""
+    return [to_cayley(twisted_extension(name, torsion, seed))
+            for name in ("Z(4)", "Z2xZ2", "Q8", "D4")
+            for torsion in ((4,), (2, 2)) for seed in range(2)]
+
+
 def test_find_isomorphism_on_twisted_extensions():
     # Each tabulated extension is matched with a relabelled copy, and
     # with every other one of its order: a map found must be an
     # isomorphism under the full check, and where the table invariants
     # differ none may be found.
-    groups = [to_cayley(twisted_extension(name, torsion, seed))
-              for name in ("Z(4)", "Z2xZ2", "Q8", "D4")
-              for torsion in ((4,), (2, 2)) for seed in range(2)]
+    groups = _twisted_groups()
     rng = random.Random(17)
     found = refused = 0
     for i, a in enumerate(groups):
@@ -376,6 +382,126 @@ def test_find_isomorphism_on_twisted_extensions():
             elif _table_invariants(a) != _table_invariants(other):
                 refused += 1
     assert found >= 5 and refused >= 10, (found, refused)
+
+
+def _unpruned_find_isomorphism(a, b):
+    """The depth-first search without relation skips: images of gens[t]
+    in signature order, each kept only when the map it defines on
+    <gens[:t+1]> (built breadth first) is injective and keeps every
+    product x gens[k].  The first full map found is returned."""
+    if a.order != b.order:
+        return None
+    gens = a.generators
+    if not gens:
+        return {a.identity_index: b.identity_index}
+    candidates = collections.defaultdict(list)
+    for y, sig in enumerate(b.signatures):
+        candidates[sig].append(y)
+    images = []
+
+    def partial_map(t):
+        phi = {a.identity_index: b.identity_index}
+        frontier, hit = [a.identity_index], {b.identity_index}
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for k in range(t + 1):
+                    y = a.table[x][gens[k]]
+                    if y not in phi:
+                        phi[y] = b.table[phi[x]][images[k]]
+                        if phi[y] in hit:  # not injective
+                            return None
+                        hit.add(phi[y])
+                        nxt.append(y)
+            frontier = nxt
+        for x, fx in phi.items():
+            for k in range(t + 1):
+                if phi[a.table[x][gens[k]]] != b.table[fx][images[k]]:
+                    return None
+        return phi
+
+    def extend(t):
+        for y in candidates[a.signatures[gens[t]]]:
+            images.append(y)
+            phi = partial_map(t)
+            if phi is not None:
+                phi = phi if t + 1 == len(gens) else extend(t + 1)
+                if phi is not None:
+                    return phi
+            images.pop()
+        return None
+
+    return extend(0)
+
+
+PRODUCT_BASES = {16: ("Q8xZ2", "D4xZ2"), 32: ("Q8xZ(4)", "D4xZ(4)"),
+                 64: ("Q8xZ(4)xZ2", "D4xZ(4)xZ2")}
+
+
+def _affine_group(n, u):
+    """The permutations x -> u^i x + b of Z/n, tabulated (n = 10, u = 9
+    is the dihedral group of order 20).  With n = 5, 7 and u = 2, 3 a
+    generator of order 4 or 3 conjugates the translations by x -> u x,
+    whose inverse differs: the catalog groups and the twisted extensions
+    have central squares, so no conjugation there tells a conjugate from
+    its inverse."""
+    shift = tuple((x + 1) % n for x in range(n))
+    scale = tuple(u * x % n for x in range(n))
+    elements = [tuple(range(n))]
+    index = {elements[0]: 0}
+    for p in elements:
+        for s in (shift, scale):
+            q = tuple(s[x] for x in p)
+            if q not in index:
+                index[q] = len(elements)
+                elements.append(q)
+    table = tuple(tuple(index[tuple(q[x] for x in p)] for q in elements)
+                  for p in elements)
+    return CayleyGroup(len(elements), tuple(map(str, elements)), table, 0)
+
+
+def _search_inputs():
+    """Relabelled pairs of the product bases (50 at order 64), the
+    twisted extensions against relabelled copies and each other, the
+    Q8/D4 product pairs both ways, and affine groups against relabelled
+    copies and against a group of their order (dihedral or cyclic)."""
+    rng = random.Random(23)
+    for order, names in PRODUCT_BASES.items():
+        for name in names:
+            g = from_catalog(name)
+            for _ in range(25 if order == 64 else 8):
+                yield _relabel(g, rng), _relabel(g, rng)
+    groups = _twisted_groups()
+    for i, a in enumerate(groups):
+        yield a, _relabel(a, rng)
+        for other in groups[i + 1:]:
+            if other.order == a.order:
+                yield a, other
+    for q_name, d_name in [("Q8", "D4"), *PRODUCT_BASES.values()]:
+        for left, right in itertools.product((q_name, d_name), repeat=2):
+            yield from_catalog(left), from_catalog(right)
+    for (n, u), other in [((5, 2), _affine_group(10, 9)), ((7, 2), from_catalog("Z(21)")),
+                          ((7, 3), from_catalog("Z(42)"))]:
+        g = _affine_group(n, u)
+        for _ in range(4):
+            yield _relabel(g, rng), _relabel(g, rng)
+        yield g, other
+        yield other, g
+
+
+def test_skipped_images_leave_the_search_result_unchanged():
+    # The relation skips only drop subtrees that hold no isomorphism, in
+    # an unchanged search order, so the map (or None) is the unpruned one.
+    found = refused = 0
+    for a, b in _search_inputs():
+        phi = find_isomorphism(a, b)
+        assert phi == _unpruned_find_isomorphism(a, b), (a.order, found, refused)
+        if phi is None:
+            refused += 1
+        else:
+            assert _is_isomorphism(a, b, phi)
+            found += 1
+    assert found >= 110 and refused >= 50, (found, refused)
 
 
 # ---------------------------------------------------------------------------
