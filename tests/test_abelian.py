@@ -1,27 +1,27 @@
 """Exact-arithmetic checks for the integer matrix kernel.
 
 The Smith normal form is cross-examined against two independent
-computations: determinantal divisors (gcds of k-by-k minors, the
-classical characterization of the invariant factors) and a literal
-coset enumeration of the quotient lattice.  Neither oracle shares code
-with the implementation under test; the enumeration reduces against a
-row-echelon basis built by plain Euclidean row operations.  Up to 16x16
-the oracles are ones that scale: unimodular transforms (Bareiss det of
-+-1) that diagonalize, a divisor chain with its zeros last, and |det| as
-the product of the diagonal; each of those runs under an alarm, so a
-hang fails the test.
+computations, both in strategies.py: determinantal divisors (gcds of
+k-by-k minors, the classical characterization of the invariant factors)
+and a literal coset enumeration of the quotient lattice.  Neither oracle
+shares code with the implementation under test; the enumeration reduces
+against a row-echelon basis built by plain Euclidean row operations.
+Up to 16x16 the oracles are ones that scale: unimodular transforms
+(Bareiss det of +-1) that diagonalize, a divisor chain with its zeros
+last, and |det| as the product of the diagonal; each of those runs under
+an alarm, so a hang fails the test.
 """
 
-import contextlib
-import itertools
 import math
 import random
-import signal
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from strategies import (SAMPLE, divisors_by_minors, echelon_basis, enumerate_quotient,
+                        minor_det, order_multiset, predicted_order_multiset,
+                        rational_rank, reduce_mod, time_limit)
 
 from thg.abelian import (FgAbelian, INFINITY, IntMatrix, canonical_form,
                          cokernel, det, diagonal_matrix,
@@ -29,198 +29,6 @@ from thg.abelian import (FgAbelian, INFINITY, IntMatrix, canonical_form,
                          smith_normal_form, snf_diagonal, solve_integer,
                          subgroup_index, subgroup_structure)
 from thg.errors import InvalidInputError
-
-
-# ---------------------------------------------------------------------------
-# Independent oracles
-
-
-def _minor_det(rows):
-    """Cofactor-expansion determinant; fine up to 5x5."""
-    k = len(rows)
-    if k == 0:
-        return 1
-    if k == 1:
-        return rows[0][0]
-    total = 0
-    for j in range(k):
-        sub = [r[:j] + r[j + 1:] for r in rows[1:]]
-        total += (-1) ** j * rows[0][j] * _minor_det(sub)
-    return total
-
-
-def divisors_by_minors(entries):
-    """Invariant factors via determinantal divisors: d_k = D_k / D_{k-1}.
-
-    D_k is the gcd of all k-by-k minors; the quotient chain is the
-    Smith diagonal up to sign.  Zero entries appear once the minors of
-    that size all vanish.
-    """
-    rows = [list(r) for r in entries]
-    m, n = len(rows), len(rows[0]) if rows else 0
-    out = []
-    prev = 1
-    for k in range(1, min(m, n) + 1):
-        d = 0
-        for ri in itertools.combinations(range(m), k):
-            for ci in itertools.combinations(range(n), k):
-                sub = [[rows[i][j] for j in ci] for i in ri]
-                d = math.gcd(d, abs(_minor_det(sub)))
-        if d == 0:
-            out.extend([0] * (min(m, n) - len(out)))
-            break
-        out.append(d // prev)
-        prev = d
-    return out
-
-
-def rational_rank(entries):
-    rows = [[Fraction(x) for x in r] for r in entries]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for j in range(cols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i][j]:
-                f = rows[i][j] / rows[rank][j]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
-
-
-def echelon_basis(entries, n):
-    """Row basis of the integer row span, by Euclidean row reduction.
-
-    Returns rows in echelon form: each has a leading pivot column, the
-    pivot is positive, and entries below a pivot are zero.  Entries
-    above are merely reduced, which is all the coset reduction needs.
-    """
-    rows = [list(r) for r in entries if any(r)]
-    basis = []
-    for col in range(n):
-        live = [r for r in rows if r[col] != 0]
-        rest = [r for r in rows if r[col] == 0]
-        while len(live) > 1:
-            live.sort(key=lambda r: abs(r[col]))
-            a = live[0]
-            reduced = [a]
-            for r in live[1:]:
-                q = r[col] // a[col]
-                for j in range(n):
-                    r[j] -= q * a[j]
-                if r[col] != 0:
-                    reduced.append(r)
-                elif any(r):
-                    rest.append(r)
-            live = reduced
-        if live:
-            a = live[0]
-            basis.append([-x for x in a] if a[col] < 0 else a)
-        rows = [r for r in rest if any(r)]
-    return basis
-
-
-def reduce_mod(x, basis):
-    """Canonical residue of x modulo the echelon row basis."""
-    x = list(x)
-    for b in basis:
-        col = next(j for j, v in enumerate(b) if v)
-        q = x[col] // b[col]
-        for j in range(len(x)):
-            x[j] -= q * b[j]
-    return tuple(x)
-
-
-def enumerate_quotient(entries, n, cap=2000):
-    """All cosets of Z^n modulo the row span, by breadth-first search.
-
-    Returns (residues, add) where residues lists every coset once and
-    add composes two of them; None when the quotient is infinite.
-    """
-    if rational_rank(entries) < n:
-        return None
-    basis = echelon_basis(entries, n)
-    assert len(basis) == n
-    zero = reduce_mod((0,) * n, basis)
-    seen = {zero}
-    frontier = [zero]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for j in range(n):
-                for s in (1, -1):
-                    y = list(x)
-                    y[j] += s
-                    y = reduce_mod(y, basis)
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-        frontier = nxt
-        assert len(seen) <= cap, "quotient larger than the enumeration cap"
-
-    def add(a, b):
-        return reduce_mod([p + q for p, q in zip(a, b)], basis)
-
-    return sorted(seen), add
-
-
-def order_multiset(residues, add, zero):
-    counts = {}
-    for x in residues:
-        acc, o = x, 1
-        while acc != zero:
-            acc = add(acc, x)
-            o += 1
-        counts[o] = counts.get(o, 0) + 1
-    return counts
-
-
-def predicted_order_multiset(group: FgAbelian):
-    counts = {}
-    for elt in itertools.product(*(range(t) for t in group.torsion)):
-        o = 1
-        for c, t in zip(elt, group.torsion):
-            o = math.lcm(o, t // math.gcd(c, t))
-        counts[o] = counts.get(o, 0) + 1
-    return counts
-
-
-# ---------------------------------------------------------------------------
-# The fixed sample: every exemplar plus 500 seeded random matrices
-
-
-EXEMPLARS = [
-    [[0]],
-    [[5]],
-    [[1]],
-    [[2, 4], [6, 8]],
-    [[2, 0], [0, 0]],
-    [[1, 0], [0, 1]],
-    [[2, 0], [0, 4]],
-    [[0, 0], [0, 0]],
-    [[1, 2, 3], [4, 5, 6], [7, 8, 9]],
-    [[2, 4, 4], [-6, 6, 12], [10, 4, 16]],
-    [[1, 0, 0], [0, 2, 0], [0, 0, 6]],
-    [[3, 1], [1, 3], [2, 2]],
-    [[1, 2, 3], [4, 5, 6]],
-]
-
-
-def sample_matrices():
-    rng = random.Random(20260819)
-    out = [list(map(list, m)) for m in EXEMPLARS]
-    while len(out) < 500 + len(EXEMPLARS):
-        rows = rng.randint(1, 3)
-        cols = rng.randint(1, 3)
-        out.append([[rng.randint(-4, 4) for _ in range(cols)]
-                    for _ in range(rows)])
-    return out
-
-
-SAMPLE = sample_matrices()
 
 
 def seeded_square(n, seed):
@@ -233,20 +41,6 @@ def seeded_square(n, seed):
 # 16x16 seed 0, on which an elimination that lets its entries grow
 # unchecked does not finish.
 SQUARES = [seeded_square(n, seed) for n in range(4, 17) for seed in range(3)]
-
-
-@contextlib.contextmanager
-def time_limit(seconds):
-    """Fail the test, rather than hang it, when the body runs too long."""
-    def expire(signum, frame):
-        raise TimeoutError(f"ran past {seconds} s")
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def test_sample_size():
@@ -444,4 +238,4 @@ def test_bareiss_determinant_matches_cofactors():
     for _ in range(120):
         k = rng.randint(1, 3)
         rows = [[rng.randint(-6, 6) for _ in range(k)] for _ in range(k)]
-        assert det(IntMatrix.from_rows(rows)) == _minor_det(rows)
+        assert det(IntMatrix.from_rows(rows)) == minor_det(rows)

@@ -28,9 +28,9 @@ from thg.spacecat import SpaceModel, TransformationModel, builtin_catalog
 from thg.tower import make_virtabelian, to_cayley
 from thg.verdict import is_false
 
-from test_abelian import (SAMPLE, divisors_by_minors, enumerate_quotient,
-                          order_multiset, predicted_order_multiset,
-                          echelon_basis, reduce_mod)
+from strategies import (SAMPLE, divisors_by_minors, enumerate_quotient,
+                        order_multiset, predicted_order_multiset,
+                        echelon_basis, reduce_mod)
 
 MODELS = builtin_catalog()
 BY_NAME = {m.name: m for m in MODELS}

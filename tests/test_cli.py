@@ -7,7 +7,7 @@ import shutil
 
 import pytest
 
-from test_abelian import time_limit
+from strategies import time_limit
 
 from thg.cli import (EXIT_CHECK_FAILED, EXIT_COMPUTATION, EXIT_OK, EXIT_USAGE,
                      run)
@@ -565,6 +565,27 @@ def test_a_catalog_dir_is_validated_whole(tmp_path):
     entries = json.loads(out)["report"]["entries"]
     assert [(e["check"], e["status"]) for e in entries] == [
         ("catalog-load", "fail")]
+
+
+def test_oprea_grades_a_trivial_group_by_the_trivial_pi1_rule(tmp_path):
+    # S3modtrivial records no degree-1 subgroup.  The verdict rests on
+    # SpaceModel.gottlieb_at, by which a trivial pi_1 has G_1 = pi_1;
+    # read from the file alone, the orbit model would carry no degree-1
+    # data.
+    catalog = tmp_path / "catalog"
+    catalog.mkdir()
+    shutil.copy(CATALOG_DIR / "s3.json", catalog)
+    doc = json.loads((CATALOG_DIR / "s3modz4.json").read_text())
+    doc.update(name="S3modtrivial", pi1={"catalog": "trivial"})
+    del doc["gottlieb"]["1"]
+    (catalog / "s3modtrivial.json").write_text(json.dumps(doc))
+    (catalog / "s3-triv.json").write_text(json.dumps({
+        "action": {}, "free": True, "group": {"catalog": "trivial"},
+        "kind": "transformation", "space": "S3", "sphere_dimension": 3}))
+    code, out, err = invoke("audit", "s3-triv", "--catalog-dir", str(catalog))
+    assert (code, err) == (EXIT_OK, "")
+    assert ("[pass] oprea-center: S3modtrivial n=1 -- degree-1 subgroup ['e'] "
+            "vs center ['e']\n") in out
 
 
 def test_degrees_past_the_cap_are_usage_errors():

@@ -7,10 +7,12 @@ are still affordable.
 
 import itertools
 import json
-import math
 from collections import Counter
 
 import pytest
+
+from strategies import (commutator_quotient, commutator_quotient_structure, cosets,
+                        scan_is_normal)
 
 from thg.abelian import FgAbelian
 from thg.errors import (InvalidInputError, ModelError, NotFoundError,
@@ -40,68 +42,6 @@ def brute_force_isomorphic(a: CayleyGroup, b: CayleyGroup) -> bool:
 def order_profile(g: CayleyGroup) -> Counter:
     """How many elements of each order, by powering every element."""
     return Counter(g.element_order(i) for i in range(g.order))
-
-
-def cosets(table, members):
-    """coset[x] = the least element of x N, for a subgroup N given by its
-    members."""
-    coset = {}
-    for x in range(len(table)):
-        if x not in coset:
-            for h in members:
-                coset[table[x][h]] = x
-    return coset
-
-
-def commutator_quotient(table, identity):
-    """(commutator subgroup, coset map) of a group table by a scan of all
-    |G|^2 commutators [x, y] = x y x^-1 y^-1, closed under products: no
-    generating set and no presentation."""
-    n = len(table)
-    inv = [row.index(identity) for row in table]
-    members = {table[table[table[x][y]][inv[x]]][inv[y]]
-               for x in range(n) for y in range(n)}
-    while True:
-        more = {table[a][b] for a in members for b in members} - members
-        if not more:
-            break
-        members |= more
-    return members, cosets(table, members)
-
-
-def _divisor_chains(n, least=1):
-    """Every d1 | d2 | ... | dm with d1 >= 2 and product n."""
-    if n == 1:
-        yield ()
-    for d in range(max(least, 2), n + 1):
-        if n % d == 0 and d % least == 0:
-            for rest in _divisor_chains(n // d, d):
-                yield (d,) + rest
-
-
-def commutator_quotient_structure(table, identity) -> FgAbelian:
-    """Invariant factors of the commutator quotient, by brute force.  A
-    finite abelian group with factors d_i has prod gcd(k, d_i) elements
-    with x^k = e; match those counts, over every k dividing the order,
-    against every divisor chain of the order."""
-    members, coset = commutator_quotient(table, identity)
-    reps = sorted(set(coset.values()))
-    n = len(reps)
-
-    def killed_by(k):
-        count = 0
-        for r in reps:
-            x = identity
-            for _ in range(k):
-                x = table[x][r]
-            count += x in members
-        return count
-
-    counts = {k: killed_by(k) for k in range(1, n + 1) if n % k == 0}
-    (chain,) = [c for c in _divisor_chains(n)
-                if all(math.prod(math.gcd(k, d) for d in c) == v
-                       for k, v in counts.items())]
-    return FgAbelian(0, chain)
 
 
 NAMED = ["trivial", "Z2", "Z(3)", "Z(4)", "Z2xZ2", "Z(6)", "Z(8)",
@@ -181,13 +121,12 @@ def test_abelian_structure_reads_off_invariant_factors():
 
 
 def test_subgroup_generated_closure():
-    from test_generators import _scan_is_normal  # it imports this module
     q8 = from_catalog("Q8")
     i = q8.index_of("i")
     ref = subgroup_generated(q8, [i])
     assert ref.order == 4
     assert sorted(ref.names()) == ["-1", "-i", "1", "i"]
-    assert _scan_is_normal(q8, ref.element_indices)  # index 2
+    assert scan_is_normal(q8, ref.element_indices)  # index 2
     assert is_isomorphic(subgroup_as_group(q8, ref), from_catalog("Z(4)"))
 
 

@@ -18,19 +18,16 @@ import time
 
 import pytest
 
-from test_center import sign_characters
-from test_tower import elements, one, product
+from strategies import (COCYCLE_FAILS, NOT_NORMALISED, NOT_REDUCED, WRONG_COUNT, coboundary,
+                        cochain, cocycle_oracle, draw_action, elements, extension,
+                        is_isomorphism, one, product, random_point, relabel,
+                        scan_is_abelian, seeded_extension)
 
 from thg import tower
 from thg.abelian import FgAbelian, IntMatrix, cokernel
 from thg.errors import InvalidInputError
 from thg.fingroup import CayleyGroup, find_isomorphism, from_catalog
-from thg.tower import LayerAut, VirtAbelian, identity_aut, make_virtabelian, to_cayley
-
-COCYCLE_FAILS = "cocycle condition fails; product not associative"
-WRONG_COUNT = "cocycle value has wrong coordinate count"
-NOT_REDUCED = "cocycle values must be reduced coordinates"
-NOT_NORMALISED = "cocycle must vanish against the identity"
+from thg.tower import LayerAut, VirtAbelian, identity_aut, to_cayley
 
 # Free, torsion and mixed layers.
 LAYERS = [FgAbelian(1), FgAbelian(2), FgAbelian(0, (4,)), FgAbelian(0, (2, 6)),
@@ -42,40 +39,12 @@ BASE_NAMES = ["Z2", "Z(4)", "Z2xZ2", "Q8", "D4"]
 # to_cayley
 
 
-def twisted_extension(name, torsion, seed):
-    """A finite extension with a sign action and, where one exists, a
-    nonzero cocycle.
-
-    Each torsion coordinate is flipped by its own sign character.  The
-    cocycle is a carry cocycle pulled back along a nontrivial character
-    chi, c(q, r) = v when chi(q) = chi(r) = -1, with v a nonzero point
-    fixed by the action where there is one, plus the coboundary of a
-    random normalised f."""
-    rng = random.Random(f"{name}/{torsion}/{seed}")
-    base, layer = from_catalog(name), FgAbelian(0, torsion)
-    n, chars = base.order, sign_characters(name)
-    signs = [rng.choice(chars) for _ in torsion]
-    action = [LayerAut(layer, IntMatrix.zeros(0, 0), tuple(ch[q] for ch in signs))
-              for q in range(n)]
-    points = list(itertools.product(*(range(m) for m in torsion)))
-    fixed = [a for a in points if any(a) and all(aut.apply(a) == a for aut in action)]
-    v = rng.choice(fixed) if fixed else layer.zero()
-    chi = rng.choice([ch for ch in chars if -1 in ch])
-    f = [layer.zero() if q == base.identity_index else rng.choice(points) for q in range(n)]
-    cocycle = {}
-    for q, r in itertools.product(range(n), repeat=2):
-        c = v if chi[q] == chi[r] == -1 else layer.zero()
-        c = layer.add(layer.add(c, f[q]), action[q].apply(f[r]))
-        cocycle[(q, r)] = layer.reduce([a - b for a, b in zip(c, f[base.table[q][r]])])
-    return make_virtabelian(base, layer, dict(enumerate(action)), cocycle)
-
-
 def test_to_cayley_is_the_product_entry_by_entry():
     checked = twisted = nonzero = abelian = 0
     for name, torsion, seed in itertools.product(["Z2", "Z(4)", "Z2xZ2", "Q8", "D4"],
                                                  [(3,), (2, 4), (2, 2, 2)], range(2)):
         case = (name, torsion, seed)
-        g = twisted_extension(name, torsion, seed)
+        g = seeded_extension(name, FgAbelian(0, torsion), seed).group
         rows = elements(g)
         at = {x: i for i, x in enumerate(rows)}
         cay = to_cayley(g)
@@ -84,8 +53,7 @@ def test_to_cayley_is_the_product_entry_by_entry():
         for i, x in enumerate(rows):
             assert [at[product(g, x, y)] for y in rows] == list(cay.table[i]), (case, x)
         # is_abelian asks the generators only; the table answers for all pairs.
-        commutes = all(cay.table[i][j] == cay.table[j][i]
-                       for i in range(cay.order) for j in range(i))
+        commutes = scan_is_abelian(cay)
         assert g.is_abelian() == commutes, case
         abelian += commutes
         checked += 1
@@ -101,68 +69,23 @@ def test_to_cayley_is_the_product_entry_by_entry():
 # The cocycle condition
 
 
-def _sweep_accepts(base, layer, action, cocycle):
-    """Every triple, both sides reduced: the check before the one-pass form."""
-    n, t = base.order, base.table
-    for q, r, s in itertools.product(range(n), repeat=3):
-        lhs = layer.add(action[q].apply(cocycle[r][s]), cocycle[q][t[r][s]])
-        if lhs != layer.add(cocycle[q][r], cocycle[t[q][r]][s]):
-            return False
-    return True
-
-
-SWAP = IntMatrix.from_rows([[0, 1], [1, 0]])
-
-
-def _random_action(base_name, layer, rng):
-    """A homomorphism from the base to Aut(layer): each torsion coordinate
-    and each free coordinate is flipped by a sign character, or, on a
-    rank-2 free part, both free coordinates are swapped by one."""
-    chars = sign_characters(base_name)
-    n = from_catalog(base_name).order
-    if layer.rank == 2 and rng.random() < 0.5:
-        swap = rng.choice(chars)
-        free = [SWAP if swap[q] == -1 else IntMatrix.identity(2) for q in range(n)]
-    else:
-        signs = [rng.choice(chars) for _ in range(layer.rank)]
-        free = [IntMatrix.from_rows([[ch[q] if i == j else 0 for j, ch in enumerate(signs)]
-                                     for i in range(layer.rank)], cols=layer.rank)
-                for q in range(n)]
-    tors = [rng.choice(chars) for _ in layer.torsion]
-    return tuple(LayerAut(layer, free[q], tuple(ch[q] for ch in tors)) for q in range(n))
-
-
-def _random_point(layer, rng):
-    return layer.reduce([rng.randint(-3, 3) for _ in range(layer.rank)]
-                        + [rng.randrange(m) for m in layer.torsion])
-
-
-def _coboundary_cocycle(base, layer, action, rng):
-    """c(q, r) = f(q) + q.f(r) - f(qr) for a random normalised f."""
-    f = [layer.zero() if q == base.identity_index else _random_point(layer, rng)
-         for q in range(base.order)]
-    return [[layer.reduce([a + b - d for a, b, d in zip(f[q], action[q].apply(f[r]),
-                                                        f[base.table[q][r]])])
-             for r in range(base.order)] for q in range(base.order)]
-
-
 @pytest.mark.parametrize("layer", LAYERS, ids=lambda g: g.describe())
 def test_one_pass_cocycle_check_agrees_with_the_full_reduced_sweep(layer):
     accepted = rejected = twisted = 0
     for base_name, seed in itertools.product(["Z2", "Z(4)", "Z2xZ2", "Q8", "D4"], range(6)):
         rng = random.Random(f"{base_name}/{layer}/{seed}")
         base = from_catalog(base_name)
-        action = _random_action(base_name, layer, rng)
-        cocycle = _coboundary_cocycle(base, layer, action, rng)
+        action = draw_action(rng, base, layer)
+        cocycle = coboundary(base, layer, action, cochain(rng, base, layer))
         if seed % 2:
             # Move one value off the identity row and column; the result
             # may or may not still be a cocycle, which the oracle decides.
             q, r = (rng.choice([x for x in range(base.order) if x != base.identity_index])
                     for _ in range(2))
-            cocycle[q][r] = layer.add(cocycle[q][r], _random_point(layer, rng))
+            cocycle[q][r] = layer.add(cocycle[q][r], random_point(layer, rng))
         cocycle = tuple(tuple(row) for row in cocycle)
         twisted += any(not aut.is_identity() for aut in action)
-        if _sweep_accepts(base, layer, action, cocycle):
+        if cocycle_oracle(base, layer, action, cocycle) is None:
             VirtAbelian(base, layer, action, cocycle)
             accepted += 1
         else:
@@ -171,21 +94,6 @@ def test_one_pass_cocycle_check_agrees_with_the_full_reduced_sweep(layer):
             assert str(info.value) == COCYCLE_FAILS, (base_name, seed)
             rejected += 1
     assert accepted >= 10 and rejected >= 5 and twisted >= 10, (accepted, rejected, twisted)
-
-
-def _carried_cocycle(base_name, layer, action, rng):
-    """A coboundary plus, where a random nonzero point v is fixed by the
-    whole action, the carry cocycle v [chi(q) = chi(r) = -1] pulled back
-    along a nontrivial sign character chi.  Returns the table and v."""
-    base = from_catalog(base_name)
-    n = base.order
-    chi = rng.choice([ch for ch in sign_characters(base_name) if -1 in ch])
-    fixed = [v for v in (_random_point(layer, rng) for _ in range(20))
-             if any(v) and all(aut.apply(v) == v for aut in action)]
-    v = fixed[0] if fixed else layer.zero()
-    cob = _coboundary_cocycle(base, layer, action, rng)
-    return [[layer.add(cob[q][r], v if chi[q] == chi[r] == -1 else layer.zero())
-             for r in range(n)] for q in range(n)], v
 
 
 def _first_fault(base, layer, action, cocycle):
@@ -201,7 +109,7 @@ def _first_fault(base, layer, action, cocycle):
                 return NOT_REDUCED
         if any(cocycle[e][q]) or any(cocycle[q][e]):
             return NOT_NORMALISED
-    return None if _sweep_accepts(base, layer, action, cocycle) else COCYCLE_FAILS
+    return cocycle_oracle(base, layer, action, cocycle)
 
 
 @pytest.mark.parametrize("layer", LAYERS, ids=lambda g: g.describe())
@@ -216,14 +124,14 @@ def test_one_injected_fault_is_reported_as_by_the_triple_loop(layer):
         rng = random.Random(f"fault/{base_name}/{layer}/{moved}/{seed}")
         base = from_catalog(base_name)
         n, e = base.order, base.identity_index
-        action = (_random_action(base_name, layer, rng) if moved
+        action = (draw_action(rng, base, layer) if moved
                   else tuple(identity_aut(layer) for _ in range(n)))
         moved_actions += any(not aut.is_identity() for aut in action)
-        cocycle, _ = _carried_cocycle(base_name, layer, action, rng)
+        cocycle = [list(row) for row in extension(rng, base, layer, action).group.cocycle]
         q, r = (rng.choice([x for x in range(n) if x != e]) for _ in range(2))
         delta = layer.zero()
         while not any(delta):
-            delta = _random_point(layer, rng)
+            delta = random_point(layer, rng)
         cocycle[q][r] = layer.add(cocycle[q][r], delta)
         if seed % 2:
             q, r = rng.randrange(n), rng.randrange(n)
@@ -284,16 +192,13 @@ def test_spanning_tree_abelianization_matches_the_lift_column_presentation(layer
     carried = twisted = 0
     for base_name, seed in itertools.product(BASE_NAMES, range(4)):
         rng = random.Random(f"tree/{base_name}/{layer}/{seed}")
-        base = from_catalog(base_name)
-        action = _random_action(base_name, layer, rng)
-        cocycle, v = _carried_cocycle(base_name, layer, action, rng)
-        g = VirtAbelian(base, layer, action, tuple(map(tuple, cocycle)))
+        g, v, _ = extension(rng, from_catalog(base_name), layer)
         assert tower.abelianization(g) == _lift_column_cokernel(g), (base_name, seed)
-        twisted += any(not aut.is_identity() for aut in action)
+        twisted += any(not aut.is_identity() for aut in g.action)
         carried += any(v)
     if layer.torsion:
         for base_name, seed in itertools.product(BASE_NAMES, range(2)):
-            g = twisted_extension(base_name, layer.torsion, seed)
+            g = seeded_extension(base_name, FgAbelian(0, layer.torsion), seed).group
             assert tower.abelianization(g) == _lift_column_cokernel(g), (base_name, seed)
     assert twisted >= 10 and carried >= 5, (twisted, carried)
 
@@ -302,34 +207,15 @@ def test_spanning_tree_abelianization_matches_the_lift_column_presentation(layer
 # find_isomorphism
 
 
-def _relabel(g, rng):
-    """g with its elements renumbered by a random permutation."""
-    perm = list(range(g.order))
-    rng.shuffle(perm)
-    back = {p: i for i, p in enumerate(perm)}
-    table = tuple(tuple(perm[g.table[back[i]][back[j]]] for j in range(g.order))
-                  for i in range(g.order))
-    names = tuple(g.element_names[back[i]] for i in range(g.order))
-    return CayleyGroup(g.order, names, table, perm[g.identity_index])
-
-
-def _is_isomorphism(a, b, phi):
-    """Bijective, and phi(xy) = phi(x)phi(y) for all |G|^2 pairs."""
-    if sorted(phi) != list(range(a.order)) or sorted(phi.values()) != list(range(b.order)):
-        return False
-    return all(phi[a.table[x][y]] == b.table[phi[x]][phi[y]]
-               for x in range(a.order) for y in range(a.order))
-
-
 @pytest.mark.parametrize("name", ["Q8xZ2", "D4xZ2", "Q8xZ(4)", "D4xZ(4)",
                                   "Q8xZ(4)xZ2", "D4xZ(4)xZ2"])
 def test_find_isomorphism_on_relabelled_bases(name):
     g = from_catalog(name)
     for seed in range(2):
         rng = random.Random(f"{name}/{seed}")
-        a, b = _relabel(g, rng), _relabel(g, rng)
+        a, b = relabel(g, rng), relabel(g, rng)
         phi = find_isomorphism(a, b)
-        assert phi is not None and _is_isomorphism(a, b, phi), (name, seed)
+        assert phi is not None and is_isomorphism(a, b, phi), (name, seed)
 
 
 @pytest.mark.parametrize("left, right", [("Q8xZ2", "D4xZ2"), ("Q8xZ(4)", "D4xZ(4)"),
@@ -355,7 +241,7 @@ def _table_invariants(g):
 
 def _twisted_groups():
     """The tabulated twisted extensions of order 16 and 32."""
-    return [to_cayley(twisted_extension(name, torsion, seed))
+    return [to_cayley(seeded_extension(name, FgAbelian(0, torsion), seed).group)
             for name in ("Z(4)", "Z2xZ2", "Q8", "D4")
             for torsion in ((4,), (2, 2)) for seed in range(2)]
 
@@ -369,15 +255,15 @@ def test_find_isomorphism_on_twisted_extensions():
     rng = random.Random(17)
     found = refused = 0
     for i, a in enumerate(groups):
-        b = _relabel(a, rng)
+        b = relabel(a, rng)
         phi = find_isomorphism(a, b)
-        assert phi is not None and _is_isomorphism(a, b, phi), i
+        assert phi is not None and is_isomorphism(a, b, phi), i
         for j, other in enumerate(groups[i + 1:], i + 1):
             if other.order != a.order:
                 continue
             phi = find_isomorphism(a, other)
             if phi is not None:
-                assert _is_isomorphism(a, other, phi), (i, j)
+                assert is_isomorphism(a, other, phi), (i, j)
                 found += 1
             elif _table_invariants(a) != _table_invariants(other):
                 refused += 1
@@ -470,10 +356,10 @@ def _search_inputs():
         for name in names:
             g = from_catalog(name)
             for _ in range(25 if order == 64 else 8):
-                yield _relabel(g, rng), _relabel(g, rng)
+                yield relabel(g, rng), relabel(g, rng)
     groups = _twisted_groups()
     for i, a in enumerate(groups):
-        yield a, _relabel(a, rng)
+        yield a, relabel(a, rng)
         for other in groups[i + 1:]:
             if other.order == a.order:
                 yield a, other
@@ -484,7 +370,7 @@ def _search_inputs():
                           ((7, 3), from_catalog("Z(42)"))]:
         g = _affine_group(n, u)
         for _ in range(4):
-            yield _relabel(g, rng), _relabel(g, rng)
+            yield relabel(g, rng), relabel(g, rng)
         yield g, other
         yield other, g
 
@@ -499,7 +385,7 @@ def test_skipped_images_leave_the_search_result_unchanged():
         if phi is None:
             refused += 1
         else:
-            assert _is_isomorphism(a, b, phi)
+            assert is_isomorphism(a, b, phi)
             found += 1
     assert found >= 110 and refused >= 50, (found, refused)
 

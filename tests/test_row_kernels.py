@@ -6,8 +6,8 @@ by block, and center_structure and center_index read the center from
 one factorization and the factor-set presentation of C.  Each test keeps
 the element-by-element version as a test-local oracle and grades the
 library against it on seeded inputs: mutated catalog tables up to order
-64 (and one of order 66) for the validator, and free and mixed layers
-twisted by sign characters for the center and its index.
+64 (and one of order 66) for the validator, and strategies.extension's
+twisted free and mixed layers for the center and its index.
 """
 
 import itertools
@@ -15,18 +15,14 @@ import random
 
 import pytest
 
-from test_generators import _relabel, _unchecked
+from strategies import (NO_INVERSE, NOT_ASSOCIATIVE, relabel_table, seeded_extension,
+                        sign_characters, unchecked)
 
 from thg.abelian import (INFINITY, FgAbelian, IntMatrix, cokernel, kernel_lattice,
                          solve_integer)
 from thg.errors import InvalidInputError
-from thg.fingroup import (CayleyGroup, _generating_sequence, _spanning_tree,
-                          from_catalog)
-from thg.tower import (LayerAut, center_index, center_structure, check_action,
-                       make_virtabelian)
-
-NO_INVERSE = "element lacks a two-sided inverse"
-NOT_ASSOCIATIVE = "multiplication table is not associative"
+from thg.fingroup import CayleyGroup, _generating_sequence, from_catalog
+from thg.tower import LayerAut, center_index, center_structure, check_action
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +55,7 @@ def _entrywise_fault(n, names, table, e):
     for i, j in enumerate(row.index(e) for row in t):
         if t[j][i] != e:
             return NO_INVERSE
-    for b in _generating_sequence(_unchecked(t, e)):
+    for b in _generating_sequence(unchecked(t, e)):
         for a in range(n):
             ab = t[a][b]
             for c in range(n):
@@ -129,7 +125,7 @@ def test_table_validation_matches_the_entrywise_validator():
     seen = set()
     for (name, base_table, base_e), seed in itertools.product(_base_tables(), range(3)):
         rng = random.Random(f"{name}/{seed}")
-        table, e = _relabel(base_table, base_e, rng)
+        table, e = relabel_table(base_table, base_e, rng)
         for kind, rows, ident in _mutations(table, e, rng):
             n = len(rows)
             names = tuple(f"g{i}" for i in range(n))
@@ -289,61 +285,6 @@ def _all_pairs_center(g):
                     IntMatrix.from_rows(rows, cols=width))
 
 
-def _sign_characters(base):
-    """Every homomorphism from base to {+1, -1}, one sign per element:
-    each choice on the generators, spread along the spanning tree, kept
-    when it respects every product."""
-    out = []
-    n, t = base.order, base.table
-    for on_gens in itertools.product((1, -1), repeat=len(base.generators)):
-        signs = [0] * n
-        signs[base.identity_index] = 1
-        for x, k, y in _spanning_tree(base, base.generators):
-            signs[y] = signs[x] * on_gens[k]
-        if all(signs[t[q][r]] == signs[q] * signs[r] for q in range(n) for r in range(n)):
-            out.append(tuple(signs))
-    return out
-
-
-def _twisted_extension(name, rank, torsion, seed):
-    """A layer Z^rank + torsion with an independent sign character per
-    coordinate, a random coboundary, and on cyclic bases a carry cocycle
-    on the coordinates the generator fixes."""
-    rng = random.Random(f"{name}/{rank}/{torsion}/{seed}")
-    base = from_catalog(name)
-    layer = FgAbelian(rank, torsion)
-    characters = _sign_characters(base)
-    chars = [rng.choice(characters) for _ in range(layer.n_coords)]
-    action = [LayerAut(layer,
-                       IntMatrix.from_rows([[ch[q] if i == j else 0 for j in range(rank)]
-                                            for i, ch in enumerate(chars[:rank])], cols=rank),
-                       tuple(ch[q] for ch in chars[rank:]))
-              for q in range(base.order)]
-
-    def draw():
-        return layer.reduce([rng.randint(-3, 3) for _ in range(rank)]
-                            + [rng.randrange(m) for m in torsion])
-
-    n, t = base.order, base.table
-    cocycle = {}
-    gen = next((x for x in range(n) if base.element_order(x) == n), None)
-    if gen is not None and n > 1:
-        power = [base.identity_index]
-        for _ in range(n - 1):
-            power.append(t[power[-1]][gen])
-        exponent = {q: k for k, q in enumerate(power)}
-        v = layer.reduce([x if ch[gen] == 1 else 0 for x, ch in zip(draw(), chars)])
-        cocycle = {(q, r): v for q in range(n) for r in range(n)
-                   if exponent[q] + exponent[r] >= n}
-    f = [layer.zero() if q == base.identity_index else draw() for q in range(n)]
-    for q in range(n):
-        for r in range(n):
-            c = layer.add(layer.add(cocycle.get((q, r), layer.zero()), f[q]),
-                          action[q].apply(f[r]))
-            cocycle[(q, r)] = layer.reduce([a - b for a, b in zip(c, f[t[q][r]])])
-    return make_virtabelian(base, layer, dict(enumerate(action)), cocycle)
-
-
 CENTER_BASES = ["Z2", "Z(3)", "Z(4)", "Z(6)", "Z2xZ2", "Q8", "D4", "Z(4)xZ2", "Q8xZ2"]
 CENTER_LAYERS = [(1, ()), (2, ()), (1, (2,)), (1, (4,)), (2, (3,)), (1, (2, 4))]
 
@@ -351,7 +292,8 @@ CENTER_LAYERS = [(1, ()), (2, ()), (1, (2,)), (1, (4,)), (2, (3,)), (1, (2, 4))]
 def _twisted_extensions():
     for name, (rank, torsion), seed in itertools.product(CENTER_BASES, CENTER_LAYERS,
                                                          range(3)):
-        yield (name, rank, torsion, seed), _twisted_extension(name, rank, torsion, seed)
+        yield (name, rank, torsion, seed), seeded_extension(name, FgAbelian(rank, torsion),
+                                                            seed).group
 
 
 def test_center_on_free_and_mixed_layers_matches_all_pairs():
@@ -403,7 +345,7 @@ def test_z2_and_z4_sign_characters_are_actions():
     layer = FgAbelian(0, (2, 4))
     for name in ("Z(4)", "Z2xZ2", "Q8", "D4", "Q8xZ(4)"):
         base = from_catalog(name)
-        characters = _sign_characters(base)
+        characters = sign_characters(base)
         assert len(characters) >= 2
         for first, second in itertools.product(characters, repeat=2):
             check_action(base, _sign_action(base, layer, [first, second]))

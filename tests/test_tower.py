@@ -7,16 +7,16 @@ group instead, which pins down that the cocycle, not just the action,
 is what the construction sees.
 """
 
-import itertools
-
 import pytest
+
+from strategies import elements, one, product
 
 from thg.abelian import FgAbelian, INFINITY, IntMatrix
 from thg.errors import InvalidInputError, UnsupportedError
 from thg.fingroup import from_catalog, is_isomorphic
-from thg.tower import (LayerAut, VirtAbelian, abelianization,
-                       center_structure, direct_sum_group, identity_aut,
-                       make_summary, make_virtabelian, to_cayley)
+from thg.tower import (LayerAut, abelianization, center_structure,
+                       direct_sum_group, identity_aut, make_summary,
+                       make_virtabelian, to_cayley)
 
 Z2 = from_catalog("Z2")
 KLEIN = from_catalog("Z2xZ2")
@@ -31,26 +31,6 @@ def klein_quaternion():
     cocycle = {(a, a): one, (b, b): one, (ab, ab): one,
                (a, ab): one, (ab, b): one, (b, a): one}
     return make_virtabelian(KLEIN, FgAbelian(0, (2,)), {}, cocycle)
-
-
-def product(g, x, y):
-    """(a, q) * (b, r) = (a + q.b + c(q, r), qr), written out element by
-    element on pairs (layer coordinates, base index): the reference that
-    to_cayley's tables are checked against."""
-    (a, q), (b, r) = x, y
-    lay = g.layer
-    return lay.add(lay.add(a, g.action[q].apply(b)), g.cocycle[q][r]), g.base.table[q][r]
-
-
-def one(g):
-    return g.layer.zero(), g.base.identity_index
-
-
-def elements(g):
-    """Every pair (layer point, base index) of a finite extension, in the
-    row order that to_cayley documents."""
-    points = itertools.product(*(range(t) for t in g.layer.torsion))
-    return [(a, q) for a in points for q in range(g.base.order)]
 
 
 def z4_inversion():

@@ -5,7 +5,7 @@ subgroup_as_group, tower.to_cayley) take their tables as groups through
 CayleyGroup._proven, and VirtAbelian proves a zero cocycle under trivial
 action without its columnar sweep.  Each test here rebuilds what those
 paths made through the public constructor, which checks everything, or
-grades the cheaper proofs against the full sweeps of test_generators on
+grades the cheaper proofs against the full sweeps of strategies.py on
 seeded inputs that the shortcuts decide.
 """
 
@@ -14,17 +14,17 @@ import random
 
 import pytest
 
-from test_center import seeded_extension
-from test_generators import (COCYCLE_FAILS, NOT_HOMOMORPHISM, _action_oracle,
-                             _characters, _cocycle_oracle, _expect, _random_base)
-from test_layer_kernels import NOT_REDUCED, WRONG_COUNT, twisted_extension
+from strategies import (COCYCLE_FAILS, NOT_HOMOMORPHISM, NOT_REDUCED, WRONG_COUNT,
+                        action_oracle, coboundary, cocycle_oracle, expect, random_base,
+                        seeded_extension, sign_characters)
 
 from thg.abelian import FgAbelian, IntMatrix
 from thg.errors import ThgError
 from thg.fingroup import (TABLE_CAP, CayleyGroup, _product, center, from_catalog,
                           subgroup_as_group, subgroup_generated)
 from thg.spacecat import TransformationModel, builtin_catalog
-from thg.tower import LayerAut, VirtAbelian, direct_sum_group, make_virtabelian, to_cayley
+from thg.tower import (LayerAut, VirtAbelian, direct_sum_group, identity_aut,
+                       make_virtabelian, to_cayley)
 
 NAMED = ("trivial", "Z2", "Z2xZ2", "Q8", "D4")
 ATOMS = NAMED + tuple(f"Z({k})" for k in range(1, TABLE_CAP + 1))
@@ -53,14 +53,10 @@ def _assert_checked(g, case):
 
 def _finite_extensions():
     """The finite extensions of the test corpus and of the catalog."""
-    for name, torsion, seed in itertools.product(["Z2", "Z(4)", "Z2xZ2", "Q8", "D4"],
-                                                 [(3,), (2, 4), (2, 2, 2)], range(2)):
-        yield (name, torsion, seed), twisted_extension(name, torsion, seed)
-    for name, torsion, seed in itertools.product(["Z2", "Z(3)", "Z(4)", "Z(6)", "Z2xZ2",
-                                                  "Q8", "D4"], [(2,), (3,), (2, 2)], range(2)):
-        g, _ = seeded_extension(name, torsion, seed)
-        if g.order <= TABLE_CAP:
-            yield (name, torsion, seed, "seeded"), g
+    for name, torsion, seed in itertools.product(
+            ["Z2", "Z(3)", "Z(4)", "Z(6)", "Z2xZ2", "Q8", "D4"],
+            [(2,), (3,), (2, 2), (2, 4), (2, 2, 2)], range(2)):
+        yield (name, torsion, seed), seeded_extension(name, FgAbelian(0, torsion), seed).group
     for name in SMALL + ("Q8xZ2", "Q8xZ(4)", "D4xZ(4)", "Q8xZ(4)xZ2"):
         for torsion in ((), (2,), (4,), (2, 2)):
             g = direct_sum_group(from_catalog(name), FgAbelian(0, torsion))
@@ -139,7 +135,7 @@ def _trivial_extension(layer, value):
     (FgAbelian(1, (4,)), (0, -4), NOT_REDUCED),
 ])
 def test_a_zero_cocycle_under_trivial_action_is_still_shape_checked(layer, value, message):
-    _expect(_trivial_extension(layer, value), message)
+    expect(_trivial_extension(layer, value), message)
 
 
 def test_trivial_action_cocycles_are_judged_as_by_the_full_sweep():
@@ -148,21 +144,23 @@ def test_trivial_action_cocycles_are_judged_as_by_the_full_sweep():
     verdicts = {None: 0, COCYCLE_FAILS: 0}
     zero_cocycles = 0
     for _ in range(200):
-        base = _random_base(rng.choice(SMALL), rng)
-        n, e, t = base.order, base.identity_index, base.table
+        base = random_base(rng.choice(SMALL), rng)
+        n, e = base.order, base.identity_index
         k = rng.randint(2, 6)
         layer = FgAbelian(0, (k,))
-        f = [0 if q == e or rng.random() < 0.5 else rng.randrange(k) for q in range(n)]
-        cocycle = [[(f[q] + f[r] - f[t[q][r]]) % k for r in range(n)] for q in range(n)]
+        action = [identity_aut(layer)] * n
+        f = [layer.zero() if q == e or rng.random() < 0.5 else (rng.randrange(k),)
+             for q in range(n)]
+        cocycle = coboundary(base, layer, action, f)
         others = [x for x in range(n) if x != e]
         for _ in range(rng.choice((0, 0, 1, 2))):
             q, r = rng.choice(others), rng.choice(others)
-            cocycle[q][r] = (cocycle[q][r] + rng.randrange(1, k)) % k
-        zero_cocycles += not any(map(any, cocycle))
-        message = _cocycle_oracle(base, [1] * n, cocycle, k)
+            cocycle[q][r] = layer.add(cocycle[q][r], (rng.randrange(1, k),))
+        zero_cocycles += not any(any(c) for row in cocycle for c in row)
+        message = cocycle_oracle(base, layer, action, cocycle)
         verdicts[message] += 1
-        entries = {(q, r): (cocycle[q][r],) for q in range(n) for r in range(n)}
-        _expect(lambda: make_virtabelian(base, layer, {}, entries), message)
+        entries = {(q, r): cocycle[q][r] for q in range(n) for r in range(n)}
+        expect(lambda: make_virtabelian(base, layer, {}, entries), message)
     assert min(verdicts.values()) >= 40 and zero_cocycles >= 10
 
 
@@ -174,11 +172,11 @@ def test_actions_with_trivial_generators_are_judged_as_by_the_full_sweep():
     layer = FgAbelian(1, (3,))
     verdicts = {None: 0, NOT_HOMOMORPHISM: 0}
     for _ in range(300):
-        base = _random_base(rng.choice(SMALL[1:]), rng)
+        base = random_base(rng.choice(SMALL[1:]), rng)
         n, gens = base.order, base.generators
         still = set(rng.sample(gens, rng.randint(1, len(gens))))
         if rng.random() < 0.5:
-            chars = [ch for ch in _characters(base) if all(ch[s] == 1 for s in still)]
+            chars = [ch for ch in sign_characters(base) if all(ch[s] == 1 for s in still)]
             free, tors = rng.choice(chars), rng.choice(chars)
             signs = [[free[q], tors[q]] for q in range(n)]
             if rng.random() < 0.5:
@@ -189,9 +187,9 @@ def test_actions_with_trivial_generators_are_judged_as_by_the_full_sweep():
                      else [rng.choice((1, -1)), rng.choice((1, -1))] for q in range(n)]
         action = tuple(LayerAut(layer, IntMatrix.from_rows([[a]]), (b,)) for a, b in signs)
         assert all(action[s].is_identity() for s in still)
-        message = _action_oracle(base, action)
+        message = action_oracle(base, action)
         verdicts[message] += 1
-        _expect(lambda: make_virtabelian(base, layer, dict(enumerate(action))), message)
+        expect(lambda: make_virtabelian(base, layer, dict(enumerate(action))), message)
     assert min(verdicts.values()) >= 60
 
 
@@ -204,7 +202,7 @@ def test_an_identity_generator_still_sees_the_other_elements():
     action = {q: LayerAut(layer, flip if q == base.index_of("ab") else ident, ())
               for q in range(4)}
     assert all(action[s].is_identity() for s in base.generators)
-    _expect(lambda: make_virtabelian(base, layer, action), NOT_HOMOMORPHISM)
+    expect(lambda: make_virtabelian(base, layer, action), NOT_HOMOMORPHISM)
 
 
 def test_is_identity_reads_the_whole_free_block():
