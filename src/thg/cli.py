@@ -25,8 +25,8 @@ from typing import List, Optional, Sequence, Union
 from . import fox, rhodes
 from .abelian import INFINITY
 from .errors import BookkeepingError, ModelError, NotFoundError, ThgError
-from .fingroup import (CayleyGroup, abelian_structure, from_catalog,
-                       is_isomorphic)
+from .fingroup import (CayleyGroup, abelianization as group_abelianization,
+                       from_catalog, is_isomorphic)
 from .report import CheckReport, FAIL, PASS
 from .spacecat import (DEGREE_CAP, Catalog, SpaceModel, TransformationModel,
                        builtin_catalog, catalog_from_dir, find_model,
@@ -80,7 +80,7 @@ def _report_doc(r: CheckReport) -> dict:
 def identify_group(g: CayleyGroup) -> str:
     """Readable isomorphism-type label for a small group."""
     if g.is_abelian():
-        return abelian_structure(g).describe()
+        return group_abelianization(g).describe()
     if g.order == 8:
         for name in ("Q8", "D4"):
             if is_isomorphic(g, from_catalog(name)):

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .abelian import (TRIVIAL, FgAbelian, IntMatrix, canonical_form, cokernel,
-                      prime_exponent, prime_factors)
+from .abelian import TRIVIAL, FgAbelian, IntMatrix, cokernel
 from .errors import InvalidInputError, NotFoundError, UnsupportedError
 
 # The one cap on Cayley tables: the largest order that is named in the
@@ -273,14 +272,6 @@ def abelianization(g: CayleyGroup) -> FgAbelian:
     return factor_set_cokernel(g, TRIVIAL)
 
 
-def abelian_structure(g: CayleyGroup) -> FgAbelian:
-    """Invariant factors of an abelian Cayley group, which is its own
-    abelianization."""
-    if not g.is_abelian():
-        raise InvalidInputError("abelian_structure needs an abelian group")
-    return factor_set_cokernel(g, TRIVIAL)
-
-
 def factor_set_cokernel(base: CayleyGroup, layer: FgAbelian,
                         cocycle: Optional[Sequence[Sequence[Sequence[int]]]] = None,
                         action_rows: Iterable[Sequence[int]] = ()) -> FgAbelian:
@@ -349,58 +340,17 @@ def factor_set_relations(base: CayleyGroup, layer: FgAbelian,
 
 
 def abelian_structure_by_counting(elements, mul, identity) -> FgAbelian:
-    """Invariant factors of a finite abelian group given by bare multiplication.
-
-    For each prime p the counts #{x : x^(p^j) = e} determine the partition
-    of p-exponents (the count is p to the sum of min(part, j)); the
-    partitions then merge into the divisor chain largest part first.
-    Works on any finite element list, no table required.  No library
-    code calls it since abelian_structure reads the presentation; it is
-    kept while bench/tracer.py traces its name.
-    """
-    n = len(elements)
-    if n == 1:
-        return TRIVIAL
-
-    def power(x, k):
-        out = identity
-        base = x
-        while k:
-            if k & 1:
-                out = mul(out, base)
-            base = mul(base, base)
-            k >>= 1
-        return out
-
-    partitions: Dict[int, List[int]] = {}
-    for p in prime_factors(n):
-        counts = [1]
-        j = 1
-        while True:
-            pj = p ** j
-            counts.append(sum(1 for x in elements if power(x, pj) == identity))
-            if counts[-1] == counts[-2]:
-                counts.pop()
-                break
-            j += 1
-        s = [prime_exponent(c, p) for c in counts]
-        parts: List[int] = []
-        for j in range(1, len(s)):
-            width = s[j] - s[j - 1]  # parts of size >= j
-            while len(parts) < width:
-                parts.append(0)
-            for t in range(width):
-                parts[t] += 1
-        partitions[p] = sorted(parts, reverse=True)
-    depth = max(len(v) for v in partitions.values())
-    factors = []
-    for t in range(depth):
-        f = 1
-        for p, parts in partitions.items():
-            if t < len(parts):
-                f *= p ** parts[t]
-        factors.append(f)
-    return canonical_form(0, [f for f in factors if f >= 2])
+    """Invariant factors of a finite abelian group given by bare
+    multiplication: its table, checked as caller data, abelianized.  Kept
+    only for bench/tracer.py, whose entry names it; ROADMAP item 1
+    deletes both."""
+    index = {x: i for i, x in enumerate(elements)}  # -1: not an element
+    table = tuple(tuple(index.get(mul(x, y), -1) for y in elements) for x in elements)
+    g = CayleyGroup(len(table), tuple(map(str, range(len(table)))), table,
+                    index.get(identity, -1))
+    if not g.is_abelian():
+        raise InvalidInputError("abelian_structure_by_counting needs an abelian group")
+    return abelianization(g)
 
 
 # ---------------------------------------------------------------------------

@@ -173,7 +173,7 @@ def whitehead_gottlieb_conflicts(x: SpaceModel) -> List[str]:
         target = x.pi_at(i + j - 1)
         sides = ((i, j),) if i == j else ((i, j), (j, i))
         for deg, other in sides:
-            data = x.gottlieb_at(deg)
+            data = x.gottlieb.get(deg)
             if data is None:
                 continue
             gens = subgroup_rows(x.pi_at(deg), data)

@@ -31,7 +31,7 @@ from .fox import (fox_sequence_check, gottlieb_fox_invariants,
                   gottlieb_index_product, is_n_gottlieb, tau_invariants)
 from .report import (CONFIRMED, EXPECTED_EXCEPTION, FAIL, INDETERMINATE,
                      NOT_APPLICABLE, PASS, VACUOUS, VIOLATION, CheckReport)
-from .spacecat import (SpaceModel, TransformationModel, orbit_space,
+from .spacecat import (FULL, SpaceModel, TransformationModel, orbit_space,
                        subgroup_ref)
 from .tower import (TowerSummary, VirtAbelian, abelianization,
                     center_structure, make_summary)
@@ -587,8 +587,8 @@ def oprea_check(tg: TransformationModel,
     center_names = set(center_ref.names())
 
     target = orbit_model if orbit_model is not None else orbit_space(tg)
-    data = target.gottlieb_at(1)
-    if data is None:
+    index, _ = target.gottlieb_entry(1)
+    if index is None:
         report.add("oprea-center", target.name, 1, FAIL, rule,
                    "orbit model carries no degree-1 subgroup data")
         return report
@@ -596,6 +596,8 @@ def oprea_check(tg: TransformationModel,
         report.add("oprea-center", target.name, 1, INDETERMINATE, rule,
                    "degree-1 subgroup not resolvable to elements")
         return report
+    # Index 1: G_1 is all of pi_1, recorded or forced by a trivial pi_1.
+    data = FULL if index == 1 else target.gottlieb[1]
     got = set(subgroup_ref(target.pi1, data).names())
     ok = got == center_names
     report.add("oprea-center", target.name, 1, PASS if ok else FAIL, rule,

@@ -27,8 +27,8 @@ from .abelian import (TRIVIAL, FgAbelian, INFINITY, IntMatrix,
 from .errors import (InsufficientDataError, InvalidInputError, ModelError,
                      NotFoundError, UnsupportedError)
 from .fingroup import (COORD_CAP, TABLE_CAP, CayleyGroup, SubgroupRef,
-                       abelian_structure, from_catalog, full_subgroup,
-                       center as group_center, subgroup_as_group,
+                       abelianization as group_abelianization, from_catalog,
+                       full_subgroup, center as group_center, subgroup_as_group,
                        subgroup_generated)
 from .tower import (LayerAut, VirtAbelian, abelianization, center_index,
                     center_structure, check_action, identity_aut,
@@ -92,16 +92,6 @@ class SpaceModel:
                 f"{self.name} carries data up to degree {self.truncation}; "
                 f"degree {i} was requested")
         return self.pi[i]
-
-    def gottlieb_at(self, i: int) -> Optional[SubgroupData]:
-        """Evaluation subgroup data at degree i, or None when unknown.
-
-        A trivial homotopy group forces the answer: its only subgroup is
-        everything, so the data is "full" whether or not the file says so.
-        """
-        if self.pi_at(i).is_trivial():
-            return FULL
-        return self.gottlieb.get(i)
 
     @cached_property
     def gottlieb_table(self) -> Dict[int, Tuple[Optional[int], Optional[FgAbelian]]]:
@@ -269,7 +259,7 @@ def subgroup_structure_in(ambient: GroupLike, data: SubgroupData) -> Optional[Fg
         return subgroup_structure(ambient, IntMatrix.from_rows(rows, cols=ambient.n_coords))
     if isinstance(ambient, CayleyGroup):
         grp = subgroup_as_group(ambient, subgroup_ref(ambient, data))
-        return abelian_structure(grp) if grp.is_abelian() else None
+        return group_abelianization(grp) if grp.is_abelian() else None
     # VirtAbelian ambient.
     if data.kind == "center":
         return center_structure(ambient)

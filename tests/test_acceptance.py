@@ -214,7 +214,7 @@ def test_criterion_9_degree_one_subgroup_is_the_center(verdict):
     for sphere_form, deck in (("S3modZ4", "Z(4)"), ("S3modQ8", "Q8")):
         x = BY_NAME[sphere_form]
         g = from_catalog(deck)
-        data = x.gottlieb_at(1)
+        data = x.gottlieb[1]
         if data.kind == "full":
             got = sorted(g.element_names)
         else:

@@ -20,8 +20,7 @@ from strategies import scan_center, seeded_extension
 
 from thg.abelian import FgAbelian
 from thg.cli import EXIT_CHECK_FAILED, run
-from thg.fingroup import (SubgroupRef, abelian_structure, from_catalog,
-                          subgroup_as_group)
+from thg.fingroup import SubgroupRef, abelianization, from_catalog, subgroup_as_group
 from thg.spacecat import CENTER, subgroup_index_in
 from thg.tower import center_structure, direct_sum_group, to_cayley
 
@@ -43,7 +42,7 @@ def test_center_matches_the_tabulated_center_on_seeded_extensions():
         cay = to_cayley(g)
         z = SubgroupRef(cay, scan_center(cay))
         case = (name, torsion, seed)
-        assert center_structure(g) == abelian_structure(subgroup_as_group(cay, z)), case
+        assert center_structure(g) == abelianization(subgroup_as_group(cay, z)), case
         assert subgroup_index_in(g, CENTER) == cay.order // z.order, case
         checked += 1
         nonsplit_count += nonsplit

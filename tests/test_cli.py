@@ -569,7 +569,7 @@ def test_a_catalog_dir_is_validated_whole(tmp_path):
 
 def test_oprea_grades_a_trivial_group_by_the_trivial_pi1_rule(tmp_path):
     # S3modtrivial records no degree-1 subgroup.  The verdict rests on
-    # SpaceModel.gottlieb_at, by which a trivial pi_1 has G_1 = pi_1;
+    # SpaceModel.gottlieb_entry, by which a trivial pi_1 has G_1 = pi_1;
     # read from the file alone, the orbit model would carry no degree-1
     # data.
     catalog = tmp_path / "catalog"

@@ -8,7 +8,7 @@ from thg.errors import UnsupportedError
 from thg.fox import gottlieb_fox_invariants, gottlieb_index_product, tau_invariants
 from thg.rhodes import sigma1_group, sigma_invariants
 from thg.spacecat import (SpaceModel, TransformationModel, builtin_catalog,
-                          orbit_space, subgroup_index_in)
+                          orbit_space)
 from thg.tower import (LayerAut, VirtAbelian, center_index, identity_aut,
                        make_summary, to_cayley)
 from thg.verdict import Indeterminate
@@ -40,9 +40,9 @@ def test_space_orders_and_indices_are_ints(x):
     values = []
     for i in _degrees(x):
         values.append(x.pi_at(i).order)
-        data = x.gottlieb_at(i)
-        if data is not None:
-            values.append(subgroup_index_in(x.pi_at(i), data))
+        index, _ = x.gottlieb_entry(i)
+        if index is not None:
+            values.append(index)
         product = gottlieb_index_product(x, i)
         if not isinstance(product, Indeterminate):
             values.append(product)

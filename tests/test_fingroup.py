@@ -17,7 +17,7 @@ from strategies import (commutator_quotient, commutator_quotient_structure, cose
 from thg.abelian import FgAbelian
 from thg.errors import (InvalidInputError, ModelError, NotFoundError,
                         UnsupportedError)
-from thg.fingroup import (CayleyGroup, SubgroupRef, abelian_structure,
+from thg.fingroup import (CayleyGroup, SubgroupRef, abelian_structure_by_counting,
                           abelianization, center, find_isomorphism,
                           from_catalog, full_subgroup, is_isomorphic,
                           subgroup_as_group, subgroup_generated)
@@ -112,12 +112,25 @@ def test_commutator_and_abelianization():
             g.table, g.identity_index), name
 
 
-def test_abelian_structure_reads_off_invariant_factors():
-    assert abelian_structure(from_catalog("Z(4)xZ2")) == FgAbelian(0, (2, 4))
-    assert abelian_structure(from_catalog("Z2xZ2xZ2")) == FgAbelian(0, (2, 2, 2))
-    assert abelian_structure(from_catalog("Z(6)")) == FgAbelian(0, (6,))
-    with pytest.raises(InvalidInputError):
-        abelian_structure(from_catalog("Q8"))
+def test_abelianization_of_an_abelian_group_reads_off_invariant_factors():
+    assert abelianization(from_catalog("Z(4)xZ2")) == FgAbelian(0, (2, 4))
+    assert abelianization(from_catalog("Z2xZ2xZ2")) == FgAbelian(0, (2, 2, 2))
+    assert abelianization(from_catalog("Z(6)")) == FgAbelian(0, (6,))
+
+
+def test_abelian_structure_by_counting_takes_bare_multiplication():
+    pairs = [(a, b) for a in range(4) for b in range(2)]
+    assert abelian_structure_by_counting(
+        pairs, lambda x, y: ((x[0] + y[0]) % 4, (x[1] + y[1]) % 2),
+        (0, 0)) == FgAbelian(0, (2, 4))
+    assert abelian_structure_by_counting(
+        range(6), lambda x, y: (x + y) % 6, 0) == FgAbelian(0, (6,))
+    q8 = from_catalog("Q8")
+    with pytest.raises(InvalidInputError):  # not abelian
+        abelian_structure_by_counting(range(8), lambda x, y: q8.table[x][y],
+                                      q8.identity_index)
+    with pytest.raises(InvalidInputError):  # 2 + 2 is not an element
+        abelian_structure_by_counting(range(3), lambda x, y: x + y, 0)
 
 
 def test_subgroup_generated_closure():
@@ -219,7 +232,7 @@ def test_product_groups_multiply_componentwise():
     g = from_catalog("Z2xZ(3)")
     assert g.order == 6
     assert is_isomorphic(g, from_catalog("Z(6)"))
-    assert abelian_structure(g) == FgAbelian(0, (6,))
+    assert abelianization(g) == FgAbelian(0, (6,))
 
 
 @pytest.mark.parametrize("name", ["Z(65)", "Z(4)xZ(4)xZ(8)", "Z(1000000000)"])

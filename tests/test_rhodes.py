@@ -235,11 +235,11 @@ def test_degree_one_subgroup_equals_center_of_deck_group():
     # centers of their deck groups, element by element.
     q8 = from_catalog("Q8")
     want = sorted(center(q8).names())
-    got = BY_NAME["S3modQ8"].gottlieb_at(1)
+    got = BY_NAME["S3modQ8"].gottlieb[1]
     assert sorted(got.elements) == want == ["-1", "1"]
     z4 = from_catalog("Z(4)")
     assert center(z4).order == 4  # abelian: the center is everything
-    assert BY_NAME["S3modZ4"].gottlieb_at(1).kind == "full"
+    assert BY_NAME["S3modZ4"].gottlieb[1].kind == "full"
 
 
 def test_sigma_of_nontrivial_base_keeps_the_pi1_label():

@@ -210,8 +210,10 @@ def _fixed_layer_data(g):
     gen_auts = [g.action[s] for s in g.base.generators]
     stacked = [[x - (1 if i == j else 0) for j, x in enumerate(entries)]
                for aut in gen_auts for i, entries in enumerate(aut.free_matrix.entries)]
-    # Right kernel of the stack = left kernel of its transpose.
-    free_basis = kernel_lattice(IntMatrix.from_rows(stacked, cols=lay.rank).transpose())
+    # Right kernel of the stack = left kernel of its transpose, which
+    # has lay.rank rows even when the stack has none.
+    free_basis = kernel_lattice(IntMatrix(lay.rank, len(stacked), tuple(
+        tuple(row[j] for row in stacked) for j in range(lay.rank))))
     torsion_gens = []
     for i, t in enumerate(lay.torsion):
         if all(aut.torsion_signs[i] == 1 for aut in gen_auts):
@@ -262,8 +264,8 @@ def _all_pairs_center(g):
     row = [0] * width
     row[pos[g.base.identity_index]] = 1
     rows = [row]
-    basis_matrix = IntMatrix.from_rows([list(b) for b in free_basis],
-                                       cols=lay.rank).transpose()
+    basis_matrix = IntMatrix(lay.rank, f, tuple(
+        tuple(b[j] for b in free_basis) for j in range(lay.rank)))
     for (q, a_q), (r, a_r) in itertools.product(lifts.items(), repeat=2):
         qr = g.base.table[q][r]
         delta = lay.reduce([a + b + c - d for a, b, c, d

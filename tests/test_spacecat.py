@@ -86,11 +86,11 @@ def test_find_model_and_sphere_templates():
     assert s9.pi_at(9) == FgAbelian(1)
     # S9 is no H-space: its Whitehead square has order two, so the
     # top evaluation subgroup is 2Z, index 2.
-    assert subgroup_index_in(s9.pi_at(9), s9.gottlieb_at(9)) == 2
+    assert subgroup_index_in(s9.pi_at(9), s9.gottlieb[9]) == 2
     s7 = find_model("S7", MODELS)
-    assert subgroup_index_in(s7.pi_at(7), s7.gottlieb_at(7)) == 1  # H-space
+    assert subgroup_index_in(s7.pi_at(7), s7.gottlieb[7]) == 1  # H-space
     s4 = find_model("S4", MODELS)
-    assert subgroup_index_in(s4.pi_at(4), s4.gottlieb_at(4)) == INFINITY
+    assert subgroup_index_in(s4.pi_at(4), s4.gottlieb[4]) == INFINITY
     with pytest.raises(NotFoundError):
         find_model("K3", MODELS)
     with pytest.raises(NotFoundError):
@@ -105,16 +105,13 @@ def test_pi_at_beyond_truncation():
         s3.pi_at(7)
     t3 = BY_NAME["T3"]
     assert t3.pi_at(12) == FgAbelian(0, ())  # aspherical: trivial forever
-    assert t3.gottlieb_at(12) is not None
-    assert subgroup_index_in(t3.pi_at(12), t3.gottlieb_at(12)) == 1
+    assert t3.gottlieb_entry(12) == (1, TRIVIAL)
 
 
 def test_gottlieb_full_is_forced_on_trivial_groups():
     s3 = BY_NAME["S3"]
     assert s3.pi_at(2) == FgAbelian(0, ())
-    data = s3.gottlieb_at(2)
-    assert data is not None
-    assert subgroup_index_in(s3.pi_at(2), data) == 1
+    assert s3.gottlieb_entry(2) == (1, TRIVIAL)
 
 
 def test_orbit_space_of_spherical_space_forms():
@@ -586,7 +583,7 @@ def test_gottlieb_degrees_of_an_aspherical_space_read_the_trivial_group():
     doc = {"kind": "space", "name": "X", "truncation": 3, "aspherical": True,
            "pi1": {"rank": 1, "torsion": []}, "pi": {}}
     x = _load(dict(doc, gottlieb={"3": "full", "2": "trivial"}))
-    assert x.gottlieb_at(2) == x.gottlieb_at(3) == FULL
+    assert x.gottlieb_entry(2) == x.gottlieb_entry(3) == (1, TRIVIAL)
     with pytest.raises(ModelError) as caught:
         _load(dict(doc, gottlieb={"2": {"generators": [[1]]}}))
     assert caught.value.path.startswith("gottlieb.2.")

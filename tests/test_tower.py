@@ -34,7 +34,7 @@ def klein_quaternion():
 
 
 def z4_inversion():
-    return LayerAut(FgAbelian(0, (4,)), IntMatrix.zeros(0, 0), (-1,))
+    return LayerAut(FgAbelian(0, (4,)), IntMatrix.identity(0), (-1,))
 
 
 def test_quaternion_from_klein_cocycle():
@@ -169,7 +169,7 @@ def test_extension_order_bookkeeping():
 
 def test_layer_aut_requires_invertible_torsion_scaling():
     with pytest.raises(InvalidInputError):
-        LayerAut(FgAbelian(0, (4,)), IntMatrix.zeros(0, 0), (2,))
+        LayerAut(FgAbelian(0, (4,)), IntMatrix.identity(0), (2,))
     with pytest.raises(InvalidInputError):
         LayerAut(FgAbelian(1), IntMatrix.from_rows([[2]]), ())
 
