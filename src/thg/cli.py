@@ -20,7 +20,7 @@ import os
 import re
 import sys
 from types import SimpleNamespace
-from typing import List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence, Union
 
 from . import fox, rhodes
 from .abelian import INFINITY
@@ -88,11 +88,13 @@ def identify_group(g: CayleyGroup) -> str:
     return f"non-abelian group of order {g.order}"
 
 
-def _emit(doc: dict, text_lines: List[str], fmt: str, out) -> int:
-    if fmt == "json":
-        out.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+def _emit(args, out, doc: Callable[[], dict],
+          text_lines: Callable[[], List[str]]) -> int:
+    """Builds and writes only the rendering args.format asks for."""
+    if args.format == "json":
+        out.write(json.dumps(doc(), indent=2, sort_keys=True) + "\n")
     else:
-        out.write("\n".join(text_lines) + "\n")
+        out.write("\n".join(text_lines()) + "\n")
     return EXIT_OK
 
 
@@ -128,27 +130,29 @@ def _degrees(args, default: int = 1) -> List[int]:
 # Verbs
 
 
+def _list_row(m) -> dict:
+    if isinstance(m, SpaceModel):
+        return {"name": m.name, "kind": "space", "truncation": m.truncation,
+                "aspherical": m.aspherical, "pi1": m.pi1.describe()}
+    return {"name": m.name, "kind": "transformation", "space": m.space.name,
+            "group_order": m.group.order, "free": m.free}
+
+
+def _list_line(m) -> str:
+    if isinstance(m, SpaceModel):
+        extra = "aspherical, " if m.aspherical else ""
+        return (f"{m.name:12s} space           {extra}truncation "
+                f"{m.truncation}, pi1 = {m.pi1.describe()}")
+    free = "free" if m.free else "not free"
+    return (f"{m.name:12s} transformation  group of order "
+            f"{m.group.order} on {m.space.name}, {free}")
+
+
 def _cmd_list(args, _, catalog, out) -> int:
-    rows, lines = [], []
-    for m in catalog:
-        if isinstance(m, SpaceModel):
-            rows.append({"name": m.name, "kind": "space",
-                         "truncation": m.truncation,
-                         "aspherical": m.aspherical,
-                         "pi1": m.pi1.describe()})
-            extra = "aspherical, " if m.aspherical else ""
-            lines.append(f"{m.name:12s} space           {extra}truncation "
-                         f"{m.truncation}, pi1 = {m.pi1.describe()}")
-        else:
-            rows.append({"name": m.name, "kind": "transformation",
-                         "space": m.space.name,
-                         "group_order": m.group.order,
-                         "free": m.free})
-            free = "free" if m.free else "not free"
-            lines.append(f"{m.name:12s} transformation  group of order "
-                         f"{m.group.order} on {m.space.name}, {free}")
-    return _emit({"command": {"verb": "list"}, "models": rows}, lines,
-                 args.format, out)
+    models = list(catalog)
+    return _emit(args, out, lambda: {"command": {"verb": "list"},
+                                     "models": list(map(_list_row, models))},
+                 lambda: list(map(_list_line, models)))
 
 
 def _cmd_show(args, m, catalog, out) -> int:
@@ -156,88 +160,87 @@ def _cmd_show(args, m, catalog, out) -> int:
     return EXIT_OK
 
 
+def _emit_towers(args, out, target: str, rows) -> int:
+    """The output of tau, sigma, gtau and gsigma, one tower per degree:
+    rows holds (n, summary or Indeterminate, text head, JSON fields, text
+    lines), the fields and lines added under the summary."""
+    def doc():
+        return {"command": {"verb": args.verb, "target": target}, "results": [
+            {"n": n, "indeterminate": s.reason} if isinstance(s, Indeterminate)
+            else {"n": n, "summary": _summary_doc(s), **fields}
+            for n, s, _, fields, _ in rows]}
+
+    def text_lines():
+        return [line for _, s, head, _, extra in rows for line in (
+            [f"{head}: indeterminate ({s.reason})"]
+            if isinstance(s, Indeterminate)
+            else [*_summary_lines(head, s), *extra])]
+    return _emit(args, out, doc, text_lines)
+
+
 def _cmd_tau(args, x, catalog, out) -> int:
-    results, lines = [], []
-    for n in _degrees(args):
-        s = fox.tau_invariants(x, n)
-        results.append({"n": n, "summary": _summary_doc(s)})
-        lines.extend(_summary_lines(f"tau_{n}({x.name})", s))
-    doc = {"command": {"verb": "tau", "target": x.name}, "results": results}
-    return _emit(doc, lines, args.format, out)
+    return _emit_towers(args, out, x.name, [
+        (n, fox.tau_invariants(x, n), f"tau_{n}({x.name})", {}, ())
+        for n in _degrees(args)])
 
 
 def _cmd_sigma(args, tg, catalog, out) -> int:
-    results, lines = [], []
+    rows = []
     for n in _degrees(args):
         s = rhodes.sigma_invariants(tg, n)
-        tau_x = fox.tau_invariants(tg.space, n)
+        tau_order = fox.tau_invariants(tg.space, n).finite_order
         book = {"group_order": tg.group.order,
-                "tau_order": _order_doc(tau_x.finite_order),
-                "product": _order_doc(tg.group.order * tau_x.finite_order)}
-        results.append({"n": n, "summary": _summary_doc(s),
-                        "extension_bookkeeping": book})
-        lines.extend(_summary_lines(f"sigma_{n}({tg.name})", s))
-        lines.append(f"  extension bookkeeping: {tg.group.order} * "
-                     f"{book['tau_order']} = {book['product']}")
-    doc = {"command": {"verb": "sigma", "target": tg.name}, "results": results}
-    return _emit(doc, lines, args.format, out)
+                "tau_order": _order_doc(tau_order),
+                "product": _order_doc(tg.group.order * tau_order)}
+        rows.append((n, s, f"sigma_{n}({tg.name})",
+                     {"extension_bookkeeping": book},
+                     [f"  extension bookkeeping: {tg.group.order} * "
+                      f"{book['tau_order']} = {book['product']}"]))
+    return _emit_towers(args, out, tg.name, rows)
 
 
 def _cmd_gtau(args, x, catalog, out) -> int:
-    results, lines = [], []
-    for n in _degrees(args):
-        s = fox.gottlieb_fox_invariants(x, n)
-        if isinstance(s, Indeterminate):
-            results.append({"n": n, "indeterminate": s.reason})
-            lines.append(f"Gtau_{n}({x.name}): indeterminate ({s.reason})")
-        else:
-            results.append({"n": n, "summary": _summary_doc(s)})
-            lines.extend(_summary_lines(f"Gtau_{n}({x.name})", s))
-    doc = {"command": {"verb": "gtau", "target": x.name}, "results": results}
-    return _emit(doc, lines, args.format, out)
+    return _emit_towers(args, out, x.name, [
+        (n, fox.gottlieb_fox_invariants(x, n), f"Gtau_{n}({x.name})", {}, ())
+        for n in _degrees(args)])
 
 
 def _cmd_gsigma(args, tg, catalog, out) -> int:
-    results, lines = [], []
+    rows = []
     for n in _degrees(args):
         r = rhodes.gottlieb_rhodes_invariants(tg, n)
+        head = f"Gsigma_{n}({tg.name})"
         if isinstance(r, Indeterminate):
-            results.append({"n": n, "indeterminate": r.reason})
-            lines.append(f"Gsigma_{n}({tg.name}): indeterminate ({r.reason})")
+            rows.append((n, r, head, {}, ()))
             continue
-        item = {"n": n, "summary": _summary_doc(r.summary),
-                "g0": {"order": r.g0.subgroup.order,
-                       "members": list(r.g0.members())}}
-        lines.extend(_summary_lines(f"Gsigma_{n}({tg.name})", r.summary))
+        fields = {"g0": {"order": r.g0.subgroup.order,
+                         "members": list(r.g0.members())}}
+        extra = []
         if r.realized is not None:
-            item["realized"] = {"group": identify_group(r.realized),
-                                "order": r.realized.order,
-                                "abelian": r.realized.is_abelian()}
-            lines.append(f"  realized: {item['realized']['group']} "
+            fields["realized"] = {"group": identify_group(r.realized),
+                                  "order": r.realized.order,
+                                  "abelian": r.realized.is_abelian()}
+            extra.append(f"  realized: {fields['realized']['group']} "
                          f"(order {r.realized.order}, abelian: "
                          f"{str(r.realized.is_abelian()).lower()})")
-        results.append(item)
-    doc = {"command": {"verb": "gsigma", "target": tg.name},
-           "results": results}
-    return _emit(doc, lines, args.format, out)
+        rows.append((n, r.summary, head, fields, extra))
+    return _emit_towers(args, out, tg.name, rows)
 
 
 def _cmd_g0(args, tg, catalog, out) -> int:
     r = rhodes.compute_g0(tg)
-    per = {name: {"verdict": v, "rule": rule}
-           for name, (v, rule) in r.per_element_verdict.items()}
-    doc = {"command": {"verb": "g0", "target": tg.name},
-           "fully_determined": r.fully_determined(),
-           "members": list(r.members()),
-           "order": r.subgroup.order if r.subgroup is not None else None,
-           "per_element": per}
-    lines = [f"G0({tg.name}): order "
-             f"{r.subgroup.order if r.subgroup is not None else '?'}, "
-             f"members {{{', '.join(r.members())}}}"]
-    for name in tg.group.element_names:
-        v, rule = r.per_element_verdict[name]
-        lines.append(f"  {name}: {v} ({rule})")
-    return _emit(doc, lines, args.format, out)
+    order = r.subgroup.order if r.subgroup is not None else None
+    return _emit(args, out, lambda: {
+        "command": {"verb": "g0", "target": tg.name},
+        "fully_determined": r.fully_determined(),
+        "members": list(r.members()), "order": order,
+        "per_element": {name: {"verdict": v, "rule": rule}
+                        for name, (v, rule) in r.per_element_verdict.items()}},
+        lambda: [f"G0({tg.name}): order {'?' if order is None else order}, "
+                 f"members {{{', '.join(r.members())}}}",
+                 *(f"  {name}: {r.per_element_verdict[name][0]} "
+                   f"({r.per_element_verdict[name][1]})"
+                   for name in tg.group.element_names)])
 
 
 # The per-degree verdicts of classify: field name and display name.
@@ -248,23 +251,24 @@ _VERDICTS = (("gottlieb", "Gottlieb"), ("gottlieb_fox", "Gottlieb-Fox"),
 
 def _cmd_classify(args, tg, catalog, out) -> int:
     rep = rhodes.classify(tg, _degrees(args, 4)[-1])
-    per = []
-    lines = [f"classification of {tg.name} through n = {rep.max_n}"]
-    for d in rep.per_degree:
-        verdicts = [(key, word, getattr(d, key)) for key, word in _VERDICTS]
-        per.append({"n": d.n, **{key: v.label() for key, _, v in verdicts},
-                    "rules": {key: v.rule for key, _, v in verdicts}})
-        lines.append(f"  n={d.n}: " + ", ".join(
-            f"{word} {v.label()}" for _, word, v in verdicts))
+    rows = [(d.n, [(key, word, getattr(d, key)) for key, word in _VERDICTS])
+            for d in rep.per_degree]
     space_level = {key: {"verdict": rv.label(), "rule": rv.rule}
                    for key, rv in sorted(rep.space_level.items())}
-    for key, entry in space_level.items():
-        lines.append(f"  space-level {key}: {entry['verdict']}")
-    doc = {"command": {"verb": "classify", "target": tg.name,
-                       "max_n": rep.max_n},
-           "per_degree": per, "space_level": space_level,
-           "consistency": _report_doc(rep.consistency)}
-    return _emit(doc, lines, args.format, out)
+    return _emit(args, out, lambda: {
+        "command": {"verb": "classify", "target": tg.name,
+                    "max_n": rep.max_n},
+        "per_degree": [{"n": n, **{key: v.label() for key, _, v in verdicts},
+                        "rules": {key: v.rule for key, _, v in verdicts}}
+                       for n, verdicts in rows],
+        "space_level": space_level,
+        "consistency": _report_doc(rep.consistency)},
+        lambda: [f"classification of {tg.name} through n = {rep.max_n}",
+                 *(f"  n={n}: " + ", ".join(f"{word} {v.label()}"
+                                           for _, word, v in verdicts)
+                   for n, verdicts in rows),
+                 *(f"  space-level {key}: {entry['verdict']}"
+                   for key, entry in space_level.items())])
 
 
 def _cmd_audit(args, target, catalog, out) -> int:
@@ -296,8 +300,8 @@ def _emit_report(report: CheckReport, args, out,
                        max_n=max_n)
     counts = ", ".join(f"{k}: {v}" for k, v in sorted(report.counts().items()))
     verdict = f"{'PASSED' if report.passed else 'FAILED'} ({counts})"
-    _emit({"command": command, "report": _report_doc(report)},
-          report.lines() + [verdict], args.format, out)
+    _emit(args, out, lambda: {"command": command, "report": _report_doc(report)},
+          lambda: report.lines() + [verdict])
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 

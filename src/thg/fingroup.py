@@ -18,6 +18,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .abelian import TRIVIAL, FgAbelian, IntMatrix, cokernel
@@ -59,15 +60,19 @@ class CayleyGroup:
         t = self.table
         if len(t) != n or any(len(row) != n for row in t):
             raise InvalidInputError("table must be order x order")
-        if min(map(min, t)) < 0 or max(map(max, t)) >= n:
+        if {*map(type, chain.from_iterable(t))} != {int}:  # 1.0 passes set checks
             raise InvalidInputError("table entry out of range")
         everyone = set(range(n))
         columns = list(zip(*t))
         for row, column in zip(t, columns):
-            if set(row) != everyone:
-                raise InvalidInputError("table row is not a permutation")
-            if set(column) != everyone:
-                raise InvalidInputError("table column is not a permutation")
+            if set(row) == everyone == set(column):
+                continue
+            # Ints that fill every row and column as permutations are in range.
+            if not everyone.issuperset(chain.from_iterable(t)):
+                raise InvalidInputError("table entry out of range")
+            raise InvalidInputError("table row is not a permutation"
+                                    if set(row) != everyone else
+                                    "table column is not a permutation")
         e = self.identity_index
         if not 0 <= e < n:
             raise InvalidInputError("identity index out of range")

@@ -22,6 +22,10 @@ Gottlieb groups G_i(X) with multiplicities gamma_i = C(n-1, i-1); a
 space is n-Gottlieb when G_n = pi_n, and the gamma-weighted index
 product gives an independent route to the same predicate, which
 gottlieb_fox_crosscheck exercises from both sides.
+
+tau_n's multiplicities are re-checked against a column walked through
+the splitting with additions only: level by level, or up to degree 1024
+in packed lanes, one integer per level (_walk_in_lanes).
 """
 
 from __future__ import annotations
@@ -100,6 +104,28 @@ def multiplicities(n: int, i: int) -> MultiplicityTriple:
 # so it is never seen half-stepped.
 _COLUMN_START = (2, (0, 0, 1), (0, 1, 1))
 _column = _COLUMN_START
+_LANE_CAP = 1024  # past about 1400 levels a lane costs more than it saves
+
+
+def _walk_in_lanes(level: int, alpha: Tuple[int, ...], total: Tuple[int, ...],
+                   n: int) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
+    """The column stepped from level to n by the same recursion, each
+    level's counts held in one integer, degree i in the lane of bytes
+    [i*w, (i+1)*w), w = (n+8)//8: A + (A << 8w) is Pascal's rule on all
+    lanes.  No lane carries: every count up to level n is a C(m, k) with
+    m < n, below 2^(n-1), and 8w > n."""
+    w = (n + 8) // 8
+
+    def unpack(lanes: int) -> Tuple[int, ...]:
+        raw = lanes.to_bytes(w * (n + 1), "little")
+        return tuple(int.from_bytes(raw[k:k + w], "little") for k in range(0, len(raw), w))
+
+    a, t = (int.from_bytes(b"".join(c.to_bytes(w, "little") for c in counts), "little")
+            for counts in (alpha, total))
+    for _ in range(level, n):
+        a += a << 8 * w
+        t += a
+    return n, unpack(a), unpack(t)
 
 
 def recursive_tau_multiplicities(n: int) -> Tuple[int, ...]:
@@ -113,7 +139,9 @@ def recursive_tau_multiplicities(n: int) -> Tuple[int, ...]:
     column is an independent route to C(n-1, i-1), which it reaches by
     the hockey-stick identity.  The walk steps on from the last level it
     reached and starts again at level 2 only when a smaller n is asked,
-    so asking n = 1..N in turn costs O(N^2) additions in all.
+    so asking n = 1..N in turn costs O(N^2) additions in all.  A jump of
+    16 levels or more that doubles the level, to n <= 1024, takes packed
+    lanes (_walk_in_lanes), whose packing shorter jumps do not repay.
 
     >>> recursive_tau_multiplicities(5)
     (0, 1, 4, 6, 4, 1)
@@ -126,6 +154,8 @@ def recursive_tau_multiplicities(n: int) -> Tuple[int, ...]:
     if n == 1:
         return (0, 1)  # tau_1 = pi_1; every kernel lives in degree >= 2
     level, alpha, total = _column if _column[0] <= n else _COLUMN_START
+    if n <= _LANE_CAP and n - level >= max(level, 16):
+        level, alpha, total = _walk_in_lanes(level, alpha, total, n)
     while level < n:
         alpha = (*map(add, alpha + (0,), (0,) + alpha),)
         total = (*map(add, total + (0,), alpha),)

@@ -1,5 +1,6 @@
 """Command-line behavior: verbs, exit codes, and byte-level determinism."""
 
+import collections
 import io
 import json
 import pathlib
@@ -9,8 +10,10 @@ import pytest
 
 from strategies import time_limit
 
+from thg import cli, fox, report, rhodes
 from thg.cli import (EXIT_CHECK_FAILED, EXIT_COMPUTATION, EXIT_OK, EXIT_USAGE,
                      run)
+from thg.errors import UnsupportedError
 
 CATALOG_DIR = pathlib.Path(__file__).resolve().parents[1] / "src" / "thg" / "catalog"
 
@@ -386,6 +389,25 @@ def test_verify_grades_space_bookkeeping_failure_as_such(monkeypatch):
     assert [e["rule"] for e in failed] == ["internal bookkeeping agreement"]
 
 
+@pytest.mark.parametrize("target, module, name, check, rule", [
+    ("S1", fox, "gottlieb_fox_crosscheck", "space-battery",
+     "space checks run to completion"),
+    ("t3-z2", rhodes, "rhodes_split_check", "action-battery",
+     "transformation checks run to completion"),
+])
+def test_verify_grades_a_computation_error_as_an_unfinished_battery(
+        monkeypatch, target, module, name, check, rule):
+    def refuse(*_):
+        raise UnsupportedError("no route past this degree")
+    monkeypatch.setattr(module, name, refuse)
+    code, out, _ = invoke("verify", target, "--max-n", "3", "--format", "json")
+    assert code == EXIT_CHECK_FAILED
+    failed = [(e["check"], e["rule"], e["detail"])
+              for e in json.loads(out)["report"]["entries"]
+              if e["status"] == "fail"]
+    assert failed == [(check, rule, "no route past this degree")]
+
+
 def test_verify_grades_a_sigma_rank_disagreement(monkeypatch):
     import dataclasses
 
@@ -602,3 +624,39 @@ def test_requests_past_the_data_exit_1_with_one_sentence():
     assert classify[:2] == tau[:2] == (EXIT_COMPUTATION, "")
     assert classify[2] == tau[2] == (
         "thg: S3 carries data up to degree 6; degree 7 was requested\n")
+
+
+# One request per verb, and the renderers its JSON and its text call.
+RENDERED = {
+    "list": (("list",), None, None),
+    "show": (("show", "S3"), None, None),
+    "tau": (("tau", "T3", "--max-n", "3"), "_summary_doc", "_summary_lines"),
+    "sigma": (("sigma", "t3-z2", "--max-n", "3"), "_summary_doc",
+              "_summary_lines"),
+    "gtau": (("gtau", "S3", "--max-n", "3"), "_summary_doc", "_summary_lines"),
+    "gsigma": (("gsigma", "rp3-z2z2", "--max-n", "2"), "_summary_doc",
+               "_summary_lines"),
+    "g0": (("g0", "s3-q8"), None, None),
+    "classify": (("classify", "s3-q8", "--max-n", "3"), "_report_doc", None),
+    "verify": (("verify", "s3-q8", "--max-n", "3"), "_report_doc", "lines"),
+    "audit": (("audit", "s3-q8", "--max-n", "3"), "_report_doc", "lines"),
+}
+
+
+@pytest.mark.parametrize("verb", cli.VERBS)
+def test_each_verb_builds_only_the_format_it_prints(monkeypatch, verb):
+    calls = collections.Counter()
+    for owner, name in ((cli, "_summary_doc"), (cli, "_summary_lines"),
+                        (cli, "_report_doc"), (report.CheckReport, "lines")):
+        def counted(*args, _honest=getattr(owner, name), _name=name):
+            calls[_name] += 1
+            return _honest(*args)
+        monkeypatch.setattr(owner, name, counted)
+    argv, json_reads, text_reads = RENDERED[verb]
+    for fmt, reads, unread in (("json", json_reads, ("_summary_lines", "lines")),
+                               ("text", text_reads, ("_summary_doc", "_report_doc"))):
+        calls.clear()
+        code, out, _ = invoke(*argv, "--format", fmt)
+        assert code == EXIT_OK and out, (verb, fmt)
+        assert not any(calls[name] for name in unread), (verb, fmt, calls)
+        assert reads is None or calls[reads], (verb, fmt, calls)

@@ -6,6 +6,7 @@ literally summing the column, so no binomial implementation is trusted
 twice.
 """
 
+import dataclasses
 import io
 import json
 import math
@@ -95,6 +96,55 @@ def test_the_stepped_column_survives_a_walk_in_any_order(monkeypatch):
             fresh = recursive_tau_multiplicities(n)
         assert stepped == fresh == (0, *(math.comb(n - 1, i - 1)
                                          for i in range(1, n + 1))), n
+
+
+def _plain_walk(levels):
+    """The column at each of levels, walked one level at a time from
+    level 2 by Pascal's rule on plain tuples: the loop without lanes."""
+    alpha, total, seen = [0, 0, 1], [0, 1, 1], {}
+    for level in range(2, max(levels) + 1):
+        if level > 2:
+            alpha = [a + b for a, b in zip(alpha + [0], [0] + alpha)]
+            total = [a + b for a, b in zip(total + [0], alpha)]
+        if level in levels:
+            seen[level] = tuple(total)
+    return seen
+
+
+def _closed_form(n):
+    """(level, alpha(n, .), column) as the walk must leave them at n."""
+    return (n, (0, 0, *(math.comb(n - 2, i - 2) for i in range(2, n + 1))),
+            (0, *(math.comb(n - 1, i - 1) for i in range(1, n + 1))))
+
+
+# A fresh walk to 17 is 15 levels, one short of a lane jump, and 1025 is
+# past the lane cap; at 64 and 128 a lane outgrows 64 and 128 bits.
+LANE_DEGREES = (17, 18, 63, 64, 65, 127, 128, 129, 600, 1023, 1024, 1025)
+
+
+def test_packed_lanes_match_the_plain_walk_and_math_comb(monkeypatch):
+    plain = _plain_walk(LANE_DEGREES)
+    jumps = []
+    honest = fox._walk_in_lanes
+
+    def counted(level, alpha, total, n):
+        jumps.append((level, n))
+        return honest(level, alpha, total, n)
+    monkeypatch.setattr(fox, "_walk_in_lanes", counted)
+    for n in LANE_DEGREES:
+        monkeypatch.setattr(fox, "_column", fox._COLUMN_START)
+        assert recursive_tau_multiplicities(n) == plain[n], n
+        assert fox._column == _closed_form(n), n
+    assert jumps == [(2, n) for n in LANE_DEGREES if 18 <= n <= 1024]
+
+
+def test_walks_mixing_jumps_and_single_steps_stay_exact(monkeypatch):
+    monkeypatch.setattr(fox, "_column", fox._COLUMN_START)
+    # Jumps that take lanes, steps on from a column they left, and
+    # restarts below it.
+    for n in (600, 601, 40, 1024, 1025, 17, 16, 33, 34, 70, 5, 200, 1100):
+        assert recursive_tau_multiplicities(n) == _closed_form(n)[2], n
+        assert fox._column == _closed_form(n), n
 
 
 def test_multiplicative_rows_match_math_comb():
@@ -203,6 +253,66 @@ def test_fox_sequence_check_passes_catalog_wide():
             report = fox_sequence_check(x, n)
             assert report.passed, (x.name, n, report.lines())
             assert {e.status for e in report.entries} == {PASS}
+
+
+def _fault_the_splitting(monkeypatch, n, whole=None, quot=None, ker=None):
+    """fox_sequence_check at degree n reads edited summaries: whole for
+    tau_n, quot for tau_{n-1}, ker for the loop-space tower."""
+    honest_tau, honest_loop = fox.tau_invariants, fox.loop_tau_invariants
+
+    def tau(x, m):
+        edit = whole if m == n else quot
+        return edit(honest_tau(x, m)) if edit else honest_tau(x, m)
+
+    def loop(x, m):
+        return ker(honest_loop(x, m)) if ker else honest_loop(x, m)
+    monkeypatch.setattr(fox, "tau_invariants", tau)
+    monkeypatch.setattr(fox, "loop_tau_invariants", loop)
+
+
+def _rebase(base):
+    return lambda s: dataclasses.replace(s, base_name_or_order=base)
+
+
+def _edit_layer(label, group=None, extra=0):
+    return lambda s: dataclasses.replace(s, layers=tuple(
+        (lab, group if lab == label and group else grp,
+         mult + extra if lab == label else mult)
+        for lab, grp, mult in s.layers))
+
+
+SPLIT_FAULTS = {
+    "changed base": ({"quot": _rebase("Z^2")},
+                     "quotient tower changed the base group"),
+    "kernel base": ({"ker": _rebase("Z")},
+                    "kernel tower has a nontrivial base"),
+    "group": ({"quot": _edit_layer("pi10", group=FgAbelian(1))},
+              "pi10: towers disagree on the group"),
+    # At n = 11: C(10, 1) + 1 copies of pi2 against C(9, 0) + C(9, 1).
+    "multiplicity": ({"whole": _edit_layer("pi2", extra=1)},
+                     "pi2: multiplicity 11 != 1 + 9"),
+}
+
+
+@pytest.mark.parametrize("fault", SPLIT_FAULTS)
+def test_each_reconciliation_fault_is_named(monkeypatch, fault):
+    edits, detail = SPLIT_FAULTS[fault]
+    _fault_the_splitting(monkeypatch, 11, **edits)
+    entry = fox_sequence_check(BY_NAME["T3"], 11).entries[0]
+    assert (entry.check, entry.status, entry.detail) == (
+        "fox-sequence-layers", FAIL, detail)
+
+
+def test_reconciliation_faults_are_named_in_label_order(monkeypatch):
+    # Labels sort as strings, so pi10 comes before pi2.
+    regroup, rebase = SPLIT_FAULTS["group"][0]["quot"], _rebase("Z^2")
+    _fault_the_splitting(monkeypatch, 11, whole=_edit_layer("pi2", extra=1),
+                         quot=lambda s: regroup(rebase(s)), ker=_rebase("Z"))
+    entry = fox_sequence_check(BY_NAME["T3"], 11).entries[0]
+    assert entry.status == FAIL
+    assert entry.detail == "; ".join(
+        SPLIT_FAULTS[fault][1] for fault in
+        ("changed base", "kernel base", "group", "multiplicity"))
 
 
 def test_whitehead_conflict_detection():

@@ -39,7 +39,7 @@ def _entrywise_fault(n, names, table, e):
         return "table must be order x order"
     for row in table:
         for v in row:
-            if not 0 <= v < n:
+            if type(v) is not int or not 0 <= v < n:
                 return "table entry out of range"
     for i in range(n):
         if sorted(table[i]) != list(range(n)):
@@ -100,6 +100,12 @@ def _mutations(table, e, rng):
     rows = [list(r) for r in table]
     rows[rng.randrange(n)][rng.randrange(n)] = rng.choice((-1, n, n + 7))
     yield "out of range", rows, e
+    # A float keeps the entry's value, so only its type is wrong.
+    row, col = rng.randrange(n), rng.randrange(n)
+    for odd in (str(table[row][col]), None, float(table[row][col])):
+        rows = [list(r) for r in table]
+        rows[row][col] = odd
+        yield "not an int", rows, e
     yield "moved identity", table, rng.choice([x for x in range(n) if x != e])
     for kind, through_identity in (("broken inverse", True), ("intercalate", False)):
         rows = [list(r) for r in table]
@@ -143,6 +149,7 @@ def test_table_validation_matches_the_entrywise_validator():
         return {got for _, k, got in seen if k == kind}
     assert messages("none") == {None}
     assert messages("out of range") == {"table entry out of range"}
+    assert messages("not an int") == {"table entry out of range"}
     assert messages("moved identity") == {"identity index is not a two-sided identity"}
     assert messages("broken inverse") == {NO_INVERSE}
     assert {"table row is not a permutation",
