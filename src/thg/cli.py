@@ -436,9 +436,9 @@ def _verify_action(report: CheckReport, tg: TransformationModel,
         if not isinstance(gr, Indeterminate) and not isinstance(gtau, Indeterminate):
             want = gtau.finite_order * gr.g0.subgroup.order
             report.add("gsigma-order", tg.name, n,
-                       PASS if gr.finite_order == want else FAIL,
+                       PASS if gr.summary.finite_order == want else FAIL,
                        "evaluation-subgroup order is |Gtau_n| times |G0|",
-                       f"{_order_doc(gr.finite_order)} vs "
+                       f"{_order_doc(gr.summary.finite_order)} vs "
                        f"{_order_doc(want)}")
     for n in range(2, cap + 1):
         report.extend(rhodes.rhodes_split_check(tg, n))
@@ -504,7 +504,7 @@ def _orbit_pi1_is_q8(tg: TransformationModel):
 
 def _gsigma1_is_q8(tg: TransformationModel):
     gr = rhodes.gottlieb_rhodes_invariants(tg, 1)
-    return (not isinstance(gr, Indeterminate) and gr.finite_order == 8
+    return (not isinstance(gr, Indeterminate) and gr.summary.finite_order == 8
             and gr.realized is not None
             and identify_group(gr.realized) == "Q8"), ""
 

@@ -33,14 +33,15 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from operator import add
-from typing import Dict, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
-from .abelian import FgAbelian, order_text
+from .abelian import TRIVIAL, order_text
 from .errors import BookkeepingError, InvalidInputError
 from .report import FAIL, INDETERMINATE, PASS, CheckReport
 from .spacecat import SpaceModel, subgroup_rows
-from .tower import TowerSummary, make_summary
+from .tower import TowerSummary
 from .verdict import Indeterminate, Verdict, is_indeterminate, is_true, tri_all
 
 
@@ -231,6 +232,7 @@ def tau_invariants(x: SpaceModel, n: int) -> TowerSummary:
     layers with their flattened multiplicities.  is_direct_product
     records whether the iterated extension is untwisted, which holds
     exactly when all Whitehead data vanishes and pi_1 acts trivially.
+    After _check_degree, x.pi holds pi_2..pi_n, or none nontrivial if aspherical.
     """
     _check_degree(x, n)
     conflicts = whitehead_gottlieb_conflicts(x)
@@ -239,13 +241,12 @@ def tau_invariants(x: SpaceModel, n: int) -> TowerSummary:
     row = _binomial_row(n - 1)
     if row[1:] != recursive_tau_multiplicities(n)[2:]:
         raise BookkeepingError("multiplicity recursion out of step")
-    layers = [(f"pi{i}", x.pi_at(i), mult)
-              for i, mult in zip(range(2, n + 1), row[1:])]
-    if x.aspherical or all(grp.is_trivial() for _, grp, _ in layers):
+    groups = tuple(map(x.pi.get, range(2, n + 1), repeat(TRIVIAL)))
+    if x.aspherical or all(grp.is_trivial() for grp in groups):
         direct = True  # nothing to twist: every layer is trivial
     else:
         direct = x.whitehead_trivial() and x.pi1_action_trivial
-    return make_summary(x.pi1.describe(), x.pi1.order, layers, direct)
+    return TowerSummary(x.pi1.describe(), x.pi1.order, "pi", 2, groups, row[1:], direct)
 
 
 def loop_tau_invariants(x: SpaceModel, n: int) -> TowerSummary:
@@ -256,9 +257,8 @@ def loop_tau_invariants(x: SpaceModel, n: int) -> TowerSummary:
     level: trivial base, layers pi_i(X)^{C(n-2, i-2)} for 2 <= i <= n.
     """
     _check_degree(x, n, lowest=2)
-    layers = [(f"pi{i}", x.pi_at(i), mult)
-              for i, mult in zip(range(2, n + 1), _binomial_row(n - 2))]
-    return make_summary(1, 1, layers, True)
+    groups = tuple(map(x.pi.get, range(2, n + 1), repeat(TRIVIAL)))
+    return TowerSummary(1, 1, "pi", 2, groups, _binomial_row(n - 2), True)
 
 
 def _no_data(x: SpaceModel, i: int) -> Indeterminate:
@@ -274,33 +274,33 @@ def gottlieb_fox_invariants(x: SpaceModel, n: int) -> Union[TowerSummary, Indete
     indeterminate; it never defaults to the trivial subgroup.
     """
     _check_degree(x, n)
-    layers = []
-    for i, mult in zip(range(1, n + 1), _binomial_row(n - 1)):
-        index, struct = x.gottlieb_entry(i)
+    groups = []
+    for i in range(1, n + 1):
+        index, struct = x.gottlieb_table.get(i, (1, TRIVIAL))
         if index is None:
             return _no_data(x, i)
         if struct is None:
             return Indeterminate(
                 f"degree-{i} evaluation subgroup of {x.name} has no abelian "
                 f"presentation")
-        layers.append((f"G{i}", struct, mult))
-    return make_summary(1, 1, layers, True)
+        groups.append(struct)
+    return TowerSummary(1, 1, "G", 1, tuple(groups), _binomial_row(n - 1), True)
 
 
 # ---------------------------------------------------------------------------
 # The split exact sequence
 
 
-def _layer_map(s: TowerSummary) -> Dict[str, Tuple[FgAbelian, int]]:
-    out: Dict[str, Tuple[FgAbelian, int]] = {}
-    for label, grp, mult in s.layers:
-        out[label] = (grp, mult)
-    return out
-
-
 def summary_layer_rank(s: TowerSummary) -> int:
     """Free rank carried by the layers alone (the base not included)."""
-    return sum(grp.rank * mult for _, grp, mult in s.layers)
+    return sum(grp.rank * mult for grp, mult in zip(s.groups, s.mults) if grp.rank)
+
+
+def _padded(s: TowerSummary, lo: int, hi: int):
+    """s's groups and multiplicities over degrees lo..hi-1, None and 0 where it has none."""
+    head, tail = s.first - lo, hi - s.first - len(s.groups)
+    return ((None,) * head + s.groups + (None,) * tail,
+            (0,) * head + s.mults + (0,) * tail)
 
 
 def fox_sequence_check(x: SpaceModel, n: int, target: Optional[str] = None,
@@ -320,21 +320,24 @@ def fox_sequence_check(x: SpaceModel, n: int, target: Optional[str] = None,
     whole = tau_invariants(x, n)
     ker = loop_tau_invariants(x, n)
     report = CheckReport(f"splitting of {target} at n={n}")
-    wl, ql, kl = _layer_map(whole), _layer_map(quot), _layer_map(ker)
     problems = []
     if whole.base_name_or_order != quot.base_name_or_order:
         problems.append("quotient tower changed the base group")
     if ker.base_name_or_order not in (1, "1"):
         problems.append("kernel tower has a nontrivial base")
-    for label in sorted(set(wl) | set(ql) | set(kl)):
-        grp, mult = wl.get(label, (None, 0))
-        qgrp, qmult = ql.get(label, (grp, 0))
-        kgrp, kmult = kl.get(label, (grp, 0))
-        if not (grp == qgrp == kgrp):
-            problems.append(f"{label}: towers disagree on the group")
+    # Every degree that any tower holds, in step: one without a layer there
+    # takes the whole tower's group.  Faults go in label order, pi10 < pi2.
+    lo = min(s.first for s in (whole, quot, ker))
+    hi = max(s.first + len(s.groups) for s in (whole, quot, ker))
+    (wg, wm), (qg, qm), (kg, km) = (_padded(s, lo, hi) for s in (whole, quot, ker))
+    faults = []
+    for d, grp, qgrp, kgrp, mult, qmult, kmult in zip(range(lo, hi), wg, qg, kg, wm, qm, km):
+        if not ((qgrp is grp or qgrp is None or qgrp == grp)
+                and (kgrp is grp or kgrp is None or kgrp == grp)):
+            faults.append((str(d), f"pi{d}: towers disagree on the group"))
         elif mult != qmult + kmult:
-            problems.append(
-                f"{label}: multiplicity {mult} != {kmult} + {qmult}")
+            faults.append((str(d), f"pi{d}: multiplicity {mult} != {kmult} + {qmult}"))
+    problems.extend(text for _, text in sorted(faults))
     report.add(f"{prefix}-layers", target, n,
                FAIL if problems else PASS,
                "layer multisets of the splitting reconcile degree by degree",
@@ -405,10 +408,9 @@ def gottlieb_fox_crosscheck(x: SpaceModel, max_n: int) -> CheckReport:
     and the degree-wise predicates have come apart.
     """
     report = CheckReport(f"Gottlieb vs Gottlieb-Fox on {x.name}")
-    verdicts: List[Verdict] = []
+    side_a: Verdict = True  # tri_all folds: a False wins, then the first Indeterminate
     for n in range(1, max_n + 1):
-        verdicts.append(is_n_gottlieb(x, n))
-        side_a = tri_all(verdicts)
+        side_a = tri_all((side_a, is_n_gottlieb(x, n)))
         product = gottlieb_index_product(x, n)
         if is_indeterminate(side_a) or isinstance(product, Indeterminate):
             report.add("gottlieb-fox-equivalence", x.name, n, INDETERMINATE,

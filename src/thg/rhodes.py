@@ -20,7 +20,7 @@ G sigma_n is an extension of the Gottlieb-Fox group G tau_n by G0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple, Union
 
 from .abelian import order_text
@@ -33,8 +33,7 @@ from .report import (CONFIRMED, EXPECTED_EXCEPTION, FAIL, INDETERMINATE,
                      NOT_APPLICABLE, PASS, VACUOUS, VIOLATION, CheckReport)
 from .spacecat import (FULL, SpaceModel, TransformationModel, orbit_space,
                        subgroup_ref)
-from .tower import (TowerSummary, VirtAbelian, abelianization,
-                    center_structure, make_summary)
+from .tower import TowerSummary, VirtAbelian, abelianization, center_structure
 from .verdict import (Indeterminate, Verdict, is_false, is_indeterminate,
                       is_true, tri_all, verdict_label)
 
@@ -226,10 +225,6 @@ class GottliebRhodesResult:
     g0: G0Result
     realized: Optional[CayleyGroup] = None
 
-    @property
-    def finite_order(self) -> int:
-        return self.summary.finite_order
-
 
 def gottlieb_rhodes_invariants(
         tg: TransformationModel, n: int) -> Union[GottliebRhodesResult, Indeterminate]:
@@ -250,7 +245,8 @@ def gottlieb_rhodes_invariants(
         return gtau
     direct = g0.subgroup.order == 1 and gtau.is_direct_product
     base_label = f"G0 of order {g0.subgroup.order}"
-    summary = make_summary(base_label, g0.subgroup.order, gtau.layers, direct)
+    summary = replace(gtau, base_name_or_order=base_label,
+                      base_order=g0.subgroup.order, is_direct_product=direct)
 
     realized = None
     if n == 1:
@@ -390,19 +386,12 @@ def classify(tg: TransformationModel, max_n: int) -> ClassificationReport:
             f"G0 covers G: {verdict_label(g0_all)}")
 
     space_level = {
-        "gottlieb": RuledVerdict(
-            tri_all(d.gottlieb.value for d in per_degree),
-            "n-Gottlieb at every graded degree"),
-        "gottlieb-fox": RuledVerdict(
-            tri_all(d.gottlieb_fox.value for d in per_degree),
-            "n-Gottlieb-Fox at every graded degree"),
-        "gottlieb-rhodes": RuledVerdict(
-            tri_all(d.gottlieb_rhodes.value for d in per_degree),
-            "n-Gottlieb-Rhodes at every graded degree"),
-        "equivariant-gottlieb": RuledVerdict(
-            tri_all(d.equivariant_gottlieb.value for d in per_degree),
-            "equivariant n-Gottlieb at every graded degree"),
-    }
+        field.replace("_", "-"): RuledVerdict(
+            tri_all(getattr(d, field).value for d in per_degree),
+            f"{name} at every graded degree")
+        for field, name in (("gottlieb", "n-Gottlieb"), ("gottlieb_fox", "n-Gottlieb-Fox"),
+                            ("gottlieb_rhodes", "n-Gottlieb-Rhodes"),
+                            ("equivariant_gottlieb", "equivariant n-Gottlieb"))}
     return ClassificationReport(tg.name, max_n, per_degree, space_level,
                                 consistency)
 

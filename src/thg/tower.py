@@ -29,6 +29,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .abelian import (FgAbelian, INFINITY, IntMatrix, det, smith_normal_form,
@@ -143,25 +144,32 @@ def check_action(base: CayleyGroup, action: Sequence[LayerAut]) -> None:
 class TowerSummary:
     """Invariant-level description of a tower-shaped group.
 
-    layers are (degree label, group, multiplicity) triples; finite_order
-    multiplies everything out: an int, INFINITY (0) when any part is infinite.
+    groups[k], carried mults[k] times, is the layer in degree first + k,
+    labelled prefix + degree in layers; finite_order multiplies everything
+    out: an int, INFINITY (0) when any part is infinite.
     """
 
     base_name_or_order: Union[str, int]
-    layers: Tuple[Tuple[str, FgAbelian, int], ...]
+    base_order: int
+    prefix: str
+    first: int
+    groups: Tuple[FgAbelian, ...]
+    mults: Tuple[int, ...]
     is_direct_product: bool
-    finite_order: int
 
+    @property
+    def layers(self) -> Tuple[Tuple[str, FgAbelian, int], ...]:
+        return tuple((f"{self.prefix}{d}", grp, mult) for d, grp, mult in
+                     zip(itertools.count(self.first), self.groups, self.mults))
 
-def make_summary(base_name_or_order: Union[str, int], base_order: int,
-                 layers: Sequence[Tuple[str, FgAbelian, int]],
-                 is_direct_product: bool) -> TowerSummary:
-    total = base_order
-    for _, grp, mult in layers:
-        # Once infinite, stay so; a layer of order 1 changes nothing.
-        if total != INFINITY and mult and grp.order != 1:
-            total *= grp.order ** mult
-    return TowerSummary(base_name_or_order, tuple(layers), is_direct_product, total)
+    @cached_property
+    def finite_order(self) -> int:
+        total = self.base_order
+        for grp, mult in zip(self.groups, self.mults):
+            # Once infinite, stay so; a trivial layer changes nothing.
+            if total != INFINITY and mult and not grp.is_trivial():
+                total *= grp.order ** mult
+        return total
 
 
 @dataclass(frozen=True)

@@ -56,7 +56,7 @@ def test_criterion_1_quaternion_golden(verdict):
     if not is_isomorphic(s1, from_catalog("Q8")):
         problems.append("sigma1 is not the quaternion group")
     r = gottlieb_rhodes_invariants(tg, 1)
-    if isinstance(r, ThgError) or r.finite_order != 8:
+    if isinstance(r, ThgError) or r.summary.finite_order != 8:
         problems.append("Gsigma1 order is not 8")
     elif r.realized is None or r.realized.order != 8 or r.realized.is_abelian():
         problems.append("Gsigma1 does not realize as a non-abelian group of order 8")

@@ -419,7 +419,7 @@ def test_verify_grades_a_sigma_rank_disagreement(monkeypatch):
         # One more free layer: the order stays infinite, the rank does not.
         s = honest(tg, n)
         return dataclasses.replace(
-            s, layers=s.layers + (("pi2", FgAbelian(1), 1),))
+            s, groups=s.groups + (FgAbelian(1),), mults=s.mults + (1,))
 
     monkeypatch.setattr(rhodes, "sigma_invariants", extra_rank)
     code, out, _ = invoke("verify", "t3-z2", "--max-n", "3", "--format", "json")

@@ -9,8 +9,8 @@ from thg.fox import gottlieb_fox_invariants, gottlieb_index_product, tau_invaria
 from thg.rhodes import sigma1_group, sigma_invariants
 from thg.spacecat import (SpaceModel, TransformationModel, builtin_catalog,
                           orbit_space)
-from thg.tower import (LayerAut, VirtAbelian, center_index, identity_aut,
-                       make_summary, to_cayley)
+from thg.tower import (LayerAut, TowerSummary, VirtAbelian, center_index,
+                       identity_aut, to_cayley)
 from thg.verdict import Indeterminate
 
 MODELS = builtin_catalog()
@@ -31,7 +31,7 @@ def test_infinity_is_the_integer_zero():
 
 
 def test_finite_order_of_a_summary_with_a_free_layer_of_multiplicity_zero():
-    s = make_summary(1, 1, [("pi2", FgAbelian(1), 0), ("pi3", FgAbelian(0, (2,)), 2)], True)
+    s = TowerSummary(1, 1, "pi", 2, (FgAbelian(1), FgAbelian(0, (2,))), (0, 2), True)
     assert s.finite_order == 4 and type(s.finite_order) is int
 
 

@@ -275,13 +275,33 @@ def _rebase(base):
 
 
 def _edit_layer(label, group=None, extra=0):
-    return lambda s: dataclasses.replace(s, layers=tuple(
-        (lab, group if lab == label and group else grp,
-         mult + extra if lab == label else mult)
-        for lab, grp, mult in s.layers))
+    def edit(s):
+        hits = [lab == label for lab, _, _ in s.layers]
+        return dataclasses.replace(
+            s, groups=tuple(group if hit and group else grp
+                            for hit, grp in zip(hits, s.groups)),
+            mults=tuple(mult + extra if hit else mult
+                        for hit, mult in zip(hits, s.mults)))
+    return edit
 
 
+def _extra_top_layer(s):
+    # A trivial layer one degree past the tower's top.
+    return dataclasses.replace(s, groups=s.groups + (FgAbelian(0),), mults=s.mults + (1,))
+
+
+def _drop_top_layer(s):
+    return dataclasses.replace(s, groups=s.groups[:-1], mults=s.mults[:-1])
+
+
+# Every degree that any of the three towers holds is compared: a degree
+# that only the kernel reaches, or that the whole tower lacks, is a
+# disagreement on the group.
 SPLIT_FAULTS = {
+    "kernel past n": ({"ker": _extra_top_layer},
+                      "pi12: towers disagree on the group"),
+    "whole short": ({"whole": _drop_top_layer},
+                    "pi11: towers disagree on the group"),
     "changed base": ({"quot": _rebase("Z^2")},
                      "quotient tower changed the base group"),
     "kernel base": ({"ker": _rebase("Z")},

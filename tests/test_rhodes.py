@@ -1,11 +1,13 @@
 """Rhodes groups, the G0 subgroup, and the implication audits."""
 
+import dataclasses
 import json
 
 import pytest
 
+from thg import rhodes
 from thg.abelian import FgAbelian, INFINITY
-from thg.errors import InvalidInputError, UnsupportedError
+from thg.errors import BookkeepingError, InvalidInputError, UnsupportedError
 from thg.fingroup import center, from_catalog, is_isomorphic
 from thg.fox import tau_invariants
 from thg.report import (CONFIRMED, EXPECTED_EXCEPTION, FAIL, INDETERMINATE,
@@ -131,7 +133,7 @@ def test_rhodes_split_check_passes_catalog_wide():
 def test_quaternion_gottlieb_rhodes_realization():
     r = gottlieb_rhodes_invariants(BY_NAME["rp3-z2z2"], 1)
     assert not isinstance(r, Indeterminate)
-    assert r.finite_order == 8
+    assert r.summary.finite_order == 8
     assert r.g0.subgroup.order == 4
     assert r.realized is not None and r.realized.order == 8
     assert not r.realized.is_abelian()
@@ -142,13 +144,13 @@ def test_quaternion_gottlieb_rhodes_realization():
 
 def test_gottlieb_rhodes_order_is_gtau_times_g0():
     r = gottlieb_rhodes_invariants(BY_NAME["s3-q8"], 1)
-    assert r.finite_order == 8  # trivial Gtau_1, G0 = Q8
+    assert r.summary.finite_order == 8  # trivial Gtau_1, G0 = Q8
     assert r.realized is not None
     assert is_isomorphic(r.realized, from_catalog("Q8"))
     # The tower layers are evaluation subgroups of the total space (the
     # 3-sphere), so the deck group enters only through the G0 base.
     r = gottlieb_rhodes_invariants(BY_NAME["s3-z4"], 3)
-    assert r.finite_order == INFINITY
+    assert r.summary.finite_order == INFINITY
     assert r.g0.subgroup.order == 4
     assert [(l, g.describe(), m) for l, g, m in r.summary.layers] == [
         ("G1", "1", 1), ("G2", "1", 2), ("G3", "Z", 1)]
@@ -228,6 +230,56 @@ def test_oprea_check_with_recorded_quotients():
     assert report.passed and any(e.status == PASS for e in report.entries)
     report = oprea_check(BY_NAME["s2-z2"])  # even sphere: out of scope
     assert all(e.status == NOT_APPLICABLE for e in report.entries)
+
+
+def _lens_quotient(**changes):
+    """S3modZ4 with its document edited."""
+    return load_model(json.dumps(dict(BY_NAME["S3modZ4"].raw, **changes)))
+
+
+def test_oprea_check_grades_a_quotient_it_cannot_compare():
+    rule = ("the degree-1 evaluation subgroup of an odd-sphere quotient "
+            "is the center of the acting group (Oprea)")
+    recorded = BY_NAME["S3modZ4"].raw["gottlieb"]
+    unrecorded = _lens_quotient(
+        gottlieb={k: v for k, v in recorded.items() if k != "1"})
+    unlisted = _lens_quotient(pi1={"rank": 0, "torsion": [4]})
+    for quotient, status, detail in (
+            (unrecorded, FAIL, "orbit model carries no degree-1 subgroup data"),
+            (unlisted, INDETERMINATE, "degree-1 subgroup not resolvable to elements")):
+        entries = oprea_check(BY_NAME["s3-z4"], quotient).entries
+        assert [(e.check, e.target, e.n, e.status, e.rule, e.detail)
+                for e in entries] == [
+            ("oprea-center", "S3modZ4", 1, status, rule, detail)]
+
+
+def test_g0_even_sphere_rule_without_a_recorded_action():
+    # With no action entry the antipodal map induces the identity by
+    # convention, so only the Lefschetz rule for even spheres decides it.
+    doc = dict(BY_NAME["s2-z2"].raw, action={})
+    tg = load_model(json.dumps(doc), name="s2-z2", resolver=BY_NAME.__getitem__)
+    r = compute_g0(tg)
+    assert r.per_element_verdict["t"] == (
+        NOT_IN_G0, "fixed-point-free self-map of an even sphere has degree "
+                   "minus one")
+    assert r.subgroup is not None and r.subgroup.order == 1
+
+
+def test_realized_gsigma1_is_checked_against_the_bookkeeping(monkeypatch):
+    honest = rhodes.gottlieb_fox_invariants
+
+    def with_z2(x, n):
+        # One Z/2 layer more than the space has: the summary derived from
+        # this one must count it, 8 * 2, against the realized Q8.
+        s = honest(x, n)
+        return dataclasses.replace(s, groups=s.groups + (FgAbelian(0, (2,)),),
+                                   mults=s.mults + (1,))
+
+    monkeypatch.setattr(rhodes, "gottlieb_fox_invariants", with_z2)
+    with pytest.raises(BookkeepingError) as err:
+        gottlieb_rhodes_invariants(BY_NAME["s3-q8"], 1)
+    assert str(err.value) == (
+        "G sigma_1(s3-q8): realized order 8 vs bookkeeping 16")
 
 
 def test_degree_one_subgroup_equals_center_of_deck_group():

@@ -14,8 +14,8 @@ from strategies import elements, one, product
 from thg.abelian import FgAbelian, INFINITY, IntMatrix
 from thg.errors import InvalidInputError, UnsupportedError
 from thg.fingroup import from_catalog, is_isomorphic
-from thg.tower import (LayerAut, abelianization, center_structure,
-                       direct_sum_group, identity_aut, make_summary,
+from thg.tower import (LayerAut, TowerSummary, abelianization,
+                       center_structure, direct_sum_group, identity_aut,
                        make_virtabelian, to_cayley)
 
 Z2 = from_catalog("Z2")
@@ -174,12 +174,13 @@ def test_layer_aut_requires_invertible_torsion_scaling():
         LayerAut(FgAbelian(1), IntMatrix.from_rows([[2]]), ())
 
 
-def test_make_summary_order_arithmetic():
-    s = make_summary("base", 4, [("pi2", FgAbelian(0, (2,)), 3)], True)
+def test_summary_order_arithmetic():
+    s = TowerSummary("base", 4, "pi", 2, (FgAbelian(0, (2,)),), (3,), True)
     assert s.finite_order == 4 * 2 ** 3
-    s = make_summary(1, 1, [("pi3", FgAbelian(1), 2)], True)
+    assert s.layers == (("pi2", FgAbelian(0, (2,)), 3),)
+    s = TowerSummary(1, 1, "pi", 3, (FgAbelian(1),), (2,), True)
     assert s.finite_order == INFINITY
-    s = make_summary(1, 1, [("pi3", FgAbelian(1), 0)], True)
+    s = TowerSummary(1, 1, "pi", 3, (FgAbelian(1),), (0,), True)
     assert s.finite_order == 1
 
 
