@@ -19,7 +19,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .abelian import TRIVIAL, FgAbelian, IntMatrix, cokernel
 from .errors import InvalidInputError, NotFoundError, UnsupportedError
@@ -113,13 +113,17 @@ class CayleyGroup:
         return tuple(_generating_sequence(self))
 
     @cached_property
-    def signatures(self) -> Tuple[Tuple[int, int, int], ...]:
+    def signatures(self) -> Tuple[Tuple[int, int, int, bool, bool], ...]:
         """signatures[i] is (order, centralizer order, number of square
-        roots) of element i, computed once; an isomorphism keeps it.  The
+        roots, x in G', x x in G') of element x = i, computed once.  The
         centralizer order is |G| over the size of the conjugacy class,
         which is the orbit under conjugation by the generators: in a
         finite group s^-1 is a power of s, so every conjugation is a
-        product of theirs."""
+        product of theirs.  An isomorphism phi keeps each entry: G' is
+        characteristic and phi(x x) = phi(x) phi(x).  So each class of
+        equal signatures is, in index order, the class of the first three
+        entries less images that no isomorphism uses, and find_isomorphism
+        returns the map it returns without the flags."""
         n, gens = self.order, self.generators
         class_size = [0] * n
         for x in range(n):
@@ -135,8 +139,9 @@ class CayleyGroup:
             for y in orbit:
                 class_size[y] = len(orbit)
         squares = [row[y] for y, row in enumerate(self.table)]
-        return tuple((self.element_order(x), n // class_size[x], squares.count(x))
-                     for x in range(n))
+        derived = _derived_subgroup(self)
+        return tuple((self.element_order(x), n // class_size[x], squares.count(x),
+                      x in derived, squares[x] in derived) for x in range(n))
 
     @cached_property
     def inverses(self) -> Tuple[int, ...]:
@@ -523,6 +528,25 @@ def _spanning_tree(g: CayleyGroup, gens: Sequence[int]) -> List[Tuple[int, int, 
     return edges
 
 
+def _derived_subgroup(g: CayleyGroup) -> Set[int]:
+    """G', the normal closure N of the commutators [s, u] = s u s^-1 u^-1
+    of g.generators: G/N is abelian once the generators commute mod N.
+    N is walked from e by x -> x c for each commutator c and
+    x -> s x s^-1.  In a finite group s^-1 is a power of s, so the walk
+    is closed under conjugation by s^-1 too, and then under
+    x -> x (s c s^-1) = s ((s^-1 x s) c) s^-1: by induction it reaches
+    every product of conjugates of the commutators, which is N."""
+    t, gens, e = g.table, g.generators, g.identity_index
+    commutators = {t[g.conjugate(s, u)][g.inverses[u]] for s in gens for u in gens} - {e}
+    members, walk = {e}, [e]
+    for x in walk:
+        for y in chain([t[x][c] for c in commutators], [g.conjugate(s, x) for s in gens]):
+            if y not in members:
+                members.add(y)
+                walk.append(y)
+    return members
+
+
 def find_isomorphism(a: CayleyGroup, b: CayleyGroup) -> Optional[Dict[int, int]]:
     """An explicit isomorphism a -> b as an index map, or None.
 
@@ -539,12 +563,13 @@ def find_isomorphism(a: CayleyGroup, b: CayleyGroup) -> Optional[Dict[int, int]]
 
     Before that check, an image y of g = gens[t] is skipped when it
     breaks a relation that every isomorphism extending the map phi' on
-    H' = <gens[:t]> keeps: y has g's signature; y images[k] y^-1 =
-    phi'(c) for each k < t whose conjugate c = g gens[k] g^-1 lies in
-    H'; y^m = phi'(g^m) for the least m with g^m in H'; and each element
-    of H has its image's signature.  A skipped subtree holds no
-    isomorphism, and the order of the search is unchanged, so the first
-    map found is the same as without the skips.
+    H' = <gens[:t]> keeps: y has g's signature (with whether y and y y
+    lie in G'); y images[k] y^-1 = phi'(c) for each k < t whose
+    conjugate c = g gens[k] g^-1 lies in H'; y^m = phi'(g^m) for the
+    least m with g^m in H'; and each element of H has its image's
+    signature.  A skipped subtree holds no isomorphism, and the order of
+    the search is unchanged, so the first map found is the same as
+    without the skips.
     """
     if a.order != b.order:
         return None
@@ -552,7 +577,7 @@ def find_isomorphism(a: CayleyGroup, b: CayleyGroup) -> Optional[Dict[int, int]]
     if not gens:  # trivial group
         return {a.identity_index: b.identity_index}
     at, bt, asig, bsig = a.table, b.table, a.signatures, b.signatures
-    candidates: Dict[Tuple[int, int, int], List[int]] = {}
+    candidates: Dict[Tuple[int, int, int, bool, bool], List[int]] = {}
     for y, sig in enumerate(bsig):
         candidates.setdefault(sig, []).append(y)
     trees = [_spanning_tree(a, gens[:t + 1]) for t in range(len(gens))]
@@ -610,8 +635,9 @@ def find_isomorphism(a: CayleyGroup, b: CayleyGroup) -> Optional[Dict[int, int]]
 def is_isomorphic(a: CayleyGroup, b: CayleyGroup) -> bool:
     """Isomorphism test for orders up to 64.
 
-    Cheap invariants (order, the multiset of element signatures,
-    abelianization) reject most pairs before any search runs.
+    Cheap invariants (order, the multiset of element signatures) reject
+    most pairs before any search runs; the search is exact and decides
+    the rest.  The signatures count G', so |G'| is compared too.
 
     >>> is_isomorphic(from_catalog("Q8"), from_catalog("D4"))
     False
@@ -625,7 +651,5 @@ def is_isomorphic(a: CayleyGroup, b: CayleyGroup) -> bool:
     if a.order != b.order:
         return False
     if sorted(a.signatures) != sorted(b.signatures):
-        return False
-    if abelianization(a) != abelianization(b):
         return False
     return find_isomorphism(a, b) is not None

@@ -574,6 +574,15 @@ def test_sphere_templates_stop_at_the_degree_cap():
                             "stop at S10000\n")
 
 
+def test_a_catalog_dir_without_the_circle_answers_from_the_template(tmp_path):
+    # S1 is not in the directory, so find_model builds sphere_space(1).
+    shutil.copy(CATALOG_DIR / "s3.json", tmp_path)
+    request = ("tau", "S1", "--n", "3", "--format", "json")
+    shipped = invoke(*request)
+    assert shipped[0] == EXIT_OK
+    assert invoke(*request, "--catalog-dir", str(tmp_path)) == shipped
+
+
 def test_a_catalog_dir_is_validated_whole(tmp_path):
     # verify of one model still fails on a broken file it never reads.
     mutated = tmp_path / "catalog"

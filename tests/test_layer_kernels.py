@@ -5,7 +5,8 @@ points; the cocycle condition is checked column by column; the
 abelianization is read on a spanning tree of the base with one lift
 symbol per generator; find_isomorphism builds each depth's spanning tree
 once, draws images from signature classes, skips images that break a
-relation and returns the map of the search without skips; and a
+relation and returns the map of the search without skips or
+derived-subgroup flags, and is_isomorphic its answer; and a
 signed-permutation free block is accepted as unimodular without a
 determinant.  Each test writes the slow, obvious computation out and
 requires the same answer on seeded inputs.
@@ -18,15 +19,15 @@ import time
 
 import pytest
 
-from strategies import (COCYCLE_FAILS, NOT_NORMALISED, NOT_REDUCED, WRONG_COUNT, coboundary,
-                        cochain, cocycle_oracle, draw_action, elements, extension,
-                        is_isomorphism, one, product, random_point, relabel,
-                        scan_is_abelian, seeded_extension)
+from strategies import (COCYCLE_FAILS, FINITE_CASES, NOT_NORMALISED, NOT_REDUCED,
+                        WRONG_COUNT, coboundary, cochain, cocycle_oracle, commutator_quotient,
+                        draw_action, elements, extension, is_isomorphism, one, product,
+                        random_point, relabel, scan_is_abelian, seeded_extension)
 
 from thg import tower
 from thg.abelian import FgAbelian, IntMatrix, cokernel
 from thg.errors import InvalidInputError
-from thg.fingroup import CayleyGroup, find_isomorphism, from_catalog
+from thg.fingroup import CayleyGroup, find_isomorphism, from_catalog, is_isomorphic
 from thg.tower import LayerAut, VirtAbelian, identity_aut, to_cayley
 
 # Free, torsion and mixed layers.
@@ -270,18 +271,35 @@ def test_find_isomorphism_on_twisted_extensions():
     assert found >= 5 and refused >= 10, (found, refused)
 
 
+def _coarse_signatures(g):
+    """(order, centralizer order, number of square roots) of each element,
+    by scans of the table: the signature without the derived-subgroup
+    flags."""
+    t, e, n = g.table, g.identity_index, g.order
+    squares = [t[x][x] for x in range(n)]
+    signatures = []
+    for x in range(n):
+        y, k = x, 1
+        while y != e:
+            y, k = t[y][x], k + 1
+        signatures.append((k, sum(t[x][y] == t[y][x] for y in range(n)), squares.count(x)))
+    return signatures
+
+
 def _unpruned_find_isomorphism(a, b):
     """The depth-first search without relation skips: images of gens[t]
-    in signature order, each kept only when the map it defines on
-    <gens[:t+1]> (built breadth first) is injective and keeps every
-    product x gens[k].  The first full map found is returned."""
+    in index order within the coarse signature class of gens[t], each
+    kept only when the map it defines on <gens[:t+1]> (built breadth
+    first) is injective and keeps every product x gens[k].  The first
+    full map found is returned."""
     if a.order != b.order:
         return None
     gens = a.generators
     if not gens:
         return {a.identity_index: b.identity_index}
+    asig = _coarse_signatures(a)
     candidates = collections.defaultdict(list)
-    for y, sig in enumerate(b.signatures):
+    for y, sig in enumerate(_coarse_signatures(b)):
         candidates[sig].append(y)
     images = []
 
@@ -307,7 +325,7 @@ def _unpruned_find_isomorphism(a, b):
         return phi
 
     def extend(t):
-        for y in candidates[a.signatures[gens[t]]]:
+        for y in candidates[asig[gens[t]]]:
             images.append(y)
             phi = partial_map(t)
             if phi is not None:
@@ -324,19 +342,13 @@ PRODUCT_BASES = {16: ("Q8xZ2", "D4xZ2"), 32: ("Q8xZ(4)", "D4xZ(4)"),
                  64: ("Q8xZ(4)xZ2", "D4xZ(4)xZ2")}
 
 
-def _affine_group(n, u):
-    """The permutations x -> u^i x + b of Z/n, tabulated (n = 10, u = 9
-    is the dihedral group of order 20).  With n = 5, 7 and u = 2, 3 a
-    generator of order 4 or 3 conjugates the translations by x -> u x,
-    whose inverse differs: the catalog groups and the twisted extensions
-    have central squares, so no conjugation there tells a conjugate from
-    its inverse."""
-    shift = tuple((x + 1) % n for x in range(n))
-    scale = tuple(u * x % n for x in range(n))
-    elements = [tuple(range(n))]
+def _permutation_group(*generators):
+    """The group the permutations generate (each a tuple of the images of
+    0, 1, ...), tabulated."""
+    elements = [tuple(range(len(generators[0])))]
     index = {elements[0]: 0}
     for p in elements:
-        for s in (shift, scale):
+        for s in generators:
             q = tuple(s[x] for x in p)
             if q not in index:
                 index[q] = len(elements)
@@ -344,6 +356,17 @@ def _affine_group(n, u):
     table = tuple(tuple(index[tuple(q[x] for x in p)] for q in elements)
                   for p in elements)
     return CayleyGroup(len(elements), tuple(map(str, elements)), table, 0)
+
+
+def _affine_group(n, u):
+    """The permutations x -> u^i x + b of Z/n, tabulated (n = 10, u = 9
+    is the dihedral group of order 20).  With n = 5, 7 and u = 2, 3 a
+    generator of order 4 or 3 conjugates the translations by x -> u x,
+    whose inverse differs: the catalog groups and the twisted extensions
+    have central squares, so no conjugation there tells a conjugate from
+    its inverse."""
+    return _permutation_group(tuple((x + 1) % n for x in range(n)),
+                              tuple(u * x % n for x in range(n)))
 
 
 def _search_inputs():
@@ -376,18 +399,65 @@ def _search_inputs():
 
 
 def test_skipped_images_leave_the_search_result_unchanged():
-    # The relation skips only drop subtrees that hold no isomorphism, in
-    # an unchanged search order, so the map (or None) is the unpruned one.
+    # The relation skips and the derived-subgroup flags only drop
+    # subtrees that hold no isomorphism, in an unchanged search order, so
+    # the map (or None) is the unpruned one; is_isomorphic, with no
+    # abelianization check, gives the same answer.
     found = refused = 0
     for a, b in _search_inputs():
         phi = find_isomorphism(a, b)
         assert phi == _unpruned_find_isomorphism(a, b), (a.order, found, refused)
+        assert is_isomorphic(a, b) == (phi is not None), (a.order, found, refused)
         if phi is None:
             refused += 1
         else:
             assert is_isomorphism(a, b, phi)
             found += 1
     assert found >= 110 and refused >= 50, (found, refused)
+
+
+def test_same_signature_pairs_are_decided_as_the_reference_search_decides():
+    # Every same-order pair with the same signature multiset goes to the
+    # search, which must answer as the search over coarse signatures.
+    groups = {(name, torsion, seed): to_cayley(
+                  seeded_extension(name, FgAbelian(0, torsion), seed).group)
+              for name, torsion in FINITE_CASES for seed in range(3)}
+    groups.update(((name, (), None), from_catalog(name))
+                  for names in PRODUCT_BASES.values() for name in names)
+    assert len(groups) == 177
+    signatures = {key: sorted(g.signatures) for key, g in groups.items()}
+    found = 0
+    for left, right in itertools.combinations(groups, 2):
+        a, b = groups[left], groups[right]
+        if a.order != b.order or signatures[left] != signatures[right]:
+            continue
+        expected = _unpruned_find_isomorphism(a, b) is not None
+        assert is_isomorphic(a, b) == expected, (left, right)
+        found += expected
+    assert found >= 200, found
+
+
+def test_derived_flags_read_the_normal_closure_of_the_commutators():
+    # S4 on two 4-cycles: the commutators of its generators make a group
+    # of order 3, not normal; G' is A4, of order 12.
+    g = _permutation_group((1, 2, 3, 0), (1, 0, 2, 3))
+    derived, _ = commutator_quotient(g.table, g.identity_index)
+    assert len(derived) == 12
+    assert [sig[3:] for sig in g.signatures] == [
+        (x in derived, g.table[x][x] in derived) for x in range(g.order)]
+
+
+def test_derived_flags_tell_apart_what_the_coarse_signatures_do_not():
+    # Two extensions of Z/4 by (Z/4)^2, abelianized (2, 4, 4) and
+    # (2, 2, 8), agree on the coarse signature multiset: without the
+    # flags only the abelianization told them apart before the search.
+    a, b = (seeded_extension("Z(4)", FgAbelian(0, (4, 4)), seed).group for seed in (7, 12))
+    assert tower.abelianization(a) == FgAbelian(0, (2, 4, 4))
+    assert tower.abelianization(b) == FgAbelian(0, (2, 2, 8))
+    a, b = to_cayley(a), to_cayley(b)
+    assert sorted(_coarse_signatures(a)) == sorted(_coarse_signatures(b))
+    assert sorted(a.signatures) != sorted(b.signatures)
+    assert _unpruned_find_isomorphism(a, b) is None and not is_isomorphic(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,15 @@ def test_find_model_and_sphere_templates():
         find_model("s3", MODELS)  # space names are case-sensitive
 
 
+def test_the_circle_template_is_the_shipped_circle():
+    # The built-in catalog ships S1, so only a catalog without it reaches
+    # the template: it must agree on every field the battery reads.
+    shipped, template = BY_NAME["S1"], sphere_space(1)
+    for field in ("name", "truncation", "aspherical", "pi1", "pi", "gottlieb_table",
+                  "whitehead_pairs", "pi1_action_trivial"):
+        assert getattr(template, field) == getattr(shipped, field), field
+
+
 def test_pi_at_beyond_truncation():
     s3 = BY_NAME["S3"]
     with pytest.raises(InsufficientDataError,

@@ -4,7 +4,7 @@ On a finite extension to_cayley gives the whole multiplication table,
 and strategies.py reads the answers off it with no presentation and no
 generating set: the commutator quotient, the elements that commute with
 everything, whether every pair commutes, and whether a map keeps all
-|G|^2 products.  The extensions are hypothesis draws of
+|G|^2 products, and the derived subgroup.  The extensions are hypothesis draws of
 strategies.extension over relabelled catalog bases of order up to 16,
 up to order 64, past the order-24 cap of test_center.py.
 """
@@ -12,8 +12,8 @@ up to order 64, past the order-24 cap of test_center.py.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strategies import (commutator_quotient_structure, finite_extensions, is_isomorphism,
-                        relabel, scan_center, scan_is_abelian)
+from strategies import (commutator_quotient, commutator_quotient_structure, finite_extensions,
+                        is_isomorphism, relabel, scan_center, scan_is_abelian)
 
 from thg.fingroup import SubgroupRef, find_isomorphism, subgroup_as_group
 from thg.tower import abelianization, center_index, center_structure, to_cayley
@@ -29,6 +29,11 @@ def test_kernels_agree_with_the_scans_of_the_table(g, rng):
     assert center_structure(g) == commutator_quotient_structure(z.table, z.identity_index)
     assert center_index(g) == cay.order // z.order
     assert g.is_abelian() == scan_is_abelian(cay)
+    derived, _ = commutator_quotient(cay.table, cay.identity_index)
+    assert [sig[3:] for sig in cay.signatures] == [
+        (x in derived, cay.table[x][x] in derived) for x in range(cay.order)]
     copy = relabel(cay, rng)
+    assert sorted(copy.signatures) == sorted(cay.signatures)
     phi = find_isomorphism(cay, copy)
     assert phi is not None and is_isomorphism(cay, copy, phi)
+
