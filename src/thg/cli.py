@@ -373,8 +373,7 @@ def build_verify_report(spaces: Sequence[SpaceModel],
     for x in sorted(spaces, key=lambda m: m.name):
         cap = _model_cap(x, max_n)
         try:
-            for n in range(2, cap + 1):
-                report.extend(fox.fox_sequence_check(x, n))
+            report.extend(fox.fox_sequence_check(x, cap))
             report.extend(fox.gottlieb_fox_crosscheck(x, cap))
             conflicts = fox.whitehead_gottlieb_conflicts(x)
             report.add("whitehead-gottlieb", x.name, None,
@@ -440,8 +439,7 @@ def _verify_action(report: CheckReport, tg: TransformationModel,
                        "evaluation-subgroup order is |Gtau_n| times |G0|",
                        f"{_order_doc(gr.summary.finite_order)} vs "
                        f"{_order_doc(want)}")
-    for n in range(2, cap + 1):
-        report.extend(rhodes.rhodes_split_check(tg, n))
+    report.extend(rhodes.rhodes_split_check(tg, cap))
     _audit(report, tg, catalog, cap)
 
 

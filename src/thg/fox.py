@@ -303,61 +303,62 @@ def _padded(s: TowerSummary, lo: int, hi: int):
             (0,) * head + s.mults + (0,) * tail)
 
 
-def fox_sequence_check(x: SpaceModel, n: int, target: Optional[str] = None,
+def fox_sequence_check(x: SpaceModel, max_n: int, target: Optional[str] = None,
                        prefix: str = "fox-sequence") -> CheckReport:
-    """Verify tau_n = ker . tau_{n-1} at invariant level, degree n >= 2.
+    """Verify tau_n = ker . tau_{n-1} at invariant level for n = 2..max_n.
 
     The kernel of tau_n(X) -> tau_{n-1}(X) is the loop-space tower one
-    degree down, so the layer multisets must reconcile by Pascal's rule,
-    ranks must add, and finite orders must multiply: one entry each,
-    named target (X by default), with check ids prefix-layers, -rank and
-    -order.  Failures are entries, not errors.
+    degree down, so at each n the layer multisets must reconcile by
+    Pascal's rule, ranks must add, and finite orders must multiply: one
+    entry each, named target (X by default), with check ids
+    prefix-layers, -rank and -order.  Failures are entries, not errors.
+    One walk builds tau_1, then tau_n and the loop-space tower once per
+    degree, tau_n the quotient at n+1: the multiplicity column only steps on.
     """
     target = target or x.name
-    # tau_{n-1} before tau_n: over a walk n = 2, 3, ... the multiplicity
-    # column is asked for degrees that never fall, so it only steps on.
-    quot = tau_invariants(x, n - 1)
-    whole = tau_invariants(x, n)
-    ker = loop_tau_invariants(x, n)
-    report = CheckReport(f"splitting of {target} at n={n}")
-    problems = []
-    if whole.base_name_or_order != quot.base_name_or_order:
-        problems.append("quotient tower changed the base group")
-    if ker.base_name_or_order not in (1, "1"):
-        problems.append("kernel tower has a nontrivial base")
-    # Every degree that any tower holds, in step: one without a layer there
-    # takes the whole tower's group.  Faults go in label order, pi10 < pi2.
-    lo = min(s.first for s in (whole, quot, ker))
-    hi = max(s.first + len(s.groups) for s in (whole, quot, ker))
-    (wg, wm), (qg, qm), (kg, km) = (_padded(s, lo, hi) for s in (whole, quot, ker))
-    faults = []
-    for d, grp, qgrp, kgrp, mult, qmult, kmult in zip(range(lo, hi), wg, qg, kg, wm, qm, km):
-        if not ((qgrp is grp or qgrp is None or qgrp == grp)
-                and (kgrp is grp or kgrp is None or kgrp == grp)):
-            faults.append((str(d), f"pi{d}: towers disagree on the group"))
-        elif mult != qmult + kmult:
-            faults.append((str(d), f"pi{d}: multiplicity {mult} != {kmult} + {qmult}"))
-    problems.extend(text for _, text in sorted(faults))
-    report.add(f"{prefix}-layers", target, n,
-               FAIL if problems else PASS,
-               "layer multisets of the splitting reconcile degree by degree",
-               "; ".join(problems))
+    report = CheckReport(f"splitting of {target} up to n={max_n}")
+    quot = tau_invariants(x, 1) if max_n >= 2 else None
+    for n in range(2, max_n + 1):
+        whole = tau_invariants(x, n)
+        ker = loop_tau_invariants(x, n)
+        problems = []
+        if whole.base_name_or_order != quot.base_name_or_order:
+            problems.append("quotient tower changed the base group")
+        if ker.base_name_or_order not in (1, "1"):
+            problems.append("kernel tower has a nontrivial base")
+        # Every degree any tower holds, in step; one without a layer there
+        # takes the whole tower's group.  Faults go in label order, pi10 < pi2.
+        lo = min(s.first for s in (whole, quot, ker))
+        hi = max(s.first + len(s.groups) for s in (whole, quot, ker))
+        (wg, wm), (qg, qm), (kg, km) = (_padded(s, lo, hi) for s in (whole, quot, ker))
+        faults = []
+        for d, grp, qgrp, kgrp, mult, qmult, kmult in zip(range(lo, hi), wg, qg, kg, wm, qm, km):
+            if not ((qgrp is grp or qgrp is None or qgrp == grp)
+                    and (kgrp is grp or kgrp is None or kgrp == grp)):
+                faults.append((str(d), f"pi{d}: towers disagree on the group"))
+            elif mult != qmult + kmult:
+                faults.append((str(d), f"pi{d}: multiplicity {mult} != {kmult} + {qmult}"))
+        problems.extend(text for _, text in sorted(faults))
+        report.add(f"{prefix}-layers", target, n,
+                   FAIL if problems else PASS,
+                   "layer multisets of the splitting reconcile degree by degree",
+                   "; ".join(problems))
 
-    # The base, pi_1, is shared by the whole tower and the quotient.
-    base_rank = x.pi1.rank
-    lhs_rank = base_rank + summary_layer_rank(whole)
-    rhs_rank = summary_layer_rank(ker) + base_rank + summary_layer_rank(quot)
-    report.add(f"{prefix}-rank", target, n,
-               PASS if lhs_rank == rhs_rank else FAIL,
-               "free rank is additive along the splitting",
-               f"{lhs_rank} vs {rhs_rank}")
+        # The base, pi_1, is shared by the whole tower and the quotient.
+        lhs_rank = x.pi1.rank + summary_layer_rank(whole)
+        rhs_rank = summary_layer_rank(ker) + x.pi1.rank + summary_layer_rank(quot)
+        report.add(f"{prefix}-rank", target, n,
+                   PASS if lhs_rank == rhs_rank else FAIL,
+                   "free rank is additive along the splitting",
+                   f"{lhs_rank} vs {rhs_rank}")
 
-    lhs_order = whole.finite_order
-    rhs_order = ker.finite_order * quot.finite_order
-    report.add(f"{prefix}-order", target, n,
-               PASS if lhs_order == rhs_order else FAIL,
-               "order is multiplicative along the splitting",
-               f"{order_text(lhs_order)} vs {order_text(rhs_order)}")
+        lhs_order = whole.finite_order
+        rhs_order = ker.finite_order * quot.finite_order
+        report.add(f"{prefix}-order", target, n,
+                   PASS if lhs_order == rhs_order else FAIL,
+                   "order is multiplicative along the splitting",
+                   f"{order_text(lhs_order)} vs {order_text(rhs_order)}")
+        quot = whole
     return report
 
 

@@ -195,15 +195,15 @@ def sigma1_group(tg: TransformationModel) -> CayleyGroup:
     return cay
 
 
-def rhodes_split_check(tg: TransformationModel, n: int) -> CheckReport:
-    """Verify sigma_n = ker . sigma_{n-1} at invariant level, n >= 2.
+def rhodes_split_check(tg: TransformationModel, max_n: int) -> CheckReport:
+    """Verify sigma_n = ker . sigma_{n-1} at invariant level, n = 2..max_n.
 
     sigma_n is tau_n of the orbit space, which carries the pi_i of X in
     degrees two and up (the covering identifies them), so this is the
-    Fox splitting of the orbit space, reported under the action's name.
+    walk of Fox's splitting on the orbit space, under the action's name.
     """
     _require_free(tg)
-    return fox_sequence_check(orbit_space(tg), n, tg.name, "rhodes-sequence")
+    return fox_sequence_check(orbit_space(tg), max_n, tg.name, "rhodes-sequence")
 
 
 # ---------------------------------------------------------------------------

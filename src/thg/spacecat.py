@@ -803,8 +803,8 @@ def _parse_document(document: Union[bytes, str], path: str) -> dict:
 def serialize(model: Model) -> str:
     """Canonical JSON for a loaded model: sorted keys, two-space indent.
 
-    Derived models (orbit spaces, templates built without documents) have
-    no file form and are rejected.
+    Orbit spaces are derived without a document and are rejected; a sphere
+    template is built from its document, which is what it prints.
     """
     if model.raw is None:
         raise UnsupportedError("derived models have no canonical document")

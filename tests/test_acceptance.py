@@ -91,15 +91,13 @@ def test_criterion_2_extension_bookkeeping(verdict):
 def test_criterion_3_split_sequence_suites(verdict):
     bad = []
     for x in SPACES:
-        for n in range(2, x.truncation + 1):
-            rep = fox_sequence_check(x, n)
-            if not rep.passed:
-                bad.append((x.name, n, rep.lines()))
+        rep = fox_sequence_check(x, x.truncation)
+        if not rep.passed:
+            bad.append((x.name, rep.lines()))
     for tg in ACTIONS:
-        for n in range(2, tg.space.truncation + 1):
-            rep = rhodes_split_check(tg, n)
-            if not rep.passed:
-                bad.append((tg.name, n, rep.lines()))
+        rep = rhodes_split_check(tg, tg.space.truncation)
+        if not rep.passed:
+            bad.append((tg.name, rep.lines()))
     verdict("criterion 3: fox and rhodes split sequences across the catalog",
              not bad, str(bad))
 

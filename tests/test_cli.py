@@ -103,6 +103,10 @@ USAGE_TABLE = [
     (("tau", "S3", "--n", "-3"), EXIT_USAGE, "thg: --n must be at least 1\n"),
     (("tau", "S3", "--n", "2", "--n", "3"), EXIT_OK, ""),
     (("frobnicate", "--help"), EXIT_OK, ""),
+    (("tau", "S3", "--bogus"), EXIT_USAGE,
+     "thg: unrecognized arguments: --bogus\n"),
+    (("verify", "--all=1"), EXIT_USAGE,
+     "thg: argument --all: ignored explicit argument '1'\n"),
 ]
 
 
@@ -387,6 +391,10 @@ def test_verify_grades_space_bookkeeping_failure_as_such(monkeypatch):
     entries = json.loads(out)["report"]["entries"]
     failed = [e for e in entries if e["check"] == "space-battery"]
     assert [e["rule"] for e in failed] == ["internal bookkeeping agreement"]
+    # The splitting walk raises at n = 4 and leaves its report behind, so
+    # no fox-sequence entry for n = 2 or 3 comes before the failure.
+    assert [(e["check"], e["status"]) for e in entries] == [
+        ("multiplicity-identities", "fail"), ("space-battery", "fail")]
 
 
 @pytest.mark.parametrize("target, module, name, check, rule", [
@@ -543,6 +551,18 @@ def test_a_single_target_builds_only_what_it_reads(monkeypatch):
         files = {"S3": "s3", "S3modQ8": "s3modq8"}
         assert decoded == [f"{files.get(n, n)}.json" for n in names]
     assert "[pass] oprea-center: S3modQ8 n=1" in out
+    # Each splitting walk builds every tau_n once, so a summary is built at
+    # most twice: once by its walk and once for a sigma-order entry.
+    builds = collections.Counter()
+    honest = fox.tau_invariants
+
+    def counting(x, n):
+        builds[x.name, n] += 1
+        return honest(x, n)
+    monkeypatch.setattr(fox, "tau_invariants", counting)
+    monkeypatch.setattr(rhodes, "tau_invariants", counting)
+    assert invoke("verify", "s3-q8", "--max-n", "6")[0] == EXIT_OK
+    assert len(builds) == 12 and max(builds.values()) == 2, builds
 
 
 @pytest.mark.parametrize("name", ["../s1", "catalog/s1", "s1.json",
@@ -617,6 +637,35 @@ def test_oprea_grades_a_trivial_group_by_the_trivial_pi1_rule(tmp_path):
     assert (code, err) == (EXIT_OK, "")
     assert ("[pass] oprea-center: S3modtrivial n=1 -- degree-1 subgroup ['e'] "
             "vs center ['e']\n") in out
+
+
+def test_rhodes_verbs_grade_missing_gottlieb_data_as_indeterminate(tmp_path):
+    # T3 without its evaluation-subgroup data, under both shipped actions.
+    doc = json.loads((CATALOG_DIR / "t3.json").read_text())
+    del doc["gottlieb"]
+    (tmp_path / "t3.json").write_text(json.dumps(doc))
+    for name in ("t3-z2.json", "t3-trivial.json"):
+        shutil.copy(CATALOG_DIR / name, tmp_path)
+    catalog = ("--max-n", "2", "--catalog-dir", str(tmp_path))
+    reason = "T3 has no evaluation-subgroup data at degree 1"
+    assert invoke("gsigma", "t3-z2", *catalog) == (EXIT_OK, "".join(
+        f"Gsigma_{n}(t3-z2): indeterminate ({reason})\n" for n in (1, 2)), "")
+
+    code, out, err = invoke("classify", "t3-trivial", *catalog, "--format", "json")
+    assert (code, err) == (EXIT_OK, "")
+    per_degree = json.loads(out)["per_degree"]
+    assert [(d["n"], d["gottlieb_fox"]) for d in per_degree] == [
+        (1, "indeterminate"), (2, "indeterminate")]
+    assert per_degree[0]["rules"]["gottlieb_fox"] == (
+        "binomial-weighted index product over the tower = unknown")
+
+    code, out, err = invoke("audit", "t3-trivial", *catalog, "--format", "json")
+    assert (code, err) == (EXIT_OK, "")
+    graded = {(e["check"], e["n"]): (e["status"], e["detail"])
+              for e in json.loads(out)["report"]["entries"]}
+    assert graded["aspherical-equivalence", None] == ("indeterminate", reason)
+    assert graded["orbit-implies-equivariant", 1] == (
+        "indeterminate", f"conclusion undecided: {reason}")
 
 
 def test_degrees_past_the_cap_are_usage_errors():

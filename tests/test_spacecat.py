@@ -15,7 +15,8 @@ from thg.spacecat import (FULL, CENTER, TRIVIAL_SUBGROUP, Catalog, SpaceModel,
                           catalog_from_dir, find_model, load_model,
                           orbit_space, serialize, sphere_space,
                           subgroup_index_in, subgroup_structure_in)
-from thg.tower import VirtAbelian, center_structure, make_virtabelian
+from thg.tower import (VirtAbelian, center_structure, direct_sum_group,
+                       make_virtabelian)
 
 CATALOG_DIR = pathlib.Path(__file__).resolve().parents[1] / "src" / "thg" / "catalog"
 
@@ -223,6 +224,9 @@ def test_subgroup_structure_in_resolves_each_ambient_kind():
 
     virt = orbit_space(BY_NAME["t3-z2"]).pi1
     assert subgroup_structure_in(virt, CENTER) == FgAbelian(1)
+    assert subgroup_structure_in(virt, FULL) is None  # not abelian
+    split = direct_sum_group(from_catalog("Z2"), FgAbelian(1))
+    assert subgroup_structure_in(split, FULL) == FgAbelian(1, (2,))
 
 
 def _space_doc(**overrides):
@@ -312,6 +316,14 @@ def test_inline_extension_pi1_loads():
     assert isinstance(pi1, VirtAbelian)
     assert (pi1.order, pi1.rank) == (INFINITY, 1)
     assert pi1.describe() == "extension of Z by a base of order 2"
+
+
+def test_a_full_degree_one_subgroup_of_an_inline_extension():
+    # gottlieb_table reads G_1 = pi_1 off the extension: Z x Z/2 when the
+    # base acts trivially, no abelian presentation when it acts by -1.
+    split = dict(INLINE_EXTENSION, action={})
+    assert _load(_space_doc(pi1=split)).gottlieb_table[1] == (1, FgAbelian(1, (2,)))
+    assert _load(_space_doc(pi1=INLINE_EXTENSION)).gottlieb_table[1] == (1, None)
 
 
 @pytest.mark.parametrize("field, value, path, message", [
