@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple, Union
 
 from .errors import InvalidInputError
 
@@ -28,6 +28,11 @@ INFINITY = 0
 def order_text(order: int) -> str:
     """An order as check details and messages print it: "inf" if infinite."""
     return "inf" if order == INFINITY else str(order)
+
+
+def order_doc(order: int) -> Union[int, str]:
+    """An order as JSON documents and tower headings give it: "infinity" if infinite."""
+    return "infinity" if order == INFINITY else order
 
 
 @dataclass(frozen=True)

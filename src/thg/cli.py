@@ -20,14 +20,14 @@ import os
 import re
 import sys
 from types import SimpleNamespace
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence
 
 from . import fox, rhodes
-from .abelian import INFINITY
+from .abelian import INFINITY, order_doc
 from .errors import BookkeepingError, ModelError, NotFoundError, ThgError
 from .fingroup import (CayleyGroup, abelianization as group_abelianization,
                        from_catalog, is_isomorphic)
-from .report import CheckReport, FAIL, PASS
+from .report import CheckReport, FAIL, NOT_APPLICABLE, PASS
 from .spacecat import (DEGREE_CAP, Catalog, SpaceModel, TransformationModel,
                        builtin_catalog, catalog_from_dir, find_model,
                        orbit_space, serialize)
@@ -44,23 +44,19 @@ EXIT_CHECK_FAILED = 3
 # Formatting helpers
 
 
-def _order_doc(order: int) -> Union[int, str]:
-    return "infinity" if order == INFINITY else order
-
-
 def _summary_doc(s: TowerSummary) -> dict:
     return {
         "base": s.base_name_or_order,
         "layers": [{"label": label, "group": grp.describe(),
                     "multiplicity": mult} for label, grp, mult in s.layers],
         "is_direct_product": s.is_direct_product,
-        "order": _order_doc(s.finite_order),
+        "order": order_doc(s.finite_order),
     }
 
 
 def _summary_lines(head: str, s: TowerSummary) -> List[str]:
     shape = "direct product" if s.is_direct_product else "iterated extension"
-    lines = [f"{head}: order {_order_doc(s.finite_order)}, {shape}",
+    lines = [f"{head}: order {order_doc(s.finite_order)}, {shape}",
              f"  base: {s.base_name_or_order}"]
     for label, grp, mult in s.layers:
         lines.append(f"  {label} ^ {mult}: {grp.describe()}")
@@ -190,8 +186,8 @@ def _cmd_sigma(args, tg, catalog, out) -> int:
         s = rhodes.sigma_invariants(tg, n)
         tau_order = fox.tau_invariants(tg.space, n).finite_order
         book = {"group_order": tg.group.order,
-                "tau_order": _order_doc(tau_order),
-                "product": _order_doc(tg.group.order * tau_order)}
+                "tau_order": order_doc(tau_order),
+                "product": order_doc(tg.group.order * tau_order)}
         rows.append((n, s, f"sigma_{n}({tg.name})",
                      {"extension_bookkeeping": book},
                      [f"  extension bookkeeping: {tg.group.order} * "
@@ -389,10 +385,13 @@ def build_verify_report(spaces: Sequence[SpaceModel],
 
     for tg in sorted(actions, key=lambda m: m.name):
         if not tg.free:
+            report.add("action-battery", tg.name, None, NOT_APPLICABLE,
+                       "transformation checks need a free action", "the action is not free")
             continue
         cap = _model_cap(tg.space, max_n)
         try:
-            _verify_action(report, tg, catalog, cap)
+            report.extend(rhodes.rhodes_split_check(tg, cap))
+            _audit(report, tg, catalog, cap)
         except BookkeepingError as exc:
             report.add("action-battery", tg.name, None, FAIL,
                        "internal bookkeeping agreement", str(exc))
@@ -404,43 +403,12 @@ def build_verify_report(spaces: Sequence[SpaceModel],
         for check, kind, name, n, rule, probe in _frozen_facts():
             m = catalog.get(name)
             if isinstance(m, kind):
-                ok, detail = probe(m)
+                try:
+                    ok, detail = probe(m)
+                except ThgError as exc:  # a probe that cannot run fails its fact
+                    ok, detail = False, str(exc)
                 report.add(check, name, n, PASS if ok else FAIL, rule, detail)
     return report
-
-
-def _verify_action(report: CheckReport, tg: TransformationModel,
-                   catalog: Catalog, cap: int) -> None:
-    """The action's checks.  The extension tau_n(X) -> sigma_n -> G is
-    graded here once per degree: its order as the sigma-order entry, its
-    free rank as a BookkeepingError that the caller grades."""
-    orbit_pi1 = orbit_space(tg).pi1
-    for n in range(1, cap + 1):
-        s = rhodes.sigma_invariants(tg, n)
-        tau_x = fox.tau_invariants(tg.space, n)
-        agree = s.finite_order == tg.group.order * tau_x.finite_order
-        report.add("sigma-order", tg.name, n,
-                   PASS if agree else FAIL,
-                   "orbit-space order equals |G| times the tau order",
-                   f"{_order_doc(s.finite_order)} vs {tg.group.order} * "
-                   f"{_order_doc(tau_x.finite_order)}")
-        orbit_rank = orbit_pi1.rank + fox.summary_layer_rank(s)
-        tau_rank = tg.space.pi1.rank + fox.summary_layer_rank(tau_x)
-        if orbit_rank != tau_rank:
-            raise BookkeepingError(
-                f"sigma_{n}({tg.name}): orbit rank {orbit_rank} vs "
-                f"tau rank {tau_rank}")
-        gr = rhodes.gottlieb_rhodes_invariants(tg, n)
-        gtau = fox.gottlieb_fox_invariants(tg.space, n)
-        if not isinstance(gr, Indeterminate) and not isinstance(gtau, Indeterminate):
-            want = gtau.finite_order * gr.g0.subgroup.order
-            report.add("gsigma-order", tg.name, n,
-                       PASS if gr.summary.finite_order == want else FAIL,
-                       "evaluation-subgroup order is |Gtau_n| times |G0|",
-                       f"{_order_doc(gr.summary.finite_order)} vs "
-                       f"{_order_doc(want)}")
-    report.extend(rhodes.rhodes_split_check(tg, cap))
-    _audit(report, tg, catalog, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +433,8 @@ def _gottlieb_index(i: int, want: int):
         got, _ = x.gottlieb_entry(i)
         if got is None:
             return False, "data missing"
-        return got == want, (f"index {_order_doc(got)}, "
-                             f"expected {_order_doc(want)}")
+        return got == want, (f"index {order_doc(got)}, "
+                             f"expected {order_doc(want)}")
     return probe
 
 

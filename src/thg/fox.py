@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 from itertools import repeat
 from operator import add
-from typing import List, Optional, Tuple, Union
+from typing import Iterator, List, Tuple, Union
 
 from .abelian import TRIVIAL, order_text
 from .errors import BookkeepingError, InvalidInputError
@@ -271,20 +271,23 @@ def gottlieb_fox_invariants(x: SpaceModel, n: int) -> Union[TowerSummary, Indete
     A direct product of classical Gottlieb groups.  G_1 is central in
     pi_1, so every layer is abelian, degree 1 included.  Missing
     evaluation-subgroup data at any needed degree makes the whole answer
-    indeterminate; it never defaults to the trivial subgroup.
+    indeterminate; it never defaults to the trivial subgroup.  A trivial
+    pi_i has a trivial G_i, so only gottlieb_table's degrees are read.
     """
     _check_degree(x, n)
-    groups = []
-    for i in range(1, n + 1):
-        index, struct = x.gottlieb_table.get(i, (1, TRIVIAL))
+    structs = {}
+    for i, (index, struct) in x.gottlieb_table.items():
+        if i > n:
+            break
         if index is None:
             return _no_data(x, i)
         if struct is None:
             return Indeterminate(
                 f"degree-{i} evaluation subgroup of {x.name} has no abelian "
                 f"presentation")
-        groups.append(struct)
-    return TowerSummary(1, 1, "G", 1, tuple(groups), _binomial_row(n - 1), True)
+        structs[i] = struct
+    groups = tuple(map(structs.get, range(1, n + 1), repeat(TRIVIAL)))
+    return TowerSummary(1, 1, "G", 1, groups, _binomial_row(n - 1), True)
 
 
 # ---------------------------------------------------------------------------
@@ -303,21 +306,21 @@ def _padded(s: TowerSummary, lo: int, hi: int):
             (0,) * head + s.mults + (0,) * tail)
 
 
-def fox_sequence_check(x: SpaceModel, max_n: int, target: Optional[str] = None,
-                       prefix: str = "fox-sequence") -> CheckReport:
-    """Verify tau_n = ker . tau_{n-1} at invariant level for n = 2..max_n.
+def splitting_walk(x: SpaceModel, max_n: int, report: CheckReport, target: str,
+                   prefix: str) -> Iterator[TowerSummary]:
+    """Yield tau_1(X), ..., tau_max_n(X), one walk that grades tau_n =
+    ker . tau_{n-1} at invariant level into report at each n >= 2.
 
     The kernel of tau_n(X) -> tau_{n-1}(X) is the loop-space tower one
-    degree down, so at each n the layer multisets must reconcile by
-    Pascal's rule, ranks must add, and finite orders must multiply: one
-    entry each, named target (X by default), with check ids
-    prefix-layers, -rank and -order.  Failures are entries, not errors.
-    One walk builds tau_1, then tau_n and the loop-space tower once per
-    degree, tau_n the quotient at n+1: the multiplicity column only steps on.
+    degree down, so layer multisets must reconcile by Pascal's rule, ranks
+    add and finite orders multiply: entries prefix-layers, -rank and
+    -order, named target; failures are entries, not errors.  tau_n is built
+    once, the quotient at n+1: the multiplicity column only steps on.
     """
-    target = target or x.name
-    report = CheckReport(f"splitting of {target} up to n={max_n}")
-    quot = tau_invariants(x, 1) if max_n >= 2 else None
+    if max_n < 1:
+        return
+    quot = tau_invariants(x, 1)
+    yield quot
     for n in range(2, max_n + 1):
         whole = tau_invariants(x, n)
         ker = loop_tau_invariants(x, n)
@@ -358,7 +361,17 @@ def fox_sequence_check(x: SpaceModel, max_n: int, target: Optional[str] = None,
                    PASS if lhs_order == rhs_order else FAIL,
                    "order is multiplicative along the splitting",
                    f"{order_text(lhs_order)} vs {order_text(rhs_order)}")
+        yield whole
         quot = whole
+
+
+def fox_sequence_check(x: SpaceModel, max_n: int) -> CheckReport:
+    """Verify tau_n = ker . tau_{n-1} for n = 2..max_n: the splitting walk
+    on X, under X's name.  Below n = 2 nothing is built."""
+    report = CheckReport(f"splitting of {x.name} up to n={max_n}")
+    if max_n >= 2:
+        for _ in splitting_walk(x, max_n, report, x.name, "fox-sequence"):
+            pass
     return report
 
 

@@ -7,10 +7,9 @@ result is an extension of tau_n(X) by G.  For a free action Rhodes
 identified sigma_n(X, G) with tau_n(X/G), which turns the entire
 sigma calculus into orbit-space bookkeeping, and that is how this
 module computes: every sigma answer is an orbit-space tau answer.  The
-order and rank arithmetic of the extension is the independent check;
-the verify battery (cli.build_verify_report) grades it once per action
-and degree, and sigma_1 is tabulated once per model
-(TransformationModel.sigma1_table).
+order and rank arithmetic of the extension is the independent check,
+graded once per degree in rhodes_split_check's walk; sigma_1 is
+tabulated once per model (TransformationModel.sigma1_table).
 
 G0 is the subgroup of elements of G that are freely homotopic to the
 identity map of X.  It is the image of the evaluation subgroup of
@@ -23,12 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple, Union
 
-from .abelian import order_text
+from .abelian import order_doc, order_text
 from .errors import BookkeepingError, InvalidInputError, UnsupportedError
 from .fingroup import (TABLE_CAP, CayleyGroup, SubgroupRef,
                        center as group_center, subgroup_as_group)
-from .fox import (fox_sequence_check, gottlieb_fox_invariants,
-                  gottlieb_index_product, is_n_gottlieb, tau_invariants)
+from .fox import (gottlieb_fox_invariants, gottlieb_index_product,
+                  is_n_gottlieb, splitting_walk, summary_layer_rank,
+                  tau_invariants)
 from .report import (CONFIRMED, EXPECTED_EXCEPTION, FAIL, INDETERMINATE,
                      NOT_APPLICABLE, PASS, VACUOUS, VIOLATION, CheckReport)
 from .spacecat import (FULL, SpaceModel, TransformationModel, orbit_space,
@@ -166,11 +166,8 @@ def sigma_invariants(tg: TransformationModel, n: int) -> TowerSummary:
 
     The extension 1 -> tau_n(X) -> sigma_n -> G -> 1 gives an
     independent handle on the answer: order |G| * |tau_n(X)| and the
-    free rank of tau_n(X).  Neither is re-derived here.  The verify
-    battery grades both once per action and degree: the order as its
-    sigma-order entry, the rank as a BookkeepingError (graded "internal
-    bookkeeping agreement") when the covering and the extension
-    bookkeeping come apart.
+    free rank of tau_n(X).  Neither is re-derived here; rhodes_split_check
+    grades both.
     """
     _require_free(tg)
     return tau_invariants(orbit_space(tg), n)
@@ -196,14 +193,40 @@ def sigma1_group(tg: TransformationModel) -> CayleyGroup:
 
 
 def rhodes_split_check(tg: TransformationModel, max_n: int) -> CheckReport:
-    """Verify sigma_n = ker . sigma_{n-1} at invariant level, n = 2..max_n.
+    """The action's one walk up its Rhodes tower, n = 1..max_n.
 
-    sigma_n is tau_n of the orbit space, which carries the pi_i of X in
-    degrees two and up (the covering identifies them), so this is the
-    walk of Fox's splitting on the orbit space, under the action's name.
-    """
+    sigma_n is tau_n of the orbit space, whose pi_i are X's in degrees two
+    and up, so Fox's splitting walk there grades sigma_n = ker . sigma_{n-1}
+    under the action's name.  Each sigma_n it yields is graded against the
+    extension by G: order (sigma-order), free rank (a BookkeepingError), and
+    where G0 is known |G sigma_n| = |G tau_n| * |G0| (gsigma-order)."""
     _require_free(tg)
-    return fox_sequence_check(orbit_space(tg), max_n, tg.name, "rhodes-sequence")
+    x, orbit = tg.space, orbit_space(tg)
+    report = CheckReport(f"Rhodes tower of {tg.name} up to n={max_n}")
+    split = CheckReport(f"splitting of {tg.name} up to n={max_n}")
+    walk = splitting_walk(orbit, max_n, split, tg.name, "rhodes-sequence")
+    for n, s in enumerate(walk, 1):
+        tau_x = tau_invariants(x, n)
+        report.add("sigma-order", tg.name, n,
+                   PASS if s.finite_order == tg.group.order * tau_x.finite_order else FAIL,
+                   "orbit-space order equals |G| times the tau order",
+                   f"{order_doc(s.finite_order)} vs {tg.group.order} * "
+                   f"{order_doc(tau_x.finite_order)}")
+        orbit_rank = orbit.pi1.rank + summary_layer_rank(s)
+        tau_rank = x.pi1.rank + summary_layer_rank(tau_x)
+        if orbit_rank != tau_rank:
+            raise BookkeepingError(f"sigma_{n}({tg.name}): orbit rank "
+                                   f"{orbit_rank} vs tau rank {tau_rank}")
+        gr = gottlieb_rhodes_invariants(tg, n)
+        gtau = gottlieb_fox_invariants(x, n)
+        if not isinstance(gr, Indeterminate) and not isinstance(gtau, Indeterminate):
+            want = gtau.finite_order * gr.g0.subgroup.order
+            report.add("gsigma-order", tg.name, n,
+                       PASS if gr.summary.finite_order == want else FAIL,
+                       "evaluation-subgroup order is |Gtau_n| times |G0|",
+                       f"{order_doc(gr.summary.finite_order)} vs {order_doc(want)}")
+    report.extend(split)
+    return report
 
 
 # ---------------------------------------------------------------------------

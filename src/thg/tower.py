@@ -166,8 +166,9 @@ class TowerSummary:
     def finite_order(self) -> int:
         total = self.base_order
         for grp, mult in zip(self.groups, self.mults):
-            # Once infinite, stay so; a trivial layer changes nothing.
-            if total != INFINITY and mult and not grp.is_trivial():
+            if total == INFINITY:
+                break  # once infinite, stay so: no later layer is read
+            if mult and not grp.is_trivial():  # a trivial layer changes nothing
                 total *= grp.order ** mult
         return total
 

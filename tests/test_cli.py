@@ -419,17 +419,19 @@ def test_verify_grades_a_computation_error_as_an_unfinished_battery(
 def test_verify_grades_a_sigma_rank_disagreement(monkeypatch):
     import dataclasses
 
-    from thg import rhodes
     from thg.abelian import FgAbelian
-    honest = rhodes.sigma_invariants
+    honest = fox.tau_invariants
 
-    def extra_rank(tg, n):
-        # One more free layer: the order stays infinite, the rank does not.
-        s = honest(tg, n)
+    def extra_rank(x, n):
+        # sigma_n as the Rhodes walk reads it, tau_n of the orbit space, with
+        # one more free layer: the order stays infinite, the rank does not.
+        s = honest(x, n)
+        if x.name != "T3/t3-z2":
+            return s
         return dataclasses.replace(
             s, groups=s.groups + (FgAbelian(1),), mults=s.mults + (1,))
 
-    monkeypatch.setattr(rhodes, "sigma_invariants", extra_rank)
+    monkeypatch.setattr(fox, "tau_invariants", extra_rank)
     code, out, _ = invoke("verify", "t3-z2", "--max-n", "3", "--format", "json")
     assert code == EXIT_CHECK_FAILED
     entries = json.loads(out)["report"]["entries"]
@@ -437,6 +439,72 @@ def test_verify_grades_a_sigma_rank_disagreement(monkeypatch):
     assert [(e["check"], e["rule"]) for e in failed] == [
         ("action-battery", "internal bookkeeping agreement")]
     assert failed[0]["detail"] == "sigma_1(t3-z2): orbit rank 4 vs tau rank 3"
+    # The walk raises at n = 1 and its report goes with it: no sigma-order
+    # entry of the action comes before the failure.
+    assert [(e["check"], e["target"], e["n"]) for e in entries] == [
+        ("multiplicity-identities", "binomials", None),
+        *((f"fox-sequence-{part}", "T3", n)
+          for n in (2, 3) for part in ("layers", "rank", "order")),
+        *(("gottlieb-fox-equivalence", "T3", n) for n in (1, 2, 3)),
+        ("whitehead-gottlieb", "T3", None),
+        ("action-battery", "t3-z2", None)]
+
+
+def _catalog_copy(tmp_path, edit):
+    """A copy of the shipped catalog, edit(directory) applied to it."""
+    copy = tmp_path / "catalog"
+    shutil.copytree(CATALOG_DIR, copy)
+    edit(copy)
+    return str(copy)
+
+
+def _edit_document(copy, fname, change):
+    doc = json.loads((copy / fname).read_text())
+    change(doc)
+    (copy / fname).write_text(json.dumps(doc))
+
+
+def _cut_s5_to_degree_4(copy):
+    def cut(doc):
+        doc["truncation"] = 4
+        del doc["pi"]["5"], doc["gottlieb"]["5"]
+    _edit_document(copy, "s5.json", cut)
+    (copy / "s5-z2.json").unlink()
+
+
+def _t3_z2_not_free(copy):
+    _edit_document(copy, "t3-z2.json", lambda doc: doc.update(free=False))
+
+
+@pytest.mark.parametrize("edit, failed", [
+    (_cut_s5_to_degree_4,
+     [(check, "S5", 5, "S5 carries data up to degree 4; degree 5 was requested")
+      for check in ("frozen-gottlieb-index", "frozen-homotopy-group")]),
+    (_t3_z2_not_free,
+     [(check, "t3-z2", 1, "orbit spaces are only constructed for free actions")
+      for check in ("frozen-orbit-center", "frozen-orbit-abelianization")]),
+])
+def test_a_frozen_fact_whose_probe_cannot_run_fails_alone(tmp_path, edit, failed):
+    copy = _catalog_copy(tmp_path, edit)
+    code, out, err = invoke("verify", "--all", "--max-n", "2",
+                            "--catalog-dir", copy, "--format", "json")
+    assert code == EXIT_CHECK_FAILED and err == ""
+    entries = json.loads(out)["report"]["entries"]
+    assert [(e["check"], e["target"], e["n"], e["detail"]) for e in entries
+            if e["status"] == "fail"] == failed
+    # The battery ran on past the failed facts, to the last one.
+    assert entries[-1]["check"] == "frozen-antipodal-degree"
+
+
+def test_verify_grades_a_non_free_action_as_not_applicable(tmp_path):
+    copy = _catalog_copy(tmp_path, _t3_z2_not_free)
+    code, out, _ = invoke("verify", "t3-z2", "--max-n", "2",
+                          "--catalog-dir", copy, "--format", "json")
+    assert code == EXIT_OK
+    entries = json.loads(out)["report"]["entries"]
+    assert [(e["check"], e["target"], e["status"], e["detail"])
+            for e in entries if e["target"] == "t3-z2"] == [
+        ("action-battery", "t3-z2", "not-applicable", "the action is not free")]
 
 
 @pytest.mark.parametrize("kind, path", [("spcae", "s1.json.kind"),

@@ -1,13 +1,15 @@
 """Frozen models and the data derived from them once per model."""
 
+import collections
 import dataclasses
+import io
 import json
 import pathlib
 import sys
 
 import pytest
 
-from thg import rhodes, tower
+from thg import cli, fox, rhodes, tower
 from thg.abelian import INFINITY
 from thg.errors import ModelError, ThgError
 from thg.rhodes import (classify, compute_g0, gottlieb_rhodes_invariants,
@@ -122,3 +124,24 @@ def test_sigma_derives_tau_once_on_the_orbit_space(name, monkeypatch):
     tg = find_model(name, MODELS)
     sigma_invariants(tg, 2)
     assert seen == [orbit_space(tg)]
+
+
+@pytest.mark.parametrize("argv", [("verify", "t3-z2", "--max-n", "40"),
+                                  ("verify", "--all", "--max-n", "20")])
+def test_verify_walks_each_orbit_tower_once(argv, monkeypatch):
+    built = collections.Counter()
+    honest = fox.tau_invariants
+
+    def counting(x, n):
+        built[x.name, n] += 1
+        return honest(x, n)
+
+    # Counted through both bindings: fox's walk and rhodes' own calls.
+    monkeypatch.setattr(fox, "tau_invariants", counting)
+    monkeypatch.setattr(rhodes, "tau_invariants", counting)
+    assert cli.run(list(argv), out=io.StringIO(), err=io.StringIO()) == cli.EXIT_OK
+    # An orbit space is named X/action; each of its degrees is built once.
+    orbit = {key: count for key, count in built.items() if "/" in key[0]}
+    assert orbit and set(orbit.values()) == {1}
+    if argv[1] == "t3-z2":
+        assert sorted(orbit) == [("T3/t3-z2", n) for n in range(1, 41)]

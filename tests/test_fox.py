@@ -27,6 +27,7 @@ from thg.fox import (fox_sequence_check, gottlieb_fox_crosscheck,
 from thg.report import (CONFIRMED, EXPECTED_EXCEPTION, FAIL, INDETERMINATE,
                         PASS, VIOLATION)
 from thg.spacecat import builtin_catalog, load_model
+from thg.tower import TowerSummary
 from thg.verdict import is_false, is_indeterminate, is_true
 
 MODELS = builtin_catalog()
@@ -460,6 +461,8 @@ def test_indeterminate_reasons_name_the_first_faulty_degree():
     for n in (2, 4):
         assert is_n_gottlieb(x, n).reason == missing.format(n)
     assert gottlieb_index_product(x, 1) == 1
+    # The gaps at degrees 2 and 4 lie past n = 1.
+    assert isinstance(gottlieb_fox_invariants(x, 1), TowerSummary)
     code, out = _cli("gtau", "Gapped", "--n", "4", doc=GAPPED)
     assert code == 0 and json.loads(out)["results"] == [
         {"n": 4, "indeterminate": missing.format(2)}]

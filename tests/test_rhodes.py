@@ -120,11 +120,32 @@ def test_sigma1_unsupported_for_infinite_fundamental_group():
 
 def test_rhodes_split_check_passes_catalog_wide():
     for tg in ACTIONS:
-        report = rhodes_split_check(tg, tg.space.truncation)
+        top = tg.space.truncation
+        report = rhodes_split_check(tg, top)
         assert report.passed, (tg.name, report.lines())
         assert all(e.status == PASS for e in report.entries)
-        assert [e.n for e in report.entries] == [
-            n for n in range(2, tg.space.truncation + 1) for _ in range(3)]
+        # The extension entries degree by degree, gsigma-order where G0 is
+        # determined, then the splitting of sigma_n from n = 2.
+        extension = (("sigma-order", "gsigma-order")
+                     if compute_g0(tg).subgroup is not None else ("sigma-order",))
+        assert [(e.check, e.target, e.n) for e in report.entries] == [
+            *((check, tg.name, n) for n in range(1, top + 1) for check in extension),
+            *((f"rhodes-sequence-{part}", tg.name, n) for n in range(2, top + 1)
+              for part in ("layers", "rank", "order"))]
+
+
+def test_rhodes_towers_need_a_free_action():
+    doc = dict(BY_NAME["t3-z2"].raw, free=False)
+    spaces = {m.name: m for m in MODELS if isinstance(m, SpaceModel)}
+    tg = load_model(json.dumps(doc), name="t3-z2", resolver=spaces.__getitem__)
+    assert not tg.free
+    refusal = ("Rhodes towers are computed through the orbit space, which "
+               "needs a free action")
+    for call in (lambda: rhodes_split_check(tg, 2), lambda: sigma_invariants(tg, 1),
+                 lambda: gottlieb_rhodes_invariants(tg, 1), lambda: classify(tg, 2)):
+        with pytest.raises(UnsupportedError) as exc:
+            call()
+        assert str(exc.value) == refusal
 
 
 # ---------------------------------------------------------------------------
