@@ -269,12 +269,20 @@ def _cmd_classify(args, tg, catalog, out) -> int:
 
 def _cmd_audit(args, target, catalog, out) -> int:
     targets = [target] if target is not None else [
-        m for m in catalog if isinstance(m, TransformationModel) and m.free]
+        m for m in catalog if isinstance(m, TransformationModel)]
     max_n = _degrees(args, 4)[-1]
     report = CheckReport("implication audits")
     for tg in targets:
-        _audit(report, tg, catalog, _model_cap(tg.space, max_n))
+        if not _not_free(report, tg):
+            _audit(report, tg, catalog, _model_cap(tg.space, max_n))
     return _emit_report(report, args, out, max_n)
+
+
+def _not_free(report: CheckReport, tg: TransformationModel) -> bool:
+    if not tg.free:  # verify and audit grade a non-free action alike
+        report.add("action-battery", tg.name, None, NOT_APPLICABLE,
+                   "transformation checks need a free action", "the action is not free")
+    return not tg.free
 
 
 def _audit(report: CheckReport, tg: TransformationModel, catalog: Catalog,
@@ -384,9 +392,7 @@ def build_verify_report(spaces: Sequence[SpaceModel],
                        "space checks run to completion", str(exc))
 
     for tg in sorted(actions, key=lambda m: m.name):
-        if not tg.free:
-            report.add("action-battery", tg.name, None, NOT_APPLICABLE,
-                       "transformation checks need a free action", "the action is not free")
+        if _not_free(report, tg):
             continue
         cap = _model_cap(tg.space, max_n)
         try:

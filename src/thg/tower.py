@@ -251,6 +251,10 @@ class VirtAbelian:
     def is_trivial(self) -> bool:
         return self.order == 1
 
+    @cached_property
+    def center_data(self):
+        return _center_data(self)  # once: center_structure and center_index read it
+
     def describe(self) -> str:
         o = self.order
         if o == INFINITY:
@@ -378,7 +382,7 @@ def center_structure(g: VirtAbelian) -> FgAbelian:
     >>> center_structure(direct_sum_group(from_catalog("Q8"), FgAbelian(0, (3,))))
     FgAbelian(rank=0, torsion=(6,))
     """
-    fixed, lifts = _center_data(g)
+    fixed, lifts = g.center_data
     lay = g.layer
     gens = _generating_sequence(g.base, list(lifts))
     lift, relations = factor_set_relations(g.base, lay, g.cocycle, gens, ())
@@ -400,7 +404,7 @@ def center_index(g: VirtAbelian) -> int:
     >>> center_index(direct_sum_group(from_catalog("Q8"), FgAbelian(1)))
     4
     """
-    fixed, lifts = _center_data(g)
+    fixed, lifts = g.center_data
     return (g.base.order // len(lifts)
             * subgroup_index(g.layer, IntMatrix.from_rows(fixed, cols=g.layer.n_coords)))
 

@@ -13,7 +13,9 @@ import collections
 import contextlib
 import functools
 import itertools
+import json
 import math
+import os
 import random
 import signal
 from fractions import Fraction
@@ -572,3 +574,61 @@ def finite_extensions(draw):
     name, torsion = draw(st.sampled_from(FINITE_CASES))
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
     return extension(rng, random_base(name, rng), FgAbelian(0, torsion)).group
+
+
+# Blocks of a holonomy B of order dividing m, each as (its order, its rows):
+# +1, -1, a swap, and rotations of order 3, 4 and 6.
+FLAT_BLOCKS = ((1, ((1,),)), (2, ((-1,),)), (2, ((0, 1), (1, 0))),
+               (3, ((0, -1), (1, -1))), (4, ((0, -1), (1, 0))), (6, ((1, -1), (1, 0))))
+# The flat-manifold corpus: (k, m, seed), k <= 16 and m in {2, 3, 4, 6}.
+FLAT_CORPUS = [(k, m, seed) for m in (2, 3, 4, 6)
+               for seed, k in enumerate((3, 4, 6, 8, 10, 12, 14, 16))]
+
+
+def flat_holonomy(k, m, seed):
+    """A = 1 + B on Z^k, B a block sum drawn from the FLAT_BLOCKS whose
+    order divides m, so A^m = I and A fixes the first coordinate."""
+    rng = random.Random(f"flat/{k}/{m}/{seed}")
+    rows = [[1] + [0] * (k - 1)]
+    while len(rows) < k:
+        block = rng.choice([b for order, b in FLAT_BLOCKS
+                            if m % order == 0 and len(rows) + len(b) <= k])
+        rows += [[0] * len(rows) + list(r) + [0] * (k - len(rows) - len(r))
+                 for r in block]
+    return rows
+
+
+def flat_center_rank(a):
+    """The oracle: the rank of the fixed lattice, k - rank(A - I)."""
+    return len(a) - rational_rank([[x - (i == j) for j, x in enumerate(row)]
+                                   for i, row in enumerate(a)])
+
+
+def write_flat_manifold(directory, k, m, seed):
+    """Write a free Z/m action on T^k into directory, with the space
+    document T<k>, and return the action's name t<k>-z<m>-s<seed>.
+
+    t acts by flat_holonomy(k, m, seed) and translates the first circle
+    by 1/m: every power t^j is listed at degree 1, and the carry cocycle
+    is c(t^a, t^b) = e_1 for a + b >= m.  The orbit space is a flat
+    manifold whose center has rank flat_center_rank(A)."""
+    a = flat_holonomy(k, m, seed)
+    names = ["e", "t"] + [f"t{j}" for j in range(2, m)]
+    powers, power = {}, a
+    for j in range(1, m):
+        powers[names[j]] = {"1": power}
+        power = [[sum(x * y for x, y in zip(row, col)) for col in zip(*a)] for row in power]
+    e1 = [1] + [0] * (k - 1)
+    cocycle = {f"{names[i]},{names[j]}": e1
+               for i in range(1, m) for j in range(1, m) if i + j >= m}
+    space = {"aspherical": True, "gottlieb": {"1": "full"}, "kind": "space",
+             "name": f"T{k}", "pi": {}, "pi1": {"rank": k, "torsion": []},
+             "pi1_action": "trivial", "truncation": 1, "whitehead": "trivial"}
+    name = f"t{k}-z{m}-s{seed}"
+    action = {"action": powers, "cocycle": cocycle, "free": True,
+              "group": {"catalog": f"Z({m})"}, "kind": "transformation",
+              "space": f"T{k}"}
+    for stem, doc in ((f"t{k}", space), (name, action)):
+        with open(os.path.join(directory, f"{stem}.json"), "w") as f:
+            json.dump(doc, f)
+    return name

@@ -7,7 +7,9 @@ gives an independent answer: to_cayley, then a scan of all |E|^2
 products for the elements that commute with everything.  The
 extensions are strategies.extension's, over small bases and layers with
 up to two torsion coordinates; on cyclic bases the carry cocycle is
-non-split whenever its value misses the image of the norm map.
+non-split whenever its value misses the image of the norm map.  On
+flat manifolds, free actions of Z/m on tori, the center is the fixed
+lattice of the holonomy, whose rank is read off the action matrix.
 """
 
 import io
@@ -16,12 +18,14 @@ import json
 import pathlib
 import shutil
 
-from strategies import scan_center, seeded_extension
+from strategies import (FLAT_CORPUS, flat_center_rank, flat_holonomy, scan_center,
+                        seeded_extension, write_flat_manifold)
 
 from thg.abelian import FgAbelian
-from thg.cli import EXIT_CHECK_FAILED, run
+from thg.cli import EXIT_CHECK_FAILED, EXIT_OK, run
 from thg.fingroup import SubgroupRef, abelianization, from_catalog, subgroup_as_group
-from thg.spacecat import CENTER, subgroup_index_in
+from thg.spacecat import CENTER, catalog_from_dir, orbit_space, subgroup_index_in
+from thg.tower import abelianization as extension_abelianization
 from thg.tower import center_structure, direct_sum_group, to_cayley
 
 BASES = ["Z2", "Z(3)", "Z(4)", "Z(6)", "Z2xZ2", "Q8", "D4"]
@@ -81,3 +85,28 @@ def test_audit_fails_an_orbit_group_with_torsion_over_an_aspherical_space(tmp_pa
     failed = [e["check"] for e in entries if e["status"] == "fail"]
     assert failed == ["aspherical-equivalence"]
 
+
+def test_flat_manifold_centers_are_the_fixed_lattice(tmp_path):
+    # Each free Z/m action on T^k, A = 1 + B, has a Bieberbach orbit
+    # group whose center, and whose abelianization's free part, have the
+    # rank of the fixed lattice of A.  Each action has a directory of its
+    # own, since a --catalog-dir request builds every model in it.
+    ranks = set()
+    assert len(FLAT_CORPUS) >= 30
+    for k, m, seed in FLAT_CORPUS:
+        directory = tmp_path / f"{k}-{m}-{seed}"
+        directory.mkdir()
+        name = write_flat_manifold(directory, k, m, seed)
+        rank = flat_center_rank(flat_holonomy(k, m, seed))
+        ranks.add(rank)
+        out, err = io.StringIO(), io.StringIO()
+        code = run(["verify", name, "--max-n", "3", "--format", "json",
+                    "--catalog-dir", str(directory)], out=out, err=err)
+        assert code == EXIT_OK, (name, err.getvalue())
+        entries = json.loads(out.getvalue())["report"]["entries"]
+        assert [e["detail"] for e in entries if e["check"] == "orbit-center"] == [
+            f"center of pi_1(orbit) = {FgAbelian(rank, ()).describe()} (rank {rank})"], name
+        pi1 = orbit_space(catalog_from_dir(str(directory)).get(name)).pi1
+        assert center_structure(pi1) == FgAbelian(rank, ()), name
+        assert extension_abelianization(pi1).rank == rank, name
+    assert len(ranks) > 5

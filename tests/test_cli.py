@@ -496,9 +496,14 @@ def test_a_frozen_fact_whose_probe_cannot_run_fails_alone(tmp_path, edit, failed
     assert entries[-1]["check"] == "frozen-antipodal-degree"
 
 
-def test_verify_grades_a_non_free_action_as_not_applicable(tmp_path):
+@pytest.mark.parametrize("request_argv", [
+    pytest.param(("verify", "t3-z2"), id="verify"),
+    pytest.param(("audit", "t3-z2"), id="audit"),
+    pytest.param(("audit", "--all"), id="audit-all")])
+def test_verify_grades_a_non_free_action_as_not_applicable(tmp_path, request_argv):
+    # audit grades a non-free action as verify does, for one target or --all.
     copy = _catalog_copy(tmp_path, _t3_z2_not_free)
-    code, out, _ = invoke("verify", "t3-z2", "--max-n", "2",
+    code, out, _ = invoke(*request_argv, "--max-n", "2",
                           "--catalog-dir", copy, "--format", "json")
     assert code == EXIT_OK
     entries = json.loads(out)["report"]["entries"]

@@ -8,6 +8,7 @@ import pathlib
 import sys
 
 import pytest
+from strategies import write_flat_manifold
 
 from thg import cli, fox, rhodes, tower
 from thg.abelian import INFINITY
@@ -145,3 +146,46 @@ def test_verify_walks_each_orbit_tower_once(argv, monkeypatch):
     assert orbit and set(orbit.values()) == {1}
     if argv[1] == "t3-z2":
         assert sorted(orbit) == [("T3/t3-z2", n) for n in range(1, 41)]
+
+
+@pytest.mark.parametrize("argv, extensions", [
+    (("verify", "t3-z2", "--max-n", "4"), 1),
+    (("audit", "t3-z2", "--max-n", "4"), 1),
+    (("classify", "t3-z2", "--max-n", "4"), 1),
+    (("verify", "--all", "--max-n", "4"), 2),
+    (("verify", "t8-z4-s3", "--max-n", "3"), 1)])
+def test_one_center_factorization_per_orbit_extension(argv, extensions, monkeypatch,
+                                                       tmp_path):
+    # The orbit groups of t3-z2 and t3-trivial are the catalog's infinite
+    # extensions; the flat-manifold corpus member t8-z4-s3 is read from a
+    # catalog directory of its own.
+    if argv[1] == "t8-z4-s3":
+        write_flat_manifold(tmp_path, 8, 4, 3)
+        argv += ("--catalog-dir", str(tmp_path))
+    factored = []
+    honest = tower._center_data
+
+    def counting(g):
+        factored.append(g)
+        return honest(g)
+
+    monkeypatch.setattr(tower, "_center_data", counting)
+    assert cli.run(list(argv), out=io.StringIO(), err=io.StringIO()) == cli.EXIT_OK
+    assert len(factored) == extensions
+
+
+@pytest.mark.parametrize("argv, builds", [(("verify", "t3-z2", "--max-n", "40"), 40),
+                                          (("verify", "--all", "--max-n", "20"), 72)])
+def test_one_gottlieb_fox_group_per_rhodes_degree(argv, builds, monkeypatch):
+    built = []
+    honest = fox.gottlieb_fox_invariants
+
+    def counting(x, n):
+        built.append((x.name, n))
+        return honest(x, n)
+
+    # Counted through both bindings: fox's and the one rhodes imported.
+    monkeypatch.setattr(fox, "gottlieb_fox_invariants", counting)
+    monkeypatch.setattr(rhodes, "gottlieb_fox_invariants", counting)
+    assert cli.run(list(argv), out=io.StringIO(), err=io.StringIO()) == cli.EXIT_OK
+    assert len(built) == builds
