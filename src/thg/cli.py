@@ -20,7 +20,7 @@ import os
 import re
 import sys
 from types import SimpleNamespace
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from . import fox, rhodes
 from .abelian import INFINITY, order_doc
@@ -44,23 +44,27 @@ EXIT_CHECK_FAILED = 3
 # Formatting helpers
 
 
+def _layer_rows(s: TowerSummary) -> Iterator[Tuple[str, str, int]]:
+    """(label, group name, multiplicity) per layer, each group described once."""
+    distinct = dict(zip(map(id, s.groups), s.groups))  # by id: a group hashes slowly
+    named = {grp: grp.describe() for grp in set(distinct.values())}
+    names = {key: named[grp] for key, grp in distinct.items()}
+    labels = (f"{s.prefix}{d}" for d in range(s.first, s.first + len(s.groups)))
+    return zip(labels, map(names.__getitem__, map(id, s.groups)), s.mults)
+
+
 def _summary_doc(s: TowerSummary) -> dict:
-    return {
-        "base": s.base_name_or_order,
-        "layers": [{"label": label, "group": grp.describe(),
-                    "multiplicity": mult} for label, grp, mult in s.layers],
-        "is_direct_product": s.is_direct_product,
-        "order": order_doc(s.finite_order),
-    }
+    return {"base": s.base_name_or_order, "is_direct_product": s.is_direct_product,
+            "layers": [{"label": label, "group": name, "multiplicity": mult}
+                       for label, name, mult in _layer_rows(s)],
+            "order": order_doc(s.finite_order)}
 
 
 def _summary_lines(head: str, s: TowerSummary) -> List[str]:
     shape = "direct product" if s.is_direct_product else "iterated extension"
-    lines = [f"{head}: order {order_doc(s.finite_order)}, {shape}",
-             f"  base: {s.base_name_or_order}"]
-    for label, grp, mult in s.layers:
-        lines.append(f"  {label} ^ {mult}: {grp.describe()}")
-    return lines
+    return [f"{head}: order {order_doc(s.finite_order)}, {shape}",
+            f"  base: {s.base_name_or_order}",
+            *(f"  {label} ^ {mult}: {name}" for label, name, mult in _layer_rows(s))]
 
 
 def _entry_doc(e) -> dict:
@@ -87,8 +91,9 @@ def identify_group(g: CayleyGroup) -> str:
 def _emit(args, out, doc: Callable[[], dict],
           text_lines: Callable[[], List[str]]) -> int:
     """Builds and writes only the rendering args.format asks for."""
-    if args.format == "json":
-        out.write(json.dumps(doc(), indent=2, sort_keys=True) + "\n")
+    if args.format == "json":  # each document is a tree built for this request
+        out.write(json.dumps(doc(), indent=2, sort_keys=True,
+                             check_circular=False) + "\n")
     else:
         out.write("\n".join(text_lines()) + "\n")
     return EXIT_OK
@@ -482,8 +487,7 @@ def _gsigma1_is_q8(tg: TransformationModel):
 
 
 def _tau4_layers(x: SpaceModel):
-    got = [(label, grp.describe(), mult)
-           for label, grp, mult in fox.tau_invariants(x, 4).layers]
+    got = list(_layer_rows(fox.tau_invariants(x, 4)))
     want = [("pi2", "1", 3), ("pi3", "Z", 3), ("pi4", "Z/2", 1)]
     return got == want, f"{got}"
 

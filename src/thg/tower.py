@@ -145,8 +145,8 @@ class TowerSummary:
     """Invariant-level description of a tower-shaped group.
 
     groups[k], carried mults[k] times, is the layer in degree first + k,
-    labelled prefix + degree in layers; finite_order multiplies everything
-    out: an int, INFINITY (0) when any part is infinite.
+    labelled prefix + degree; finite_order multiplies everything out: an
+    int, INFINITY (0) when any part is infinite.
     """
 
     base_name_or_order: Union[str, int]
@@ -156,11 +156,6 @@ class TowerSummary:
     groups: Tuple[FgAbelian, ...]
     mults: Tuple[int, ...]
     is_direct_product: bool
-
-    @property
-    def layers(self) -> Tuple[Tuple[str, FgAbelian, int], ...]:
-        return tuple((f"{self.prefix}{d}", grp, mult) for d, grp, mult in
-                     zip(itertools.count(self.first), self.groups, self.mults))
 
     @cached_property
     def finite_order(self) -> int:

@@ -61,7 +61,7 @@ def test_criterion_1_quaternion_golden(verdict):
     elif r.realized is None or r.realized.order != 8 or r.realized.is_abelian():
         problems.append("Gsigma1 does not realize as a non-abelian group of order 8")
     gt = gottlieb_fox_invariants(tg.space, 1)
-    if [(g.describe(), m) for _, g, m in gt.layers] != [("Z/2", 1)]:
+    if [(g.describe(), m) for g, m in zip(gt.groups, gt.mults)] != [("Z/2", 1)]:
         problems.append("Gtau1 is not Z/2")
     g0 = compute_g0(tg)
     if g0.subgroup is None or g0.subgroup.order != tg.group.order:
@@ -77,8 +77,8 @@ def test_criterion_2_extension_bookkeeping(verdict):
         for n in range(1, tg.space.truncation + 1):
             s = sigma_invariants(tg, n)
             t = tau_invariants(tg.space, n)
-            orbit_rank = sum(g.rank * m for _, g, m in s.layers)
-            tau_rank = sum(g.rank * m for _, g, m in t.layers)
+            orbit_rank = sum(g.rank * m for g, m in zip(s.groups, s.mults))
+            tau_rank = sum(g.rank * m for g, m in zip(t.groups, t.mults))
             if s.finite_order != tg.group.order * t.finite_order:
                 bad.append((tg.name, n, "order"))
             if orbit_rank != tau_rank:

@@ -4,16 +4,18 @@ import collections
 import io
 import json
 import pathlib
+import random
 import shutil
 
 import pytest
 
-from strategies import time_limit
+from strategies import random_base, time_limit
 
 from thg import cli, fox, report, rhodes
 from thg.cli import (EXIT_CHECK_FAILED, EXIT_COMPUTATION, EXIT_OK, EXIT_USAGE,
                      run)
 from thg.errors import UnsupportedError
+from thg.fingroup import from_catalog
 
 CATALOG_DIR = pathlib.Path(__file__).resolve().parents[1] / "src" / "thg" / "catalog"
 
@@ -47,6 +49,19 @@ def test_gsigma_names_the_quaternion_group():
     realized = doc["results"][0]["realized"]
     assert realized == {"group": "Q8", "order": 8, "abelian": False}
     assert doc["results"][0]["summary"]["order"] == 8
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: from_catalog("Q8xZ2"), "non-abelian group of order 16"),
+    (lambda: from_catalog("D4"), "D4"),
+    (lambda: from_catalog("Q8"), "Q8"),
+    (lambda: from_catalog("Z(4)xZ2"), "Z/2 x Z/4"),
+    (lambda: random_base("Q8", random.Random(3)), "Q8"),
+    (lambda: random_base("D4", random.Random(4)), "D4")])
+def test_identify_group_names_each_branch(build, name):
+    # The gsigma renderer names the realized group this way; the relabelled
+    # tables reach Q8 and D4 by isomorphism, not by their catalog tables.
+    assert cli.identify_group(build()) == name
 
 
 def test_tau_beyond_the_recorded_range_is_a_computation_error():

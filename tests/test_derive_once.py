@@ -11,7 +11,7 @@ import pytest
 from strategies import write_flat_manifold
 
 from thg import cli, fox, rhodes, tower
-from thg.abelian import INFINITY
+from thg.abelian import INFINITY, FgAbelian
 from thg.errors import ModelError, ThgError
 from thg.rhodes import (classify, compute_g0, gottlieb_rhodes_invariants,
                         sigma1_group, sigma_invariants)
@@ -189,3 +189,27 @@ def test_one_gottlieb_fox_group_per_rhodes_degree(argv, builds, monkeypatch):
     monkeypatch.setattr(rhodes, "gottlieb_fox_invariants", counting)
     assert cli.run(list(argv), out=io.StringIO(), err=io.StringIO()) == cli.EXIT_OK
     assert len(built) == builds
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("argv, summary", [
+    (("gtau", "T3", "--n", "650"),
+     lambda n: fox.gottlieb_fox_invariants(find_model("T3", MODELS), n)),
+    (("gsigma", "t3-z2", "--max-n", "58"),
+     lambda n: gottlieb_rhodes_invariants(find_model("t3-z2", MODELS), n).summary)],
+    ids=["gtau", "gsigma"])
+def test_each_group_is_named_once_per_rendered_summary(argv, summary, fmt, monkeypatch):
+    # A deep summary carries the same few groups on hundreds of layers.
+    degrees = [int(argv[3])] if argv[2] == "--n" else range(1, int(argv[3]) + 1)
+    distinct = sum(len(set(summary(n).groups)) for n in degrees)
+    named = []
+    honest = FgAbelian.describe
+
+    def counting(self):
+        named.append(self)
+        return honest(self)
+
+    monkeypatch.setattr(FgAbelian, "describe", counting)
+    assert cli.run([*argv, "--format", fmt], out=io.StringIO(),
+                   err=io.StringIO()) == cli.EXIT_OK
+    assert 0 < len(named) <= distinct

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from thg import rhodes
+from thg import cli, rhodes
 from thg.abelian import FgAbelian, INFINITY
 from thg.errors import BookkeepingError, InvalidInputError, UnsupportedError
 from thg.fingroup import center, from_catalog, is_isomorphic
@@ -160,7 +160,7 @@ def test_quaternion_gottlieb_rhodes_realization():
     assert r.realized is not None and r.realized.order == 8
     assert not r.realized.is_abelian()
     assert is_isomorphic(r.realized, from_catalog("Q8"))
-    assert [(l, g.describe(), m) for l, g, m in r.summary.layers] == [
+    assert list(cli._layer_rows(r.summary)) == [
         ("G1", "Z/2", 1)]
 
 
@@ -174,7 +174,7 @@ def test_gottlieb_rhodes_order_is_gtau_times_g0():
     r = gottlieb_rhodes_invariants(BY_NAME["s3-z4"], 3)
     assert r.summary.finite_order == INFINITY
     assert r.g0.subgroup.order == 4
-    assert [(l, g.describe(), m) for l, g, m in r.summary.layers] == [
+    assert list(cli._layer_rows(r.summary)) == [
         ("G1", "1", 1), ("G2", "1", 2), ("G3", "Z", 1)]
 
 

@@ -11,6 +11,7 @@ import pytest
 
 from strategies import elements, one, product
 
+from thg import cli
 from thg.abelian import FgAbelian, INFINITY, IntMatrix
 from thg.errors import InvalidInputError, UnsupportedError
 from thg.fingroup import from_catalog, is_isomorphic
@@ -177,7 +178,7 @@ def test_layer_aut_requires_invertible_torsion_scaling():
 def test_summary_order_arithmetic():
     s = TowerSummary("base", 4, "pi", 2, (FgAbelian(0, (2,)),), (3,), True)
     assert s.finite_order == 4 * 2 ** 3
-    assert s.layers == (("pi2", FgAbelian(0, (2,)), 3),)
+    assert list(cli._layer_rows(s)) == [("pi2", "Z/2", 3)]
     s = TowerSummary(1, 1, "pi", 3, (FgAbelian(1),), (2,), True)
     assert s.finite_order == INFINITY
     s = TowerSummary(1, 1, "pi", 3, (FgAbelian(1),), (0,), True)
