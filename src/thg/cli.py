@@ -29,8 +29,7 @@ from .fingroup import (CayleyGroup, abelianization as group_abelianization,
                        from_catalog, is_isomorphic)
 from .report import CheckReport, FAIL, NOT_APPLICABLE, PASS
 from .spacecat import (DEGREE_CAP, Catalog, SpaceModel, TransformationModel,
-                       builtin_catalog, catalog_from_dir, find_model,
-                       orbit_space, serialize)
+                       find_model, orbit_space, serialize)
 from .tower import TowerSummary, VirtAbelian, abelianization, center_structure
 from .verdict import Indeterminate
 
@@ -755,11 +754,12 @@ def run(argv: Sequence[str], out=None, err=None) -> int:
             return EXIT_OK
         path = args.catalog_dir or os.environ.get("THG_CATALOG_DIR")
         try:
-            # A directory is validated whole; the built-in catalog is built
-            # whole only for a verb that reads every model.
-            catalog = (catalog_from_dir(path) if path else
-                       Catalog.builtin() if args.target else builtin_catalog())
-            target = find_model(args.target, catalog) if args.target else None
+            catalog = Catalog(path) if path else Catalog.builtin()
+            target = None
+            if args.target:
+                target = find_model(args.target, catalog)
+            else:
+                list(catalog)  # a verb without a target builds every model
         except ModelError as exc:
             if args.verb not in _BATTERY:
                 raise

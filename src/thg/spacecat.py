@@ -19,8 +19,8 @@ import json
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple, Union)
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
 from .abelian import (TRIVIAL, FgAbelian, INFINITY, IntMatrix,
                       subgroup_index, subgroup_structure)
@@ -917,27 +917,29 @@ DEGREE_CAP = 10_000
 
 
 class Catalog:
-    """The models of one catalog, each decoded and built when first asked
-    for.
+    """The models of one directory's *.json files, each read, decoded and
+    built when first asked for.
 
     A space is named by its "name", a transformation by its file stem.
     get() reads only the files that can hold the name asked for: the
     transformation <name>.json, or a space in <name>.json or in
     <name lowercased>.json, the shipped layout.  When neither holds it,
-    get() falls back to the full index, which decodes every file and runs
-    the checks that span files: a document that is not an object, whose
-    kind is neither "space" nor "transformation", or whose model name an
-    earlier file already took, is a ModelError whose path starts with its
-    file name.  get() builds (parses and validates) one model, and the
-    space a transformation names, and keeps them; iterating builds the
-    full index and then every model.
+    get() falls back to the full index, which decodes every file in name
+    order and runs the checks that span files: a document that is not an
+    object, whose kind is neither "space" nor "transformation", or whose
+    model name an earlier file already took, is a ModelError whose path
+    starts with its file name.  get() builds (parses and validates) one
+    model, and the space a transformation names, and keeps them;
+    iterating builds the full index and then every model.  A directory or
+    file that cannot be read is a ModelError at its path.
     """
 
-    def __init__(self, files: Iterable[Tuple[str, Optional[bytes]]],
-                 root: str = ""):
-        """files: (file name, contents) pairs; contents None is read from
-        root/<file name> when first needed."""
-        self._files: Dict[str, Optional[bytes]] = dict(files)
+    def __init__(self, root: str):
+        try:
+            names = os.listdir(root)
+        except OSError as exc:
+            raise ModelError(root, f"cannot read: {exc.strerror}") from None
+        self._files = frozenset(f for f in names if f.endswith(".json"))
         self._root = root
         self._docs: Dict[str, dict] = {}
         # The full index, by model name; None until it is built.
@@ -947,18 +949,17 @@ class Catalog:
 
     @classmethod
     def builtin(cls) -> "Catalog":
-        """The shipped models, each read and built on first request."""
-        root = os.path.join(os.path.dirname(__file__), "catalog")
-        return cls(((fname, None) for fname in os.listdir(root)
-                    if fname.endswith(".json")), root)
+        """The shipped models."""
+        return cls(os.path.join(os.path.dirname(__file__), "catalog"))
 
     def _decode(self, fname: str) -> dict:
         doc = self._docs.get(fname)
         if doc is None:
-            data = self._files[fname]
-            if data is None:
+            try:
                 with open(os.path.join(self._root, fname), "rb") as fh:
                     data = fh.read()
+            except OSError as exc:
+                raise ModelError(fname, f"cannot read: {exc.strerror}") from None
             doc = self._docs[fname] = _parse_document(data, fname)
         return doc
 
@@ -1038,24 +1039,6 @@ class Catalog:
 def builtin_catalog() -> Catalog:
     """Every shipped model, built now: the full load."""
     catalog = Catalog.builtin()
-    list(catalog)  # builds and validates every model
-    return catalog
-
-
-def catalog_from_dir(path: str) -> Catalog:
-    """Every *.json in a directory as one self-contained catalog, every
-    model built now, so that one broken file fails the whole load.  A
-    directory or file that cannot be read is a ModelError at its path."""
-    files, where = [], path
-    try:
-        for fname in os.listdir(path):
-            if fname.endswith(".json"):
-                where = fname
-                with open(os.path.join(path, fname), "rb") as fh:
-                    files.append((fname, fh.read()))
-    except OSError as exc:
-        raise ModelError(where, f"cannot read: {exc.strerror}") from None
-    catalog = Catalog(files)
     list(catalog)  # builds and validates every model
     return catalog
 

@@ -604,6 +604,22 @@ def flat_center_rank(a):
                                    for i, row in enumerate(a)])
 
 
+def record_builds(monkeypatch):
+    """The names of the models the loader builds from now on, in order: a
+    transformation before the space it names."""
+    from thg import spacecat
+    built = []
+    space, transformation = (spacecat._space_from_doc,
+                             spacecat._transformation_from_doc)
+    monkeypatch.setattr(spacecat, "_space_from_doc", lambda doc, path="": (
+        built.append(doc["name"]) or space(doc, path)))
+    monkeypatch.setattr(spacecat, "_transformation_from_doc",
+                        lambda doc, name, resolver: (
+                            built.append(name)
+                            or transformation(doc, name, resolver)))
+    return built
+
+
 def write_flat_manifold(directory, k, m, seed):
     """Write a free Z/m action on T^k into directory, with the space
     document T<k>, and return the action's name t<k>-z<m>-s<seed>.

@@ -18,13 +18,14 @@ import json
 import pathlib
 import shutil
 
-from strategies import (FLAT_CORPUS, flat_center_rank, flat_holonomy, scan_center,
-                        seeded_extension, write_flat_manifold)
+from strategies import (FLAT_CORPUS, flat_center_rank, flat_holonomy,
+                        record_builds, scan_center, seeded_extension,
+                        write_flat_manifold)
 
 from thg.abelian import FgAbelian
 from thg.cli import EXIT_CHECK_FAILED, EXIT_OK, run
 from thg.fingroup import SubgroupRef, abelianization, from_catalog, subgroup_as_group
-from thg.spacecat import CENTER, catalog_from_dir, orbit_space, subgroup_index_in
+from thg.spacecat import CENTER, Catalog, orbit_space, subgroup_index_in
 from thg.tower import abelianization as extension_abelianization
 from thg.tower import center_structure, direct_sum_group, to_cayley
 
@@ -86,27 +87,29 @@ def test_audit_fails_an_orbit_group_with_torsion_over_an_aspherical_space(tmp_pa
     assert failed == ["aspherical-equivalence"]
 
 
-def test_flat_manifold_centers_are_the_fixed_lattice(tmp_path):
+def test_flat_manifold_centers_are_the_fixed_lattice(tmp_path, monkeypatch):
     # Each free Z/m action on T^k, A = 1 + B, has a Bieberbach orbit
     # group whose center, and whose abelianization's free part, have the
-    # rank of the fixed lattice of A.  Each action has a directory of its
-    # own, since a --catalog-dir request builds every model in it.
+    # rank of the fixed lattice of A.  The whole corpus shares one
+    # directory, and each verify builds its action and its torus only.
     ranks = set()
     assert len(FLAT_CORPUS) >= 30
-    for k, m, seed in FLAT_CORPUS:
-        directory = tmp_path / f"{k}-{m}-{seed}"
-        directory.mkdir()
-        name = write_flat_manifold(directory, k, m, seed)
+    names = [write_flat_manifold(tmp_path, k, m, seed)
+             for k, m, seed in FLAT_CORPUS]
+    built = record_builds(monkeypatch)
+    for (k, m, seed), name in zip(FLAT_CORPUS, names):
         rank = flat_center_rank(flat_holonomy(k, m, seed))
         ranks.add(rank)
+        built.clear()
         out, err = io.StringIO(), io.StringIO()
         code = run(["verify", name, "--max-n", "3", "--format", "json",
-                    "--catalog-dir", str(directory)], out=out, err=err)
+                    "--catalog-dir", str(tmp_path)], out=out, err=err)
         assert code == EXIT_OK, (name, err.getvalue())
+        assert built == [name, f"T{k}"]
         entries = json.loads(out.getvalue())["report"]["entries"]
         assert [e["detail"] for e in entries if e["check"] == "orbit-center"] == [
             f"center of pi_1(orbit) = {FgAbelian(rank, ()).describe()} (rank {rank})"], name
-        pi1 = orbit_space(catalog_from_dir(str(directory)).get(name)).pi1
+        pi1 = orbit_space(Catalog(str(tmp_path)).get(name)).pi1
         assert center_structure(pi1) == FgAbelian(rank, ()), name
         assert extension_abelianization(pi1).rank == rank, name
     assert len(ranks) > 5

@@ -3,13 +3,16 @@
 import collections
 import io
 import json
+import os
 import pathlib
 import random
 import shutil
+import subprocess
+import sys
 
 import pytest
 
-from strategies import random_base, time_limit
+from strategies import random_base, record_builds, time_limit
 
 from thg import cli, fox, report, rhodes
 from thg.cli import (EXIT_CHECK_FAILED, EXIT_COMPUTATION, EXIT_OK, EXIT_USAGE,
@@ -245,10 +248,12 @@ def test_verify_reports_broken_catalog_as_failure(tmp_path):
     code, out, _ = invoke("verify", "--all", "--max-n", "2",
                           "--catalog-dir", str(mutated))
     assert code == EXIT_CHECK_FAILED
-    # Outside verify, a broken catalog is an input error.
-    code, _, err = invoke("tau", "S3", "--n", "2",
-                          "--catalog-dir", str(mutated))
-    assert code == EXIT_COMPUTATION and err != ""
+    # Outside the battery, a single target reads only its own files, so a
+    # broken S5 does not reach a request for S3.
+    shipped = invoke("tau", "S3", "--n", "2")
+    assert shipped[0] == EXIT_OK
+    assert invoke("tau", "S3", "--n", "2",
+                  "--catalog-dir", str(mutated)) == shipped
 
 
 def test_a_rank_past_the_coordinate_cap_fails_the_catalog_load(tmp_path):
@@ -332,6 +337,55 @@ def test_an_unreadable_catalog_dir_is_a_model_error(tmp_path, monkeypatch, how):
         assert [(e["check"], e["target"], e["status"])
                 for e in json.loads(out)["report"]["entries"]] == [
             ("catalog-load", where, "fail")]
+
+
+def test_python_dash_m_thg_answers_as_run_does():
+    # The module entry point, and the exit status that cli.main passes on,
+    # in a fresh interpreter that imports this thg.
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    for argv, want in ((("tau", "S1", "--n", "1"), EXIT_OK),
+                       (("tau", "nosuch"), EXIT_USAGE)):
+        done = subprocess.run([sys.executable, "-m", "thg", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == invoke(*argv)
+        assert done.returncode == want
+
+
+def test_verify_all_grades_every_arm_of_the_frozen_probes(tmp_path):
+    # An edited copy: S5 without its degree-5 subgroup, s3-z4 acting
+    # through a table (so no S3mod<G> model is paired with it), t3-z2 a
+    # free Z/2 on S3 (its orbit group is finite, not an extension of a
+    # free layer), and s5-z2 the flat action (its sigma_1 is infinite).
+    mutated = tmp_path / "catalog"
+    shutil.copytree(CATALOG_DIR, mutated)
+    doc = json.loads((mutated / "s5.json").read_text())
+    del doc["gottlieb"]["5"]
+    (mutated / "s5.json").write_text(json.dumps(doc))
+    doc = json.loads((mutated / "s3-z4.json").read_text())
+    doc["group"] = {"names": ["e", "a", "a2", "a3"], "identity": "e",
+                    "table": [[(i + j) % 4 for j in range(4)] for i in range(4)]}
+    (mutated / "s3-z4.json").write_text(json.dumps(doc))
+    shutil.copy(CATALOG_DIR / "t3-z2.json", mutated / "s5-z2.json")
+    (mutated / "t3-z2.json").write_text(json.dumps({
+        "kind": "transformation", "space": "S3", "group": {"catalog": "Z2"},
+        "free": True, "action": {}}))
+    code, out, err = invoke("verify", "--all", "--max-n", "4", "--format",
+                            "json", "--catalog-dir", str(mutated))
+    assert (code, err) == (EXIT_CHECK_FAILED, "")
+    entries = json.loads(out)["report"]["entries"]
+    unexpected = "orbit fundamental group has an unexpected form"
+    assert [(e["check"], e["target"], e["detail"])
+            for e in entries if e["status"] == "fail"] == [
+        ("frozen-gottlieb-index", "S5", "data missing"),
+        ("frozen-g0-order", "s5-z2", "order 1, expected 2"),
+        ("frozen-g0-order", "t3-z2", "order None, expected 1"),
+        ("frozen-sigma1", "s5-z2", "error: sigma_1 of s5-z2 has order inf, "
+                                   "beyond the tabulation cap 64, expected Z/2"),
+        ("frozen-orbit-center", "t3-z2", unexpected),
+        ("frozen-orbit-abelianization", "t3-z2", unexpected)]
+    assert [(e["target"], e["status"]) for e in entries
+            if e["check"] == "oprea-center" and e["status"] != "not-applicable"
+            ] == [("S3modQ8", "pass"), ("S3/s3-z4", "pass")]
 
 
 def test_verify_single_target():
@@ -608,26 +662,17 @@ def test_loader_warnings_go_to_stderr(tmp_path):
 
 
 def test_a_single_target_builds_only_what_it_reads(monkeypatch):
-    # The full load is never called, and only the target, the space it
+    # The catalog is never iterated, and only the target, the space it
     # names and the paired orbit model are decoded and built.
-    from thg import cli, spacecat
+    from thg import spacecat
 
-    def full_load():
+    def full_load(self):
         raise AssertionError("the whole catalog was built")
-    monkeypatch.setattr(cli, "builtin_catalog", full_load)
-    monkeypatch.setattr(spacecat, "builtin_catalog", full_load)
+    monkeypatch.setattr(spacecat.Catalog, "__iter__", full_load)
     decoded, decode = [], spacecat._parse_document
     monkeypatch.setattr(spacecat, "_parse_document", lambda data, path: (
         decoded.append(path) or decode(data, path)))
-    built = []
-    space, transformation = (spacecat._space_from_doc,
-                             spacecat._transformation_from_doc)
-    monkeypatch.setattr(spacecat, "_space_from_doc", lambda doc, path="": (
-        built.append(doc["name"]) or space(doc, path)))
-    monkeypatch.setattr(spacecat, "_transformation_from_doc",
-                        lambda doc, name, resolver: (
-                            built.append(name)
-                            or transformation(doc, name, resolver)))
+    built = record_builds(monkeypatch)
     for argv, names in ((("tau", "S3", "--n", "2"), ["S3"]),
                         (("show", "s3-z4"), ["s3-z4", "S3"]),
                         (("audit", "s3-q8", "--max-n", "4"),
@@ -692,18 +737,28 @@ def test_a_catalog_dir_without_the_circle_answers_from_the_template(tmp_path):
 
 
 def test_a_catalog_dir_is_validated_whole(tmp_path):
-    # verify of one model still fails on a broken file it never reads.
+    # verify of one model reads only its own files, so a broken file it
+    # never reads does not fail it; a verb that reads every model fails at
+    # the broken file, or at the field of it that does not validate.
     mutated = tmp_path / "catalog"
     shutil.copytree(CATALOG_DIR, mutated)
     doc = json.loads((mutated / "s5.json").read_text())
     doc["pi"]["5"]["torsion"] = [-3]
-    (mutated / "s5.json").write_text(json.dumps(doc))
-    code, out, _ = invoke("verify", "S3", "--catalog-dir", str(mutated),
-                          "--format", "json")
-    assert code == EXIT_CHECK_FAILED
-    entries = json.loads(out)["report"]["entries"]
-    assert [(e["check"], e["status"]) for e in entries] == [
-        ("catalog-load", "fail")]
+    shipped = invoke("verify", "S3")
+    assert shipped[0] == EXIT_OK
+    for text, where in (("{broken", "s5.json"),
+                        (json.dumps(doc), "pi.5.torsion")):
+        (mutated / "s5.json").write_text(text)
+        catalog = ("--catalog-dir", str(mutated))
+        assert invoke("verify", "S3", *catalog) == shipped
+        code, out, _ = invoke("verify", "--all", *catalog, "--format", "json")
+        assert code == EXIT_CHECK_FAILED
+        entries = json.loads(out)["report"]["entries"]
+        assert [(e["check"], e["target"], e["status"]) for e in entries] == [
+            ("catalog-load", where, "fail")]
+        code, out, err = invoke("list", *catalog)
+        assert (code, out) == (EXIT_COMPUTATION, "")
+        assert err.startswith(f"thg: {where}: ") and err.count("\n") == 1
 
 
 def test_oprea_grades_a_trivial_group_by_the_trivial_pi1_rule(tmp_path):

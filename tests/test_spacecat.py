@@ -1,20 +1,23 @@
 """Catalog loading, validation, orbit spaces, and the shared group surface."""
 
+import io
 import json
 import pathlib
+import shutil
 import sys
 
 import pytest
 
 from thg.abelian import TRIVIAL, FgAbelian, INFINITY
+from thg.cli import EXIT_CHECK_FAILED, EXIT_COMPUTATION, run
 from thg.errors import (InsufficientDataError, InvalidInputError, ModelError,
                         NotFoundError, UnsupportedError)
 from thg.fingroup import COORD_CAP, CayleyGroup, from_catalog, is_isomorphic
 from thg.spacecat import (FULL, CENTER, TRIVIAL_SUBGROUP, Catalog, SpaceModel,
                           SubgroupData, TransformationModel, builtin_catalog,
-                          catalog_from_dir, find_model, load_model,
-                          orbit_space, serialize, sphere_space,
-                          subgroup_index_in, subgroup_structure_in)
+                          find_model, load_model, orbit_space, serialize,
+                          sphere_space, subgroup_index_in,
+                          subgroup_structure_in)
 from thg.tower import (VirtAbelian, center_structure, direct_sum_group,
                        make_virtabelian)
 
@@ -43,7 +46,7 @@ def test_serialization_roundtrips_every_catalog_file():
 
 
 def test_catalog_from_dir_matches_builtin():
-    loaded = catalog_from_dir(str(CATALOG_DIR))
+    loaded = Catalog(str(CATALOG_DIR))
     assert [m.name for m in loaded] == [m.name for m in MODELS]
 
 
@@ -66,18 +69,61 @@ def test_the_shipped_layout_is_the_one_get_probes():
     assert len(list(CATALOG_DIR.glob("*.json"))) == len(BY_NAME)
 
 
-def test_a_catalog_builds_a_broken_file_only_when_asked():
-    files = [(p.name, p.read_bytes()) for p in CATALOG_DIR.glob("*.json")]
+def test_a_catalog_builds_a_broken_file_only_when_asked(tmp_path):
+    shutil.copytree(CATALOG_DIR, tmp_path, dirs_exist_ok=True)
     doc = json.loads((CATALOG_DIR / "s5.json").read_text())
     doc["pi"]["5"]["torsion"] = [-3]
-    files = [(name, json.dumps(doc).encode() if name == "s5.json" else data)
-             for name, data in files]
-    catalog = Catalog(files)
+    (tmp_path / "s5.json").write_text(json.dumps(doc))
+    catalog = Catalog(str(tmp_path))
     assert catalog.get("s3-q8").space is catalog.get("S3")
     with pytest.raises(ModelError, match="^pi.5.torsion: "):
         catalog.get("s5-z2")
     with pytest.raises(ModelError, match="^pi.5.torsion: "):
         list(catalog)
+
+
+_S3_DOC = json.loads((CATALOG_DIR / "s3.json").read_text())
+_BROKEN_JSON = ("not valid JSON: Expecting property name enclosed in double "
+                "quotes: line 1 column 2 (char 1)")
+
+
+@pytest.mark.parametrize("files, name, path, message", [
+    # A space whose name is not a string, met by the full index.
+    ({"s3.json": json.dumps(dict(_S3_DOC, name=5)).encode()}, "S3",
+     "name", "expected a string"),
+    # A probed file that does not decode is left for the full index, which
+    # reports the first broken file in name order.
+    ({"a.json": b"{broken", "s3.json": b"{broken"}, "S3", "a.json",
+     _BROKEN_JSON),
+    # A transformation naming a space that the directory lacks.
+    ({"t9-z2.json": json.dumps({
+        "kind": "transformation", "space": "T9", "group": {"catalog": "Z2"},
+        "free": True, "action": {}}).encode()}, "t9-z2", "space",
+     "unknown space 'T9'"),
+    # A file that is not UTF-8.
+    ({"s3.json": b"\xff"}, "S3", "s3.json",
+     "not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: "
+     "invalid start byte"),
+])
+def test_a_catalog_load_failure_names_its_path(tmp_path, files, name, path,
+                                                message):
+    for fname, data in files.items():
+        (tmp_path / fname).write_bytes(data)
+    with pytest.raises(ModelError) as caught:
+        Catalog(str(tmp_path)).get(name)
+    assert (caught.value.path, caught.value.message) == (path, message)
+    catalog = ("--catalog-dir", str(tmp_path))
+    for verb in ("tau", "sigma"):
+        out, err = io.StringIO(), io.StringIO()
+        assert run([verb, name, *catalog], out=out, err=err) == EXIT_COMPUTATION
+        assert (out.getvalue(), err.getvalue()) == (
+            "", f"thg: {path}: {message}\n")
+    out, err = io.StringIO(), io.StringIO()
+    assert run(["verify", name, *catalog, "--format", "json"],
+               out=out, err=err) == EXIT_CHECK_FAILED
+    assert [(e["check"], e["target"], e["status"], e["detail"])
+            for e in json.loads(out.getvalue())["report"]["entries"]] == [
+        ("catalog-load", path, "fail", f"{path}: {message}")]
 
 
 def test_find_model_and_sphere_templates():
@@ -571,7 +617,7 @@ def test_degree_and_pairing_key_syntax(field, key, error):
 _HUGE = "1" + "0" * 4999  # past the 4,300 digits that int() reads from text
 
 
-def test_integers_past_the_digit_limit_are_model_errors():
+def test_integers_past_the_digit_limit_are_model_errors(tmp_path):
     # A degree key with more digits than the truncation is refused by its
     # length, before int() could refuse it.
     for field, key, value, message in [
@@ -595,8 +641,9 @@ def test_integers_past_the_digit_limit_are_model_errors():
         load_model(text)
     assert caught.value.path == ""
     assert caught.value.message.startswith("unreadable number: ")
+    (tmp_path / "x.json").write_text(text)
     with pytest.raises(ModelError) as caught:
-        list(Catalog([("x.json", text.encode())]))
+        list(Catalog(str(tmp_path)))
     assert caught.value.path == "x.json"
 
 
